@@ -10,7 +10,6 @@ from .engine import (
     InfeasibleBudgetError,
     spot,
     spot_loop,
-    next_seed,
     apply_duplicate_policy,
 )
 from .forest import ForestFit, fit_forest, predict_forest
@@ -74,7 +73,6 @@ __all__ = [
     "InfeasibleBudgetError",
     "spot",
     "spot_loop",
-    "next_seed",
     "apply_duplicate_policy",
     "ForestFit",
     "fit_forest",

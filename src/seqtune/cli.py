@@ -19,8 +19,14 @@ from typing import Optional
 import numpy as np
 
 from .bundle import CorruptBundleError, archive_lines, load_bundle, save_bundle
-from .design import DesignControl, ParamSpace, make_lhd, make_uniform
-from .engine import InfeasibleBudgetError, SpotConfig, spot, spot_loop
+from .engine import (
+    InfeasibleBudgetError,
+    SpotConfig,
+    fit_surrogate,
+    initial_design,
+    spot,
+    spot_loop,
+)
 from .objectives import get_objective
 from .rsm import descent_path, fit_rsm
 
@@ -42,7 +48,6 @@ _SPOT_KEYS = {
     "seedFun",
     "seedSPOT",
     "duplicate",
-    "plots",
 }
 _RUN_KEYS = {"fun", "lower", "upper", "types"}
 
@@ -163,6 +168,31 @@ def _meta_from_config(fields: dict, run: dict) -> dict:
     }
 
 
+def _read_bundle_run(meta: dict, **overrides) -> tuple[dict, SpotConfig, dict]:
+    """Config fields, engine config and [run] values stored in bundle metadata."""
+    try:
+        fields = dict(meta["config"], **overrides)
+        run = {key: meta[key] for key in ("fun", "lower", "upper")}
+    except KeyError as err:
+        raise CorruptBundleError(f"metadata is missing {err}") from None
+    fields["types"] = tuple(fields.get("types", ()))
+    return fields, _build_spot_config(fields), run
+
+
+def _save_run(path: str, result, meta: dict, archive_prefix=None) -> None:
+    meta.update(
+        {
+            "xbest": [float(v) for v in result.xbest],
+            "ybest": result.ybest,
+            "msg": result.msg,
+            "finished": _now(),
+        }
+    )
+    save_bundle(
+        path, result.x, result.y, result.seeds, result.replicates, meta, archive_prefix
+    )
+
+
 def _write_rows(path: Optional[str], lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
@@ -172,60 +202,36 @@ def _write_rows(path: Optional[str], lines: list[str]) -> None:
             fh.write(text)
 
 
-def cmd_design(args) -> int:
+def _read_config(args) -> tuple[dict, dict]:
+    """The [run] values and engine fields of --config, --seed as seedSPOT."""
     cp = _read_ini(args.config)
     run = _run_section(cp)
     fields = _spot_config(cp, run)
-    dc = dict(fields.get("designControl", {}))
     if args.seed is not None:
-        dc["seed"] = args.seed
-    control = DesignControl(
-        size=int(dc.get("size", 10)),
-        retries=int(dc.get("retries", 100)),
-        replicates=int(dc.get("replicates", 1)),
-        seed=dc.get("seed"),
-        types=tuple(run["types"]),
-    )
-    space = ParamSpace(run["lower"], run["upper"], tuple(run["types"]))
-    method = fields.get("design", "lhd")
-    if method == "lhd":
-        mat = make_lhd(None, space, control)
-    elif method == "uniform":
-        mat = make_uniform(None, space, control)
-    else:
-        raise ConfigError(f"unknown design {method!r}")
-    header = ",".join(f"x{i + 1}" for i in range(space.dim))
+        fields["seedSPOT"] = args.seed
+    return run, fields
+
+
+def cmd_design(args) -> int:
+    run, fields = _read_config(args)
+    mat = initial_design(None, run["lower"], run["upper"], _build_spot_config(fields))
+    header = ",".join(f"x{i + 1}" for i in range(mat.shape[1]))
     lines = [header] + [",".join(_fmt(v) for v in row) for row in mat]
     _write_rows(args.out, lines)
     return 0
 
 
 def _run_spot(args, force_deterministic: bool) -> int:
-    cp = _read_ini(args.config)
-    run = _run_section(cp)
-    fields = _spot_config(cp, run)
+    run, fields = _read_config(args)
     if force_deterministic:
         fields["noise"] = False
         fields.setdefault("optimizer", "local")
-    if args.seed is not None:
-        fields["seedSPOT"] = args.seed
     cfg = _build_spot_config(fields)
     fun = get_objective(run["fun"])
-    started = _now()
-    result = spot(None, fun, run["lower"], run["upper"], cfg)
     meta = _meta_from_config(fields, run)
-    meta.update(
-        {
-            "xbest": [float(v) for v in result.xbest],
-            "ybest": result.ybest,
-            "msg": result.msg,
-            "created": started,
-            "finished": _now(),
-        }
-    )
-    if cfg.plots:
-        meta["progress"] = list(np.minimum.accumulate(result.y[:, 0]))
-    save_bundle(args.out, result.x, result.y, result.seeds, result.replicates, meta)
+    meta["created"] = _now()
+    result = spot(None, fun, run["lower"], run["upper"], cfg)
+    _save_run(args.out, result, meta)
     print(f"xbest: {result.xbest.tolist()}")
     print(f"ybest: {result.ybest}")
     print(f"count: {result.count}")
@@ -244,42 +250,14 @@ def cmd_optimize(args) -> int:
 
 def cmd_continue(args) -> int:
     data = load_bundle(args.bundle)
-    meta = data["meta"]
-    try:
-        fields = dict(meta["config"])
-        fun_name = meta["fun"]
-        lower, upper = meta["lower"], meta["upper"]
-    except KeyError as err:
-        raise CorruptBundleError(f"metadata is missing {err}") from None
-    fields["types"] = tuple(fields.get("types", ()))
-    fields["funEvals"] = args.funEvals
-    cfg = _build_spot_config(fields)
-    fun = get_objective(fun_name)
-    result = spot_loop(data["x"], data["y"], fun, lower, upper, cfg)
-    n_old = data["x"].shape[0]
-    new_meta = dict(meta)
-    new_meta["config"] = dict(fields, types=list(fields["types"]))
-    new_meta.update(
-        {
-            "xbest": [float(v) for v in result.xbest],
-            "ybest": result.ybest,
-            "msg": result.msg,
-            "finished": _now(),
-        }
+    fields, cfg, run = _read_bundle_run(data["meta"], funEvals=args.funEvals)
+    fun = get_objective(run["fun"])
+    result = spot_loop(
+        data["x"], data["y"], fun, run["lower"], run["upper"], cfg, data["seeds"]
     )
-    if cfg.plots:
-        new_meta["progress"] = list(np.minimum.accumulate(result.y[:, 0]))
-    seeds = list(data["seeds"]) + result.seeds[n_old:]
-    save_bundle(
-        args.out or args.bundle,
-        result.x,
-        result.y,
-        seeds,
-        result.replicates,
-        new_meta,
-        archive_prefix=data["data_lines"],
-    )
-    print(f"rows: {result.count} (kept {n_old})")
+    meta = dict(data["meta"], **_meta_from_config(fields, run))
+    _save_run(args.out or args.bundle, result, meta, data["data_lines"])
+    print(f"rows: {result.count} (kept {len(data['seeds'])})")
     print(f"ybest: {result.ybest}")
     return 0
 
@@ -301,20 +279,9 @@ def cmd_rsm_path(args) -> int:
 def _surface_eval(args):
     if args.bundle:
         data = load_bundle(args.bundle)
-        meta = data["meta"]
-        try:
-            lower, upper = meta["lower"], meta["upper"]
-            cfg_fields = meta["config"]
-        except KeyError as err:
-            raise CorruptBundleError(f"metadata is missing {err}") from None
-        from .engine import _MODELS, _resolve  # reuse the model registry
-
-        fitter = _resolve(_MODELS, cfg_fields.get("model", "kriging"), "model")
-        control = dict(cfg_fields.get("modelControl", {}))
-        control.setdefault("types", tuple(cfg_fields.get("types", ())) or None)
-        control.setdefault("seed", cfg_fields.get("seedSPOT", 1))
-        finite = np.isfinite(data["y"][:, 0])
-        fit = fitter(data["x"][finite], data["y"][finite], control)
+        _, cfg, run = _read_bundle_run(data["meta"])
+        fit = fit_surrogate(data["x"], data["y"], cfg, cfg.seedSPOT)
+        lower, upper = run["lower"], run["upper"]
         return (lambda pts: np.asarray(fit.predict(pts)).reshape(-1)), lower, upper, None
     cp = _read_ini(args.config)
     run = _run_section(cp)

@@ -67,7 +67,6 @@ class SpotConfig:
     seedFun: Optional[int] = None
     seedSPOT: int = 1
     duplicate: str = "EXPLORE"
-    plots: bool = False
 
     def __post_init__(self):
         if self.funEvals < 1:
@@ -83,10 +82,9 @@ class SpotConfig:
 
 @dataclass
 class NoiseState:
-    """Counter handing one seed to each evaluation row, plus bookkeeping."""
+    """Counter handing one seed to each evaluation row."""
 
     next_value: Optional[int] = None
-    replaced: int = 0
 
     def next(self) -> int:
         if self.next_value is None:
@@ -94,11 +92,6 @@ class NoiseState:
         value = self.next_value
         self.next_value += 1
         return value
-
-
-def next_seed(state: NoiseState) -> int:
-    """Advance the per-evaluation seed counter by one."""
-    return state.next()
 
 
 @dataclass
@@ -223,11 +216,21 @@ def _resolve(table: dict, value, kind: str) -> Callable:
         raise ValueError(f"unknown {kind} {value!r} (known: {known})") from None
 
 
-def _model_control(cfg: SpotConfig, rng: np.random.Generator) -> dict:
+def fit_surrogate(x: np.ndarray, y: np.ndarray, control=None, seed=None):
+    """Fit the configured surrogate to the finite rows of an archive.
+
+    The model gets the config's modelControl plus the run's types and, where
+    modelControl names none, `seed`.
+    """
+    cfg = _normalize_config(control)
+    finite = np.isfinite(np.asarray(y, dtype=float).reshape(-1))
+    if finite.sum() < 2:
+        raise ValueError("not enough finite evaluations to fit a model")
     ctl = dict(cfg.modelControl)
     ctl.setdefault("types", cfg.types or None)
-    ctl.setdefault("seed", int(rng.integers(2**31 - 1)))
-    return ctl
+    ctl.setdefault("seed", seed)
+    fit_model = _resolve(_MODELS, cfg.model, "model")
+    return fit_model(x[finite], y[finite], ctl)
 
 
 def _optimizer_control(cfg: SpotConfig, rng: np.random.Generator) -> dict:
@@ -270,28 +273,29 @@ def _ocba_step(
             _evaluate(fun, reps, cfg, state, archive, pass_seed)
 
 
-def _run_loop(
+def _run(
     fun: Callable,
     cfg: SpotConfig,
     space: ParamSpace,
     rng: np.random.Generator,
-    state: NoiseState,
     archive: EvalArchive,
-    pass_seed: bool,
+    design: Optional[np.ndarray] = None,
 ) -> SpotResult:
-    fit_model = _resolve(_MODELS, cfg.model, "model")
+    """Evaluate `design`, then fit, search and evaluate until the budget is spent."""
+    seeded = cfg.noise and cfg.seedFun is not None
+    state = NoiseState(next_value=cfg.seedFun + archive.count if seeded else None)
+    pass_seed = _accepts_seed(fun)
+    if design is not None:
+        _evaluate(fun, design, cfg, state, archive, pass_seed)
     run_search = _resolve(_OPTIMIZERS, cfg.optimizer, "optimizer")
-    local_style = cfg.optimizer != "lhd"
+    local_style = run_search is not optim_lhd
     model = None
     msg = "budget exhausted"
 
     while archive.count < cfg.funEvals:
-        finite = np.isfinite(archive.y[:, 0])
-        if finite.sum() < 2:
-            raise ValueError("not enough finite evaluations to fit a model")
-        model = fit_model(
-            archive.X[finite], archive.y[finite], _model_control(cfg, rng)
-        )
+        # the model seed is drawn even when modelControl sets its own, so
+        # the generator's sequence does not depend on modelControl
+        model = fit_surrogate(archive.X, archive.y, cfg, int(rng.integers(2**31 - 1)))
         start = archive.best()[0] if local_style else None
         search = run_search(
             start,
@@ -308,8 +312,6 @@ def _run_loop(
             if candidate is None:
                 msg = "stopped on duplicate candidate (duplicate=STOP)"
                 break
-            if not np.array_equal(candidate, space.snap(search.xbest)[0]):
-                state.replaced += 1
         reps = min(cfg.replicates, cfg.funEvals - archive.count)
         rows = np.repeat(candidate.reshape(1, -1), reps, axis=0)
         _evaluate(fun, rows, cfg, state, archive, pass_seed)
@@ -340,6 +342,12 @@ def _normalize_config(control) -> SpotConfig:
     raise ValueError("control must be a SpotConfig, dict or None")
 
 
+def _setup(lower, upper, control):
+    cfg = _normalize_config(control)
+    space = ParamSpace(np.asarray(lower, float), np.asarray(upper, float), cfg.types)
+    return cfg, space, np.random.default_rng(cfg.seedSPOT)
+
+
 def _design_control(cfg: SpotConfig, rng: np.random.Generator) -> DesignControl:
     ctl = dict(cfg.designControl)
     seed = ctl.get("seed")
@@ -350,6 +358,37 @@ def _design_control(cfg: SpotConfig, rng: np.random.Generator) -> DesignControl:
         seed=int(rng.integers(2**31 - 1)) if seed is None else int(seed),
         types=cfg.types or (),
     )
+
+
+def _initial_rows(x, cfg: SpotConfig, space: ParamSpace, rng) -> np.ndarray:
+    design_ctl = _design_control(cfg, rng)
+    if cfg.noise and cfg.OCBA and design_ctl.replicates < 2 and cfg.replicates < 2:
+        warnings.warn(
+            "OCBA needs repeated evaluations to estimate variances; "
+            "set replicates above one",
+            stacklevel=3,
+        )
+    design_fn = _resolve(_DESIGNS, cfg.design, "design")
+    rows = [design_fn(x, space, design_ctl)]
+    if x is not None:
+        extra = space.snap(np.atleast_2d(np.asarray(x, dtype=float)))
+        rows.insert(0, np.repeat(extra, design_ctl.replicates, axis=0))
+    return np.vstack(rows)
+
+
+def initial_design(
+    x: Optional[np.ndarray],
+    lower: Sequence[float],
+    upper: Sequence[float],
+    control=None,
+) -> np.ndarray:
+    """The rows `spot` evaluates first under the same arguments, in order.
+
+    These are the supplied rows `x` (each repeated designControl.replicates
+    times), then the design drawn from the generator seeded by seedSPOT.
+    """
+    cfg, space, rng = _setup(lower, upper, control)
+    return _initial_rows(x, cfg, space, rng)
 
 
 def spot(
@@ -365,33 +404,14 @@ def spot(
     The objective takes an (m, d) matrix and returns an (m, 1) column; when
     noise bookkeeping is active it may also accept a per-row seed argument.
     """
-    cfg = _normalize_config(control)
-    space = ParamSpace(np.asarray(lower, float), np.asarray(upper, float), cfg.types)
-    rng = np.random.default_rng(cfg.seedSPOT)
-    state = NoiseState(next_value=cfg.seedFun if cfg.noise else None)
-    pass_seed = _accepts_seed(fun)
-
-    design_ctl = _design_control(cfg, rng)
-    if cfg.noise and cfg.OCBA and design_ctl.replicates < 2 and cfg.replicates < 2:
-        warnings.warn(
-            "OCBA needs repeated evaluations to estimate variances; "
-            "set replicates above one",
-            stacklevel=2,
-        )
-    design_fn = _resolve(_DESIGNS, cfg.design, "design")
-    rows = [design_fn(x, space, design_ctl)]
-    if x is not None:
-        extra = space.snap(np.atleast_2d(np.asarray(x, dtype=float)))
-        rows.insert(0, np.repeat(extra, design_ctl.replicates, axis=0))
-    initial = np.vstack(rows)
+    cfg, space, rng = _setup(lower, upper, control)
+    initial = _initial_rows(x, cfg, space, rng)
     if initial.shape[0] > cfg.funEvals:
         raise InfeasibleBudgetError(
             f"initial design needs {initial.shape[0]} evaluations, "
             f"budget is {cfg.funEvals}"
         )
-    archive = EvalArchive.empty(space.dim)
-    _evaluate(fun, initial, cfg, state, archive, pass_seed)
-    return _run_loop(fun, cfg, space, rng, state, archive, pass_seed)
+    return _run(fun, cfg, space, rng, EvalArchive.empty(space.dim), initial)
 
 
 def spot_loop(
@@ -401,41 +421,27 @@ def spot_loop(
     lower: Sequence[float],
     upper: Sequence[float],
     control=None,
+    seeds: Optional[Sequence[Optional[int]]] = None,
 ) -> SpotResult:
     """Resume a run from an existing archive up to a larger budget.
 
-    Rows already evaluated are kept verbatim as the archive prefix; the seed
-    counter restarts at seedFun plus the number of prior rows, one per past
-    evaluation.  If the budget is already spent, the archive is returned
-    unchanged.
+    Rows already evaluated are kept verbatim as the archive prefix, with
+    `seeds` as their seeds (None: unknown); the seed counter restarts at
+    seedFun plus the number of prior rows, one per past evaluation.  If the
+    budget is already spent, the archive is returned unchanged.
     """
-    cfg = _normalize_config(control)
-    space = ParamSpace(np.asarray(lower, float), np.asarray(upper, float), cfg.types)
+    cfg, space, rng = _setup(lower, upper, control)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     if x.shape[0] != y.shape[0]:
         raise ValueError("x and y row counts differ")
     if x.shape[1] != space.dim:
         raise ValueError("x column count does not match the bounds")
-    rng = np.random.default_rng(cfg.seedSPOT)
-    seed0 = None
-    if cfg.noise and cfg.seedFun is not None:
-        seed0 = cfg.seedFun + x.shape[0]
-    state = NoiseState(next_value=seed0)
+    if seeds is None:
+        seeds = [None] * x.shape[0]
+    elif len(seeds) != x.shape[0]:
+        raise ValueError("seeds and x row counts differ")
     archive = EvalArchive.empty(space.dim)
-    for row, val in zip(x, y[:, 0]):
-        archive.append(row, val if np.isfinite(val) else np.inf, None)
-    if cfg.funEvals <= archive.count:
-        xbest, ybest = archive.best()
-        return SpotResult(
-            xbest=xbest,
-            ybest=ybest,
-            x=archive.X,
-            y=archive.y,
-            count=archive.count,
-            msg="budget exhausted",
-            modelFit=None,
-            seeds=list(archive.seeds),
-            replicates=archive.replicates.copy(),
-        )
-    return _run_loop(fun, cfg, space, rng, state, archive, _accepts_seed(fun))
+    for row, val, seed in zip(x, y[:, 0], seeds):
+        archive.append(row, val if np.isfinite(val) else np.inf, seed)
+    return _run(fun, cfg, space, rng, archive)

@@ -79,19 +79,6 @@ class KrigingFit:
         return predict_kriging(self, xnew)["mean"]
 
 
-def _dist_tensor(z: np.ndarray, types: tuple[str, ...], p: float) -> np.ndarray:
-    """Per-dimension distance matrices, stacked (d, n, n)."""
-    n, d = z.shape
-    out = np.empty((d, n, n))
-    for i in range(d):
-        diff = z[:, i][:, None] - z[:, i][None, :]
-        if types[i] == "factor":
-            out[i] = (diff != 0.0).astype(float)
-        else:
-            out[i] = np.abs(diff) ** p
-    return out
-
-
 def _cross_dist(
     za: np.ndarray, zb: np.ndarray, types: tuple[str, ...], p: float
 ) -> np.ndarray:
@@ -185,7 +172,7 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         if t == "factor":
             x_offset[i], x_scale[i] = 0.0, 1.0
     z = (X - x_offset) / x_scale
-    dists = _dist_tensor(z, types, p)
+    dists = _cross_dist(z, z, types, p)
 
     n_par = d + (1 if use_lambda else 0)
     budget = int(control.get("budget", 200 * n_par))

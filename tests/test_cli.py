@@ -6,7 +6,15 @@ import os
 import numpy as np
 import pytest
 
-from seqtune import CorruptBundleError, archive_lines, load_bundle, save_bundle
+from seqtune import (
+    CorruptBundleError,
+    SpotConfig,
+    archive_lines,
+    get_objective,
+    load_bundle,
+    save_bundle,
+    spot_loop,
+)
 from seqtune.cli import main
 
 BOUNDS_CFG = """\
@@ -178,6 +186,19 @@ def test_design_seed_changes_the_sample(cfg_path, tmp_path):
     assert _read(out1) != _read(out2)
 
 
+def test_design_is_the_design_tune_evaluates_first(cfg_path, tmp_path):
+    for seed in ([], ["--seed", "21"]):
+        out1, out2 = str(tmp_path / "d1.csv"), str(tmp_path / "d2.csv")
+        where = str(tmp_path / "bundle")
+        assert main(["design", "--config", cfg_path, "--out", out1, *seed]) == 0
+        assert main(["design", "--config", cfg_path, "--out", out2, *seed]) == 0
+        assert _read(out1) == _read(out2)
+        assert main(["tune", "--config", cfg_path, "--out", where, *seed]) == 0
+        design = _read(out1).decode().splitlines()[1:]
+        archive = _read(os.path.join(where, "archive.csv")).decode().splitlines()
+        assert design == [",".join(ln.split(",")[:2]) for ln in archive[1:6]]
+
+
 # ---------------------------------------------------------------------------
 # tune / optimize commands
 
@@ -258,6 +279,23 @@ def test_continue_to_a_spent_budget_leaves_the_archive_alone(cfg_path, tmp_path)
     before = _read(os.path.join(where, "archive.csv"))
     assert main(["continue", "--bundle", where, "--funEvals", "10"]) == 0
     assert _read(os.path.join(where, "archive.csv")) == before
+
+
+def test_continue_result_seeds_match_the_archive(tmp_path):
+    noisy = "seedSPOT = 3\nnoise = true\nseedFun = 70"
+    cfg = _cfg(tmp_path, BOUNDS_CFG.replace("seedSPOT = 3", noisy))
+    src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
+    assert main(["tune", "--config", cfg, "--out", src]) == 0
+    assert main(["continue", "--bundle", src, "--funEvals", "12", "--out", dst]) == 0
+    data, continued = load_bundle(src), load_bundle(dst)
+    meta = data["meta"]
+    result = spot_loop(
+        data["x"], data["y"], get_objective(meta["fun"]), meta["lower"],
+        meta["upper"], SpotConfig(**dict(meta["config"], types=(), funEvals=12)),
+        seeds=data["seeds"],
+    )
+    assert result.seeds == continued["seeds"] == list(range(70, 82))
+    assert np.array_equal(result.x, continued["x"])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from seqtune import (
     ParamSpace,
     SpotConfig,
     apply_duplicate_policy,
-    next_seed,
+    optim_lhd,
     spot,
     spot_loop,
 )
@@ -110,12 +110,12 @@ def test_objectives_without_seed_argument_get_seeded_global_rng():
 
 def test_seed_counter_steps_by_one():
     state = NoiseState(next_value=1)
-    assert [next_seed(state), next_seed(state), next_seed(state)] == [1, 2, 3]
+    assert [state.next(), state.next(), state.next()] == [1, 2, 3]
 
 
 def test_seed_counter_requires_a_seed():
     with pytest.raises(ValueError, match="seedFun"):
-        next_seed(NoiseState())
+        NoiseState().next()
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +413,15 @@ def test_config_defaults():
     assert cfg.duplicate == "EXPLORE"
 
 
+def test_the_lhd_optimizer_callable_runs_like_its_name():
+    cfg = {"funEvals": 9, "designControl": {"size": 5}, **_FAST_FOREST,
+           "optimizerControl": {"funEvals": 30}}
+    by_name = spot(None, _sphere, [-3, -3], [3, 3], cfg)
+    by_callable = spot(None, _sphere, [-3, -3], [3, 3], dict(cfg, optimizer=optim_lhd))
+    assert np.array_equal(by_callable.x, by_name.x)
+    assert np.array_equal(by_callable.y, by_name.y)
+
+
 def test_unknown_component_names_are_rejected():
     with pytest.raises(ValueError, match="unknown model"):
         spot(None, _sphere, [-1, -1], [1, 1], {"funEvals": 12, "model": "spline"})
@@ -445,6 +454,15 @@ def test_continuation_keeps_the_prefix_and_extends():
     assert resumed.ybest <= first.ybest
 
 
+def test_continuation_keeps_the_prior_seeds():
+    cfg = dict(_LOOP_CFG, noise=True, seedFun=40)
+    first = spot(None, _noisy_sphere, [-3, -3], [3, 3], cfg)
+    resumed = spot_loop(first.x, first.y, _noisy_sphere, [-3, -3], [3, 3],
+                        dict(cfg, funEvals=11), seeds=first.seeds)
+    assert resumed.seeds[:8] == first.seeds
+    assert resumed.seeds == list(range(40, 51))
+
+
 def test_continuation_with_spent_budget_returns_archive_unchanged():
     first = spot(None, _sphere, [-3, -3], [3, 3], _LOOP_CFG)
     again = spot_loop(
@@ -462,3 +480,6 @@ def test_continuation_validates_shapes():
         spot_loop(np.zeros((3, 2)), np.zeros(2), _sphere, [-1, -1], [1, 1], None)
     with pytest.raises(ValueError, match="column count"):
         spot_loop(np.zeros((3, 3)), np.zeros(3), _sphere, [-1, -1], [1, 1], None)
+    with pytest.raises(ValueError, match="seeds"):
+        spot_loop(np.zeros((3, 2)), np.zeros(3), _sphere, [-1, -1], [1, 1], None,
+                  seeds=[1, 2])

@@ -1,0 +1,77 @@
+"""Golden run outputs, compared byte for byte.
+
+Each file under tests/golden/ is the output of one `seqtune` command on a
+fixed config: the archive.csv of the three shipped configs, of a stacked
+Branin run, of a noisy OCBA run and of its continuation, and the CSV of a
+surface drawn from a bundle's fitted model.  The test re-runs every command
+and compares bytes, so reproducibility is pinned across commits, not only
+between two runs in one process.
+
+A change that alters a golden file alters the engine's results.  Regenerate
+the files only together with a note saying what changed and why:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from seqtune.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+NAMES = [
+    "sphere_kriging.csv",
+    "branin_kriging.csv",
+    "sann_forest.csv",
+    "branin_stack.csv",
+    "sann_ocba.csv",
+    "sann_ocba_continue.csv",
+    "sphere_kriging_surface.csv",
+]
+
+
+def _run(*argv) -> None:
+    code = main([str(a) for a in argv])
+    if code != 0:
+        raise RuntimeError(f"seqtune {' '.join(map(str, argv))} exited {code}")
+
+
+def produce(out: Path) -> dict:
+    """Run every golden command under `out`; returns file name -> bytes."""
+    configs = {name: ROOT / "configs" / f"{name}.cfg"
+               for name in ("sphere_kriging", "branin_kriging", "sann_forest")}
+    configs.update({name: GOLDEN / f"{name}.cfg"
+                    for name in ("branin_stack", "sann_ocba")})
+    for name, cfg in configs.items():
+        _run("tune", "--config", cfg, "--out", out / name)
+    _run("continue", "--bundle", out / "sann_ocba", "--funEvals", 22,
+         "--out", out / "sann_ocba_continue")
+    _run("surface", "--bundle", out / "sphere_kriging", "--grid", 11,
+         "--out", out / "sphere_kriging_surface.csv")
+    files = {f"{name}.csv": (out / name / "archive.csv").read_bytes()
+             for name in [*configs, "sann_ocba_continue"]}
+    files["sphere_kriging_surface.csv"] = (
+        out / "sphere_kriging_surface.csv").read_bytes()
+    return files
+
+
+@pytest.fixture(scope="module")
+def produced(tmp_path_factory):
+    return produce(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_output_matches_the_golden_file(produced, name):
+    assert produced[name] == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, data in produce(Path(scratch)).items():
+            (GOLDEN / name).write_bytes(data)
+            print(f"wrote {GOLDEN / name}", file=sys.stderr)
