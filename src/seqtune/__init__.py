@@ -6,7 +6,6 @@ from .engine import (
     SpotConfig,
     SpotResult,
     EvalArchive,
-    NoiseState,
     InfeasibleBudgetError,
     spot,
     spot_loop,
@@ -69,7 +68,6 @@ __all__ = [
     "SpotConfig",
     "SpotResult",
     "EvalArchive",
-    "NoiseState",
     "InfeasibleBudgetError",
     "spot",
     "spot_loop",

@@ -3,15 +3,16 @@
 The archive holds one evaluation per line with header x1,...,xd,y,seed,
 replicate, decimal points, LF line endings and full round-trip precision,
 so a reloaded archive is bit-identical to the arrays that produced it.
-Metadata (resolved config, bounds, objective name, best point, message,
-timestamps) lives in meta.json next to it.
+`archive_lines` is the only renderer: re-rendering a loaded archive gives
+back the bytes of every archive it wrote, which is how a continued run
+keeps its prefix.  Metadata (resolved config, bounds, objective name, best
+point, message, timestamps) lives in meta.json next to it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Optional
 
 import numpy as np
 
@@ -61,20 +62,12 @@ def save_bundle(
     seeds: list,
     replicates: np.ndarray,
     meta: dict,
-    archive_prefix: Optional[list[str]] = None,
 ) -> None:
-    """Write archive.csv and meta.json under `path` (created if needed).
-
-    `archive_prefix` carries already-rendered data lines from a resumed
-    bundle so the original rows stay byte-identical; freshly rendered lines
-    are appended after them.
-    """
+    """Write archive.csv and meta.json under `path` (created if needed)."""
     os.makedirs(path, exist_ok=True)
-    lines = archive_lines(x, y, seeds, replicates)
-    if archive_prefix:
-        n_old = len(archive_prefix)
-        lines = [lines[0]] + list(archive_prefix) + lines[1 + n_old :]
-    write_archive(os.path.join(path, ARCHIVE_NAME), lines)
+    write_archive(
+        os.path.join(path, ARCHIVE_NAME), archive_lines(x, y, seeds, replicates)
+    )
     meta = dict(meta)
     meta["count"] = int(np.asarray(y).reshape(-1).shape[0])
     with open(os.path.join(path, META_NAME), "w", newline="\n") as fh:
@@ -85,8 +78,9 @@ def save_bundle(
 def load_bundle(path: str) -> dict:
     """Read a bundle back; raises CorruptBundleError on any inconsistency.
 
-    Returns a dict with keys meta, x, y, seeds, replicates and data_lines
-    (the raw archive data lines, for byte-preserving continuation).
+    Returns a dict with keys meta, x, y, seeds and replicates.  Saving
+    these values again writes the same archive bytes for any archive
+    `save_bundle` wrote; a hand-edited line comes back in canonical form.
     """
     archive_path = os.path.join(path, ARCHIVE_NAME)
     meta_path = os.path.join(path, META_NAME)
@@ -99,6 +93,8 @@ def load_bundle(path: str) -> dict:
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise CorruptBundleError(f"unreadable metadata: {err}") from None
+    if not isinstance(meta, dict):
+        raise CorruptBundleError("metadata is not a JSON object")
     try:
         with open(archive_path, newline="") as fh:
             raw = fh.read()
@@ -137,5 +133,4 @@ def load_bundle(path: str) -> dict:
         "y": np.asarray(ys, dtype=float).reshape(-1, 1),
         "seeds": seeds,
         "replicates": np.asarray(reps, dtype=int),
-        "data_lines": lines[1:],
     }

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
 from datetime import datetime, timezone
 from typing import Optional
@@ -35,20 +36,9 @@ class ConfigError(Exception):
     pass
 
 
-_SPOT_KEYS = {
-    "funEvals",
-    "types",
-    "design",
-    "model",
-    "optimizer",
-    "noise",
-    "OCBA",
-    "OCBAbudget",
-    "replicates",
-    "seedFun",
-    "seedSPOT",
-    "duplicate",
-}
+# engine fields read from their own config sections; the rest sit in [spot]
+_CONTROL_SECTIONS = ("designControl", "modelControl", "optimizerControl")
+_SPOT_KEYS = {f.name for f in dataclasses.fields(SpotConfig)} - set(_CONTROL_SECTIONS)
 _RUN_KEYS = {"fun", "lower", "upper", "types"}
 
 
@@ -138,9 +128,8 @@ def _spot_config(cp: configparser.ConfigParser, run: dict) -> dict:
             raise ConfigError(f"unknown [spot] keys: {', '.join(sorted(unknown))}")
         for key, val in items.items():
             fields[key] = _coerce(val)
-    fields["designControl"] = _control_dict(cp, "designControl")
-    fields["modelControl"] = _control_dict(cp, "modelControl")
-    fields["optimizerControl"] = _control_dict(cp, "optimizerControl")
+    for section in _CONTROL_SECTIONS:
+        fields[section] = _control_dict(cp, section)
     if "types" in fields and not isinstance(fields["types"], tuple):
         raise ConfigError("types belong in the [run] section")
     return fields
@@ -171,15 +160,18 @@ def _meta_from_config(fields: dict, run: dict) -> dict:
 def _read_bundle_run(meta: dict, **overrides) -> tuple[dict, SpotConfig, dict]:
     """Config fields, engine config and [run] values stored in bundle metadata."""
     try:
-        fields = dict(meta["config"], **overrides)
+        config = meta["config"]
         run = {key: meta[key] for key in ("fun", "lower", "upper")}
     except KeyError as err:
         raise CorruptBundleError(f"metadata is missing {err}") from None
+    if not isinstance(config, dict) or not isinstance(config.get("types", []), list):
+        raise CorruptBundleError("metadata config is not an object with a types list")
+    fields = dict(config, **overrides)
     fields["types"] = tuple(fields.get("types", ()))
     return fields, _build_spot_config(fields), run
 
 
-def _save_run(path: str, result, meta: dict, archive_prefix=None) -> None:
+def _save_run(path: str, result, meta: dict) -> None:
     meta.update(
         {
             "xbest": [float(v) for v in result.xbest],
@@ -188,9 +180,7 @@ def _save_run(path: str, result, meta: dict, archive_prefix=None) -> None:
             "finished": _now(),
         }
     )
-    save_bundle(
-        path, result.x, result.y, result.seeds, result.replicates, meta, archive_prefix
-    )
+    save_bundle(path, result.x, result.y, result.seeds, result.replicates, meta)
 
 
 def _write_rows(path: Optional[str], lines: list[str]) -> None:
@@ -256,7 +246,7 @@ def cmd_continue(args) -> int:
         data["x"], data["y"], fun, run["lower"], run["upper"], cfg, data["seeds"]
     )
     meta = dict(data["meta"], **_meta_from_config(fields, run))
-    _save_run(args.out or args.bundle, result, meta, data["data_lines"])
+    _save_run(args.out or args.bundle, result, meta)
     print(f"rows: {result.count} (kept {len(data['seeds'])})")
     print(f"ybest: {result.ybest}")
     return 0

@@ -9,7 +9,7 @@ per equal-width bin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,8 +70,6 @@ class DesignControl:
     retries: int = 100
     replicates: int = 1
     seed: Optional[int] = None
-    # set by the engine so designs snap like the rest of the run
-    types: tuple[str, ...] = field(default_factory=tuple)
 
 
 def _check_existing(existing: Optional[np.ndarray], dim: int) -> None:
@@ -129,8 +127,6 @@ def make_lhd(
         raise ValueError("retries must be at least 1")
     if control.replicates < 1:
         raise ValueError("replicates must be at least 1")
-    if control.types:
-        space = ParamSpace(space.lower, space.upper, control.types)
     _check_existing(existing, space.dim)
     rng = np.random.default_rng(control.seed)
     best, best_score = None, -np.inf
@@ -153,8 +149,6 @@ def make_uniform(
         raise ValueError("size must be at least 1")
     if control.replicates < 1:
         raise ValueError("replicates must be at least 1")
-    if control.types:
-        space = ParamSpace(space.lower, space.upper, control.types)
     _check_existing(existing, space.dim)
     rng = np.random.default_rng(control.seed)
     x = rng.uniform(space.lower, space.upper, size=(control.size, space.dim))

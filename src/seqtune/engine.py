@@ -81,20 +81,6 @@ class SpotConfig:
 
 
 @dataclass
-class NoiseState:
-    """Counter handing one seed to each evaluation row."""
-
-    next_value: Optional[int] = None
-
-    def next(self) -> int:
-        if self.next_value is None:
-            raise ValueError("seed counter used without seedFun")
-        value = self.next_value
-        self.next_value += 1
-        return value
-
-
-@dataclass
 class EvalArchive:
     """Row-per-evaluation history of a run."""
 
@@ -181,16 +167,19 @@ def _evaluate(
     fun: Callable,
     rows: np.ndarray,
     cfg: SpotConfig,
-    state: NoiseState,
     archive: EvalArchive,
     pass_seed: bool,
 ) -> None:
-    """Evaluate rows one batch or one seeded row at a time, archiving all."""
+    """Evaluate rows one batch or one seeded row at a time, archiving all.
+
+    A seeded row's seed is seedFun plus the number of rows archived before
+    it, so seeds step by one per evaluation, across continuations too.
+    """
     rows = np.atleast_2d(rows)
     seeded = cfg.noise and cfg.seedFun is not None
     if seeded:
         for row in rows:
-            s = state.next()
+            s = cfg.seedFun + archive.count
             np.random.seed(s % 2**32)
             if pass_seed:
                 val = fun(row.reshape(1, -1), seed=s)
@@ -244,8 +233,6 @@ def _optimizer_control(cfg: SpotConfig, rng: np.random.Generator) -> dict:
 def _ocba_step(
     fun: Callable,
     cfg: SpotConfig,
-    space: ParamSpace,
-    state: NoiseState,
     archive: EvalArchive,
     pass_seed: bool,
 ) -> None:
@@ -270,7 +257,7 @@ def _ocba_step(
         if n_extra > 0:
             row = configs[np.flatnonzero(ok)[sub_idx]]
             reps = np.repeat(row.reshape(1, -1), n_extra, axis=0)
-            _evaluate(fun, reps, cfg, state, archive, pass_seed)
+            _evaluate(fun, reps, cfg, archive, pass_seed)
 
 
 def _run(
@@ -282,11 +269,9 @@ def _run(
     design: Optional[np.ndarray] = None,
 ) -> SpotResult:
     """Evaluate `design`, then fit, search and evaluate until the budget is spent."""
-    seeded = cfg.noise and cfg.seedFun is not None
-    state = NoiseState(next_value=cfg.seedFun + archive.count if seeded else None)
     pass_seed = _accepts_seed(fun)
     if design is not None:
-        _evaluate(fun, design, cfg, state, archive, pass_seed)
+        _evaluate(fun, design, cfg, archive, pass_seed)
     run_search = _resolve(_OPTIMIZERS, cfg.optimizer, "optimizer")
     local_style = run_search is not optim_lhd
     model = None
@@ -314,9 +299,9 @@ def _run(
                 break
         reps = min(cfg.replicates, cfg.funEvals - archive.count)
         rows = np.repeat(candidate.reshape(1, -1), reps, axis=0)
-        _evaluate(fun, rows, cfg, state, archive, pass_seed)
+        _evaluate(fun, rows, cfg, archive, pass_seed)
         if cfg.OCBA and cfg.noise:
-            _ocba_step(fun, cfg, space, state, archive, pass_seed)
+            _ocba_step(fun, cfg, archive, pass_seed)
 
     xbest, ybest = archive.best()
     return SpotResult(
@@ -356,7 +341,6 @@ def _design_control(cfg: SpotConfig, rng: np.random.Generator) -> DesignControl:
         retries=int(ctl.get("retries", 100)),
         replicates=int(ctl.get("replicates", 1)),
         seed=int(rng.integers(2**31 - 1)) if seed is None else int(seed),
-        types=cfg.types or (),
     )
 
 
@@ -426,7 +410,7 @@ def spot_loop(
     """Resume a run from an existing archive up to a larger budget.
 
     Rows already evaluated are kept verbatim as the archive prefix, with
-    `seeds` as their seeds (None: unknown); the seed counter restarts at
+    `seeds` as their seeds (None: unknown); new seeded rows continue at
     seedFun plus the number of prior rows, one per past evaluation.  If the
     budget is already spent, the archive is returned unchanged.
     """

@@ -60,7 +60,6 @@ class KrigingFit:
     X: np.ndarray
     y: np.ndarray
     theta: np.ndarray
-    p: float
     lambda_: float
     mu_hat: float
     sigma2_hat: float
@@ -79,9 +78,7 @@ class KrigingFit:
         return predict_kriging(self, xnew)["mean"]
 
 
-def _cross_dist(
-    za: np.ndarray, zb: np.ndarray, types: tuple[str, ...], p: float
-) -> np.ndarray:
+def _cross_dist(za: np.ndarray, zb: np.ndarray, types: tuple[str, ...]) -> np.ndarray:
     """Distance tensor between two point sets, stacked (d, m, n)."""
     m, d = za.shape
     out = np.empty((d, m, zb.shape[0]))
@@ -90,7 +87,7 @@ def _cross_dist(
         if types[i] == "factor":
             out[i] = (diff != 0.0).astype(float)
         else:
-            out[i] = np.abs(diff) ** p
+            out[i] = np.abs(diff) ** 2.0
     return out
 
 
@@ -153,7 +150,6 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     types = tuple(control.get("types") or ("numeric",) * d)
     if len(types) != d:
         raise ValueError("types length must match X columns")
-    p = float(control.get("p", 2.0))
     use_lambda = bool(control.get("useLambda", True))
     reinterpolate = bool(control.get("reinterpolate", True))
     t_lo, t_hi = control.get("thetaBounds", DEFAULT_THETA_BOUNDS)
@@ -172,7 +168,7 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         if t == "factor":
             x_offset[i], x_scale[i] = 0.0, 1.0
     z = (X - x_offset) / x_scale
-    dists = _cross_dist(z, z, types, p)
+    dists = _cross_dist(z, z, types)
 
     n_par = d + (1 if use_lambda else 0)
     budget = int(control.get("budget", 200 * n_par))
@@ -192,10 +188,9 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
 
     alg = control.get("algTheta", "lhd")
     seed = control.get("seed")
-    if alg == "lhd":
-        res = optimizers.optim_lhd(
-            None, objective, lower, upper, {"funEvals": budget, "seed": seed}
-        )
+    if alg == "lhd" or callable(alg):
+        search = optimizers.optim_lhd if alg == "lhd" else alg
+        res = search(None, objective, lower, upper, {"funEvals": budget, "seed": seed})
         xbest, evals = res.xbest, res.count
     elif alg == "local":
         # global screen picks the basin, bounded local search polishes it
@@ -214,11 +209,6 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         xbest, evals = res.xbest, res.count + screen_evals
         if screen_evals and float(screen.ybest) < float(res.ybest):
             xbest = screen.xbest
-    elif callable(alg):
-        res = alg(
-            None, objective, lower, upper, {"funEvals": budget, "seed": seed}
-        )
-        xbest, evals = res.xbest, res.count
     else:
         raise ValueError(f"unknown algTheta {alg!r}")
     xbest = np.asarray(xbest, dtype=float).ravel()
@@ -270,7 +260,6 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         X=X,
         y=y,
         theta=theta,
-        p=p,
         lambda_=lam,
         mu_hat=mu,
         sigma2_hat=sigma2,
@@ -299,7 +288,7 @@ def predict_kriging(fit: KrigingFit, xnew: np.ndarray) -> dict:
         raise ValueError("prediction points have the wrong dimension")
     znew = (xnew - fit.x_offset) / fit.x_scale
     ztrain = (fit.X - fit.x_offset) / fit.x_scale
-    cross = _cross_dist(znew, ztrain, fit.types, fit.p)
+    cross = _cross_dist(znew, ztrain, fit.types)
     psi = np.exp(-np.tensordot(fit.theta, cross, axes=1))
     mean = fit.mu_hat + psi @ fit.alpha
 

@@ -62,12 +62,7 @@ def optim_lhd(
     n_start = 0 if not rows else rows[0].shape[0]
     size = fun_evals - n_start
     if size > 0:
-        dc = DesignControl(
-            size=size,
-            retries=int(control.get("retries", 1)),
-            seed=control.get("seed"),
-            types=space.types,
-        )
+        dc = DesignControl(size=size, retries=1, seed=control.get("seed"))
         rows.append(make_lhd(None, space, dc))
     x = np.vstack(rows)
     y = np.asarray(fun(x), dtype=float)

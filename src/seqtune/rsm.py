@@ -180,13 +180,6 @@ class DescentPath:
     mode: str
 
 
-def _quad(fit: RSMFit, z: np.ndarray) -> float:
-    val = fit.b0 + fit.b @ z
-    if fit.B is not None:
-        val += z @ fit.B @ z
-    return float(val)
-
-
 def _ridge_point(eigenvalues, vecs, c, r: float) -> np.ndarray:
     """Minimize the quadratic on the sphere of radius r.
 
@@ -312,12 +305,11 @@ def descent_path(fit: RSMFit) -> DescentPath:
             if 0.0 < rs <= PATH_RADIUS:
                 radii[int(np.argmin(np.abs(radii - rs)))] = rs
                 radii = np.sort(radii)
-        sub = fit.B[np.ix_(fit.active, fit.active)]
-        eigenvalues, vecs = np.linalg.eigh(sub)
+        vecs = fit.eigenvectors[fit.active]
         c = vecs.T @ (-0.5 * fit.b[fit.active])
         coded = np.zeros((PATH_STEPS, d))
         for k, r in enumerate(radii):
-            coded[k, fit.active] = _ridge_point(eigenvalues, vecs, c, float(r))
+            coded[k, fit.active] = _ridge_point(fit.eigenvalues, vecs, c, float(r))
 
     x = fit.decode(coded)
     return DescentPath(

@@ -89,29 +89,6 @@ def test_bundle_round_trip_is_exact(tmp_path):
     )
 
 
-def test_bundle_prefix_lines_are_kept_verbatim(tmp_path):
-    where = str(tmp_path / "bundle")
-    x = np.array([[0.1], [0.2]])
-    y = np.array([1.0, 2.0])
-    save_bundle(where, x, y, [None, None], np.array([1, 1]), {})
-    first = load_bundle(where)
-    x2 = np.vstack([x, [[0.3]]])
-    y2 = np.append(y, 3.0)
-    save_bundle(
-        where,
-        x2,
-        y2,
-        [None] * 3,
-        np.array([1, 1, 1]),
-        {},
-        archive_prefix=first["data_lines"],
-    )
-    text = _read(os.path.join(where, "archive.csv")).decode()
-    lines = text.splitlines()
-    assert lines[1:3] == first["data_lines"]
-    assert len(lines) == 4
-
-
 def test_load_rejects_missing_bundle(tmp_path):
     with pytest.raises(CorruptBundleError, match="no bundle directory"):
         load_bundle(str(tmp_path / "nope"))
@@ -134,6 +111,12 @@ def _write_bundle_files(tmp_path, archive_text, meta_text='{"count": 1}\n'):
 def test_load_rejects_bad_metadata_json(tmp_path):
     where = _write_bundle_files(tmp_path, "x1,y,seed,replicate\n1.0,2.0,,1\n", "{oops")
     with pytest.raises(CorruptBundleError, match="unreadable metadata"):
+        load_bundle(where)
+
+
+def test_load_rejects_non_object_metadata(tmp_path):
+    where = _write_bundle_files(tmp_path, "x1,y,seed,replicate\n1.0,2.0,,1\n", "[1]\n")
+    with pytest.raises(CorruptBundleError, match="not a JSON object"):
         load_bundle(where)
 
 
@@ -413,6 +396,26 @@ def test_corrupt_bundles_exit_4(tmp_path, capsys):
     assert "bundle error" in capsys.readouterr().err
     assert main(["rsm-path", "--bundle", missing]) == 4
     assert main(["surface", "--bundle", missing]) == 4
+
+
+@pytest.mark.parametrize("command", ["continue", "surface"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda cfg: 5, lambda cfg: ["a"], lambda cfg: dict(cfg, types=7)],
+    ids=["number", "list", "types-number"],
+)
+def test_corrupt_bundle_config_exits_4(cfg_path, tmp_path, capsys, command, corrupt):
+    where = str(tmp_path / "bundle")
+    main(["tune", "--config", cfg_path, "--out", where])
+    meta_path = os.path.join(where, "meta.json")
+    meta = json.loads(_read(meta_path))
+    meta["config"] = corrupt(meta["config"])
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    capsys.readouterr()
+    args = {"continue": ["--funEvals", "12"], "surface": ["--grid", "3"]}[command]
+    assert main([command, "--bundle", where] + args) == 4
+    assert "bundle error" in capsys.readouterr().err
 
 
 def test_metadata_contains_the_resolved_config(cfg_path, tmp_path):

@@ -134,14 +134,6 @@ def test_lhd_validates_control():
         make_lhd(None, sp, DesignControl(size=3, replicates=0))
 
 
-def test_lhd_control_types_override_space():
-    # the engine passes run-level types through the control block
-    sp = ParamSpace([1.0, 1.0], [5.0, 5.0])
-    x = make_lhd(None, sp, DesignControl(size=6, seed=3,
-                                         types=("integer", "integer")))
-    assert np.array_equal(x, np.rint(x))
-
-
 def test_lhd_more_retries_never_hurts_spread():
     # with a shared stream prefix, the best of 50 candidates is at least as
     # spread out as the best of 1 because candidate 1 is identical

@@ -9,7 +9,6 @@ import pytest
 
 from seqtune import (
     InfeasibleBudgetError,
-    NoiseState,
     ParamSpace,
     SpotConfig,
     apply_duplicate_policy,
@@ -106,16 +105,6 @@ def test_objectives_without_seed_argument_get_seeded_global_rng():
     b = spot(None, legacy_noise, [-2, -2], [2, 2], cfg)
     assert np.array_equal(a.y, b.y)
     assert a.seeds == list(range(42, 50))
-
-
-def test_seed_counter_steps_by_one():
-    state = NoiseState(next_value=1)
-    assert [state.next(), state.next(), state.next()] == [1, 2, 3]
-
-
-def test_seed_counter_requires_a_seed():
-    with pytest.raises(ValueError, match="seedFun"):
-        NoiseState().next()
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def _blup_oracle(fit: KrigingFit, xnew: np.ndarray) -> np.ndarray:
     psi = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            psi[i, j] = kernel_value(z[i], z[j], fit.theta, fit.p, fit.types)
+            psi[i, j] = kernel_value(z[i], z[j], fit.theta, types=fit.types)
     k = psi + fit.lambda_ * np.eye(n)
     one = np.ones((n, 1))
     kinv_y = np.linalg.solve(k, fit.y)
@@ -97,7 +97,7 @@ def _blup_oracle(fit: KrigingFit, xnew: np.ndarray) -> np.ndarray:
     out = np.empty((zq.shape[0], 1))
     for m in range(zq.shape[0]):
         cross = np.array(
-            [kernel_value(zq[m], z[i], fit.theta, fit.p, fit.types) for i in range(n)]
+            [kernel_value(zq[m], z[i], fit.theta, types=fit.types) for i in range(n)]
         )
         out[m, 0] = mu + cross @ kinv_resid[:, 0]
     return out
