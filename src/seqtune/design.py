@@ -82,7 +82,7 @@ def _check_existing(existing: Optional[np.ndarray], dim: int) -> None:
         )
 
 
-def _sample_lhd(rng: np.random.Generator, space: ParamSpace, size: int) -> np.ndarray:
+def sample_lhd(rng: np.random.Generator, space: ParamSpace, size: int) -> np.ndarray:
     """One stratified sample: each dimension gets one point per bin."""
     d = space.dim
     width = space.upper - space.lower
@@ -94,6 +94,19 @@ def _sample_lhd(rng: np.random.Generator, space: ParamSpace, size: int) -> np.nd
     return x
 
 
+def cross_dist(za: np.ndarray, zb: np.ndarray, types: tuple[str, ...]) -> np.ndarray:
+    """Distance tensor between two point sets, stacked (d, m, n)."""
+    m, d = za.shape
+    out = np.empty((d, m, zb.shape[0]))
+    for i in range(d):
+        diff = za[:, i][:, None] - zb[:, i][None, :]
+        if types[i] == "factor":
+            out[i] = (diff != 0.0).astype(float)
+        else:
+            out[i] = np.abs(diff) ** 2.0
+    return out
+
+
 def _min_pairwise_distance(x: np.ndarray, space: ParamSpace) -> float:
     """Smallest pairwise Euclidean distance on bound-normalized coordinates."""
     if x.shape[0] < 2:
@@ -101,8 +114,7 @@ def _min_pairwise_distance(x: np.ndarray, space: ParamSpace) -> float:
     width = space.upper - space.lower
     scale = np.where(width > 0, width, 1.0)
     z = (x - space.lower) / scale
-    diff = z[:, None, :] - z[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=2))
+    dist = np.sqrt(cross_dist(z, z, ("numeric",) * space.dim).sum(axis=0))
     iu = np.triu_indices(x.shape[0], k=1)
     return float(dist[iu].min())
 
@@ -131,7 +143,7 @@ def make_lhd(
     rng = np.random.default_rng(control.seed)
     best, best_score = None, -np.inf
     for _ in range(control.retries):
-        cand = space.snap(_sample_lhd(rng, space, control.size))
+        cand = space.snap(sample_lhd(rng, space, control.size))
         score = _min_pairwise_distance(cand, space)
         if score > best_score:
             best, best_score = cand, score

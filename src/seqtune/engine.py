@@ -11,6 +11,7 @@ replicate index, and the run stops exactly at the evaluation budget.
 from __future__ import annotations
 
 import inspect
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -48,6 +49,10 @@ _DESIGNS: dict[str, Callable] = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class SpotConfig:
     """Run settings; field names match the run-config file format."""
@@ -69,6 +74,20 @@ class SpotConfig:
     duplicate: str = "EXPLORE"
 
     def __post_init__(self):
+        def bad(name: str, what: str) -> ValueError:
+            return ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
+
+        for name in ("funEvals", "replicates", "OCBAbudget", "seedSPOT"):
+            if not _is_int(getattr(self, name)):
+                raise bad(name, "an integer")
+        if self.seedFun is not None and not _is_int(self.seedFun):
+            raise bad("seedFun", "an integer or none")
+        for name in ("noise", "OCBA"):
+            if not isinstance(getattr(self, name), bool):
+                raise bad(name, "true or false")
+        for name in ("designControl", "modelControl", "optimizerControl"):
+            if not isinstance(getattr(self, name), dict):
+                raise bad(name, "a section of keys")
         if self.funEvals < 1:
             raise ValueError("funEvals must be at least 1")
         if self.replicates < 1:

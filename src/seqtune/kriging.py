@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
 from . import optimizers
+from .design import cross_dist
 
 # concentrated -log-likelihood returned when the correlation matrix cannot
 # be factorized; large enough that the search never keeps such a point
@@ -78,19 +79,6 @@ class KrigingFit:
         return predict_kriging(self, xnew)["mean"]
 
 
-def _cross_dist(za: np.ndarray, zb: np.ndarray, types: tuple[str, ...]) -> np.ndarray:
-    """Distance tensor between two point sets, stacked (d, m, n)."""
-    m, d = za.shape
-    out = np.empty((d, m, zb.shape[0]))
-    for i in range(d):
-        diff = za[:, i][:, None] - zb[:, i][None, :]
-        if types[i] == "factor":
-            out[i] = (diff != 0.0).astype(float)
-        else:
-            out[i] = np.abs(diff) ** 2.0
-    return out
-
-
 def _neg_log_likelihood(
     theta: np.ndarray, lam: float, dists: np.ndarray, y: np.ndarray
 ):
@@ -118,16 +106,10 @@ def _neg_log_likelihood(
     sigma2 = (resid.T @ kinv_resid).item() / n
     if not np.isfinite(sigma2):
         return _PENALTY, None
-    # a near-zero nugget promises interpolation: reject hyperparameters whose
-    # smoothing deviation at the training data would break that promise
-    if 0.0 < lam <= 1e-8:
-        spread = float(np.ptp(resid)) or 1.0
-        if lam * float(np.max(np.abs(kinv_resid))) > 1e-7 * spread:
-            return _PENALTY, None
     value = 0.5 * n * np.log(max(sigma2, 1e-300)) + np.sum(np.log(diag))
     if not np.isfinite(value):
         return _PENALTY, None
-    return float(value), (lower, mu, sigma2, kinv_resid)
+    return float(value), (psi, k, lower, mu, sigma2, kinv_resid)
 
 
 def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> KrigingFit:
@@ -135,9 +117,9 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
 
     Recognized control keys: types, algTheta ("lhd", "local" or a callable
     with the optimizer signature), budget (likelihood evaluations, default
-    200 per hyperparameter), thetaBounds and lambdaBounds (log10 ranges),
-    useLambda (fit a nugget, default True), reinterpolate (default True)
-    and seed.
+    200 per hyperparameter), useLambda (fit a nugget, default True),
+    reinterpolate (default True) and seed.  Hyperparameters are searched on
+    the log10 ranges DEFAULT_THETA_BOUNDS and DEFAULT_LAMBDA_BOUNDS.
     """
     control = dict(control or {})
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -152,8 +134,6 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         raise ValueError("types length must match X columns")
     use_lambda = bool(control.get("useLambda", True))
     reinterpolate = bool(control.get("reinterpolate", True))
-    t_lo, t_hi = control.get("thetaBounds", DEFAULT_THETA_BOUNDS)
-    l_lo, l_hi = control.get("lambdaBounds", DEFAULT_LAMBDA_BOUNDS)
 
     if not use_lambda:
         uniq = np.unique(X, axis=0)
@@ -168,14 +148,14 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         if t == "factor":
             x_offset[i], x_scale[i] = 0.0, 1.0
     z = (X - x_offset) / x_scale
-    dists = _cross_dist(z, z, types)
+    dists = cross_dist(z, z, types)
 
     n_par = d + (1 if use_lambda else 0)
     budget = int(control.get("budget", 200 * n_par))
-    lower = np.full(n_par, t_lo)
-    upper = np.full(n_par, t_hi)
+    lower = np.full(n_par, DEFAULT_THETA_BOUNDS[0])
+    upper = np.full(n_par, DEFAULT_THETA_BOUNDS[1])
     if use_lambda:
-        lower[-1], upper[-1] = l_lo, l_hi
+        lower[-1], upper[-1] = DEFAULT_LAMBDA_BOUNDS
 
     def objective(v: np.ndarray) -> np.ndarray:
         v = np.atleast_2d(v)
@@ -220,13 +200,11 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         raise ValueError(
             "correlation matrix is singular at the selected hyperparameters"
         )
-    lower_chol, mu, sigma2, alpha = parts
+    psi_pure, k_mat, lower_chol, mu, sigma2, alpha = parts
 
     # polish the prediction weights by iterative refinement: the plain solve
     # is fine for the likelihood but loses digits when the kernel is nearly
     # flat, and predictions at the training points inherit that error
-    psi_pure = np.exp(-np.tensordot(theta, dists, axes=1))
-    k_mat = psi_pure + lam * np.eye(n)
     resid = y - mu
     scale_r = max(1.0, float(np.max(np.abs(resid))))
     for _ in range(3):
@@ -288,7 +266,7 @@ def predict_kriging(fit: KrigingFit, xnew: np.ndarray) -> dict:
         raise ValueError("prediction points have the wrong dimension")
     znew = (xnew - fit.x_offset) / fit.x_scale
     ztrain = (fit.X - fit.x_offset) / fit.x_scale
-    cross = _cross_dist(znew, ztrain, fit.types)
+    cross = cross_dist(znew, ztrain, fit.types)
     psi = np.exp(-np.tensordot(fit.theta, cross, axes=1))
     mean = fit.mu_hat + psi @ fit.alpha
 

@@ -6,11 +6,7 @@ approximate probability of picking the true best (the usual normal
 approximation with independent pairwise comparisons against the lowest mean)
 is maximized.  Replications are handed out one at a time along the marginal
 gain of that criterion and polished by single-unit exchanges, which is exact
-for the small per-iteration top-ups the engine requests; the classic ratio
-rule (competitors proportional to (sigma_i/delta_i)^2, the best coupled by
-the square root of the competitors' squared rates) is this criterion's
-asymptotic solution and is used to bulk-place very large budgets before the
-greedy pass refines the tail.
+for the small per-iteration top-ups the engine requests.
 """
 
 from __future__ import annotations
@@ -18,10 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-# budgets above this get the ratio-rule bulk placement first
-_GREEDY_LIMIT = 64
-
 
 def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
@@ -45,24 +37,6 @@ def _apcs(means: np.ndarray, variances: np.ndarray, counts: np.ndarray) -> float
         else:
             total += _phi(-delta / math.sqrt(s2))
     return 1.0 - total
-
-
-def _ratio_weights(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Continuous allocation proportions from the asymptotic ratio rule."""
-    m = means.size
-    b = int(np.argmin(means))
-    sigma = np.sqrt(variances)
-    delta = np.maximum(means - means[b], 1e-100)
-    w = np.zeros(m)
-    for i in range(m):
-        if i != b:
-            w[i] = (sigma[i] / delta[i]) ** 2
-    coupled = 0.0
-    for i in range(m):
-        if i != b and sigma[i] > 0:
-            coupled += (w[i] / sigma[i]) ** 2
-    w[b] = sigma[b] * math.sqrt(coupled)
-    return w
 
 
 def ocba_allocate(
@@ -100,21 +74,8 @@ def ocba_allocate(
 
     eligible = variances > 0.0
     alloc = np.zeros(m, dtype=int)
-
-    if budget > _GREEDY_LIMIT:
-        weights = _ratio_weights(means, variances)
-        if weights.sum() > 0:
-            targets = (counts.sum() + budget) * weights / weights.sum()
-            deficit = np.where(eligible, np.maximum(targets - counts, 0.0), 0.0)
-            room = budget - _GREEDY_LIMIT
-            if deficit.sum() > 0:
-                bulk = np.floor(deficit * (room / deficit.sum())).astype(int)
-                while bulk.sum() > room:
-                    bulk[int(np.argmax(bulk))] -= 1
-                alloc += bulk
-
-    work = (counts + alloc).astype(float)
-    for _ in range(budget - alloc.sum()):
+    work = counts.astype(float)
+    for _ in range(budget):
         gains = np.full(m, -np.inf)
         for i in range(m):
             if not eligible[i]:

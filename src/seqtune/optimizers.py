@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .design import DesignControl, ParamSpace, make_lhd
+from .design import ParamSpace, sample_lhd
 
 
 @dataclass
@@ -62,8 +62,8 @@ def optim_lhd(
     n_start = 0 if not rows else rows[0].shape[0]
     size = fun_evals - n_start
     if size > 0:
-        dc = DesignControl(size=size, retries=1, seed=control.get("seed"))
-        rows.append(make_lhd(None, space, dc))
+        rng = np.random.default_rng(control.get("seed"))
+        rows.append(space.snap(sample_lhd(rng, space, size)))
     x = np.vstack(rows)
     y = np.asarray(fun(x), dtype=float)
     return _finish(x, y)

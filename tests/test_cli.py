@@ -379,6 +379,14 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
     nonexistent = str(tmp_path / "missing.cfg")
     assert main(["design", "--config", nonexistent, "--out", "/dev/null"]) == 2
 
+    # wrong value types: a float budget used to make tune loop forever
+    for line in ("seedSPOT = abc", "noise = maybe", "funEvals = 12.5"):
+        wrong_type = _cfg(
+            tmp_path, f"[run]\nfun = sphere\nlower = 0\nupper = 1\n[spot]\n{line}\n"
+        )
+        assert main(["design", "--config", wrong_type, "--out", "/dev/null"]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+
 
 def test_infeasible_budget_exits_3(tmp_path, capsys):
     cfg = _cfg(

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
-from seqtune.design import DesignControl, ParamSpace, make_lhd, make_uniform
+from seqtune.design import (
+    DesignControl,
+    ParamSpace,
+    _min_pairwise_distance,
+    make_lhd,
+    make_uniform,
+)
 
 
 def _bin_counts(col, lo, hi, size):
@@ -148,6 +155,24 @@ def test_lhd_more_retries_never_hurts_spread():
     one = make_lhd(None, sp, DesignControl(size=10, retries=1, seed=7))
     many = make_lhd(None, sp, DesignControl(size=10, retries=50, seed=7))
     assert min_dist(many) >= min_dist(one) - 1e-12
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        ([0.0], [1.0]),
+        ([-5.0, 0.0, 2.0], [15.0, 3.0, 2.0]),
+        ([0.0] * 4, [1e-3, 1.0, 1e3, 7.0]),
+    ],
+)
+def test_min_pairwise_distance_matches_pdist(lower, upper):
+    # the third dimension of the second case has zero width and keeps scale 1
+    sp = ParamSpace(lower, upper)
+    x = np.random.default_rng(len(lower)).uniform(sp.lower, sp.upper, (15, sp.dim))
+    width = sp.upper - sp.lower
+    z = (x - sp.lower) / np.where(width > 0, width, 1.0)
+    assert _min_pairwise_distance(x, sp) == pytest.approx(pdist(z).min(), rel=1e-12)
+    assert _min_pairwise_distance(x[:1], sp) == np.inf
 
 
 # ---------------------------------------------------------------------------

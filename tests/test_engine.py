@@ -385,6 +385,14 @@ def test_config_rejects_bad_values():
         SpotConfig(OCBAbudget=-1)
     with pytest.raises(ValueError, match="duplicate"):
         SpotConfig(duplicate="RETRY")
+    with pytest.raises(ValueError, match="funEvals"):
+        SpotConfig(funEvals=12.5)
+    with pytest.raises(ValueError, match="seedSPOT"):
+        SpotConfig(seedSPOT="abc")
+    with pytest.raises(ValueError, match="noise"):
+        SpotConfig(noise="maybe")
+    with pytest.raises(ValueError, match="modelControl"):
+        SpotConfig(modelControl=5)
 
 
 def test_config_defaults():

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqtune.kriging import (
+    DEFAULT_LAMBDA_BOUNDS,
     DEFAULT_THETA_BOUNDS,
     KrigingFit,
     fit_kriging,
@@ -154,6 +155,7 @@ def test_reinterpolation_zeroes_error_at_training_points():
     y = (X[:, 0] - 5.0) ** 2 + rng.normal(0.0, 0.5, 12)
     fit = fit_kriging(X, y, {"budget": 120, "seed": 6})
     assert fit.lambda_ > 0
+    assert fit.lambda_ >= 10 ** DEFAULT_LAMBDA_BOUNDS[0]
     out = predict_kriging(fit, base)
     spread = np.std(y)
     assert np.all(out["sd"][:, 0] <= 1e-6 * spread)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqtune import OptResult, fun_sphere, optim_lhd, optim_local_bounded
+from seqtune.design import DesignControl, ParamSpace, make_lhd
 
 LOWER = np.array([-10.0, -20.0])
 UPPER = np.array([20.0, 8.0])
@@ -43,6 +44,16 @@ def test_lhd_deterministic_given_seed():
     assert np.array_equal(a.x, b.x)
     assert a.ybest == b.ybest
     assert not np.array_equal(a.x, c.x)
+
+
+@pytest.mark.parametrize("types", [(), ("integer", "numeric")])
+def test_lhd_sample_is_the_single_retry_design(types):
+    # the direct draw is the design make_lhd keeps when it has one candidate
+    control = {"funEvals": 17, "seed": 31, "types": types}
+    res = optim_lhd(None, fun_sphere, LOWER, UPPER, control)
+    space = ParamSpace(LOWER, UPPER, types)
+    design = make_lhd(None, space, DesignControl(size=17, retries=1, seed=31))
+    assert np.array_equal(res.x, design)
 
 
 def test_lhd_sphere_default_budget_finds_a_good_point():
