@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from seqtune import (
-    DesignControl,
     ParamSpace,
     fit_forest,
     fit_kriging,
@@ -30,7 +29,7 @@ def main() -> None:
     args = ap.parse_args()
 
     space = ParamSpace(np.array([-5.0, 0.0]), np.array([10.0, 15.0]), ())
-    X = make_lhd(None, space, DesignControl(size=args.train, seed=args.seed))
+    X = make_lhd(None, space, dict(size=args.train, seed=args.seed))
     y = fun_branin(X)
 
     rng = np.random.default_rng(args.seed + 1)

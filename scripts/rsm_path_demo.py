@@ -11,7 +11,6 @@ import argparse
 import numpy as np
 
 from seqtune import (
-    DesignControl,
     ParamSpace,
     descent_path,
     fit_rsm,
@@ -32,7 +31,7 @@ def main() -> None:
 
     lo, hi = (float(tok) for tok in args.bounds.split(","))
     space = ParamSpace(np.array([lo, lo]), np.array([hi, hi]), ())
-    X = make_lhd(None, space, DesignControl(size=args.size, seed=args.seed))
+    X = make_lhd(None, space, dict(size=args.size, seed=args.seed))
     fun = get_objective(args.fun)
     fit = fit_rsm(X, fun(X))
 

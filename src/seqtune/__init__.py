@@ -1,7 +1,7 @@
 """Sequential surrogate-model-based optimization and algorithm tuning."""
 
 from .bundle import CorruptBundleError, archive_lines, load_bundle, save_bundle
-from .design import ParamSpace, DesignControl, make_lhd, make_uniform
+from .design import ParamSpace, make_lhd, make_uniform
 from .engine import (
     SpotConfig,
     SpotResult,
@@ -62,7 +62,6 @@ __all__ = [
     "sann2spot",
     "RankDeficiencyError",
     "ParamSpace",
-    "DesignControl",
     "make_lhd",
     "make_uniform",
     "SpotConfig",

@@ -305,12 +305,8 @@ def cmd_surface(args) -> int:
     gi = np.linspace(lower[di - 1], upper[di - 1], args.grid)
     gj = np.linspace(lower[dj - 1], upper[dj - 1], args.grid)
     pts = np.tile(base, (args.grid * args.grid, 1))
-    k = 0
-    for vi in gi:
-        for vj in gj:
-            pts[k, di - 1] = vi
-            pts[k, dj - 1] = vj
-            k += 1
+    pts[:, di - 1] = np.repeat(gi, args.grid)
+    pts[:, dj - 1] = np.tile(gj, args.grid)
     vals = evaluate(pts)
     lines = [f"x{di},x{dj},y"]
     for row, val in zip(pts, vals):

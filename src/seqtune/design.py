@@ -10,7 +10,7 @@ per equal-width bin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -64,24 +64,6 @@ class ParamSpace:
         return np.clip(x, self.lower, self.upper)
 
 
-@dataclass
-class DesignControl:
-    size: int = 10
-    retries: int = 100
-    replicates: int = 1
-    seed: Optional[int] = None
-
-
-def _check_existing(existing: Optional[np.ndarray], dim: int) -> None:
-    if existing is None:
-        return
-    existing = np.atleast_2d(np.asarray(existing, dtype=float))
-    if existing.shape[1] != dim:
-        raise ValueError(
-            f"existing design has {existing.shape[1]} columns, space has {dim}"
-        )
-
-
 def sample_lhd(rng: np.random.Generator, space: ParamSpace, size: int) -> np.ndarray:
     """One stratified sample: each dimension gets one point per bin."""
     d = space.dim
@@ -122,46 +104,44 @@ def _min_pairwise_distance(x: np.ndarray, space: ParamSpace) -> float:
 def make_lhd(
     existing: Optional[np.ndarray],
     space: ParamSpace,
-    control: Optional[DesignControl] = None,
+    control: Optional[dict] = None,
 ) -> np.ndarray:
-    """Maximin Latin hypercube design.
+    """Maximin Latin hypercube design of `size` new points; `existing` is ignored.
 
-    Draws `retries` stratified candidates, keeps the one whose smallest
+    Draws `retries` stratified candidates and keeps the one whose smallest
     pairwise distance (after type snapping, on normalized coordinates) is
-    largest, then duplicates each row `replicates` times.  Only newly
-    generated points are returned; callers append them to `existing`
-    themselves, which is validated for column count only.
+    largest.  Control keys: size (default 10), retries (default 100) and seed.
     """
-    control = control or DesignControl()
-    if control.size < 1:
+    control = control or {}
+    size = int(control.get("size", 10))
+    retries = int(control.get("retries", 100))
+    if size < 1:
         raise ValueError("size must be at least 1")
-    if control.retries < 1:
+    if retries < 1:
         raise ValueError("retries must be at least 1")
-    if control.replicates < 1:
-        raise ValueError("replicates must be at least 1")
-    _check_existing(existing, space.dim)
-    rng = np.random.default_rng(control.seed)
+    rng = np.random.default_rng(control.get("seed"))
     best, best_score = None, -np.inf
-    for _ in range(control.retries):
-        cand = space.snap(sample_lhd(rng, space, control.size))
+    for _ in range(retries):
+        cand = space.snap(sample_lhd(rng, space, size))
         score = _min_pairwise_distance(cand, space)
         if score > best_score:
             best, best_score = cand, score
-    return np.repeat(best, control.replicates, axis=0)
+    return best
 
 
 def make_uniform(
     existing: Optional[np.ndarray],
     space: ParamSpace,
-    control: Optional[DesignControl] = None,
+    control: Optional[dict] = None,
 ) -> np.ndarray:
-    """Independent uniform draws per dimension, type-snapped and replicated."""
-    control = control or DesignControl()
-    if control.size < 1:
+    """Independent uniform draws of `size` new points; `existing` is ignored.
+
+    Each draw is type-snapped.  Control keys: size (default 10) and seed.
+    """
+    control = control or {}
+    size = int(control.get("size", 10))
+    if size < 1:
         raise ValueError("size must be at least 1")
-    if control.replicates < 1:
-        raise ValueError("replicates must be at least 1")
-    _check_existing(existing, space.dim)
-    rng = np.random.default_rng(control.seed)
-    x = rng.uniform(space.lower, space.upper, size=(control.size, space.dim))
-    return np.repeat(space.snap(x), control.replicates, axis=0)
+    rng = np.random.default_rng(control.get("seed"))
+    x = rng.uniform(space.lower, space.upper, size=(size, space.dim))
+    return space.snap(x)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .design import DesignControl, ParamSpace, make_lhd, make_uniform
+from .design import ParamSpace, make_lhd, make_uniform
 from .forest import fit_forest
 from .kriging import fit_kriging
 from .ocba import ocba_allocate
@@ -147,19 +147,22 @@ class SpotResult:
     replicates: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
 
+_MAX_DRAWS = 1000
+
+
 def apply_duplicate_policy(
     candidate: np.ndarray,
     archive_x: np.ndarray,
     policy: str,
     space: ParamSpace,
     rng: np.random.Generator,
-    max_draws: int = 1000,
 ) -> Optional[np.ndarray]:
     """Resolve a candidate that duplicates an archived point.
 
     EXPLORE swaps in a fresh uniform draw (snapped to the space's types),
-    retrying at most `max_draws` times; STOP returns None so the caller can
-    end the run.  A candidate that is not a duplicate passes through.
+    retrying at most `_MAX_DRAWS` times before it raises RuntimeError; STOP
+    returns None so the caller can end the run.  A candidate that is not a
+    duplicate passes through.
     """
     candidate = np.asarray(candidate, dtype=float).reshape(-1)
     if archive_x.shape[0] == 0 or not np.any(np.all(archive_x == candidate, axis=1)):
@@ -168,11 +171,13 @@ def apply_duplicate_policy(
         return None
     if policy != "EXPLORE":
         raise ValueError("duplicate must be EXPLORE or STOP")
-    for _ in range(max_draws):
+    for _ in range(_MAX_DRAWS):
         draw = space.snap(rng.uniform(space.lower, space.upper, size=space.dim))[0]
         if not np.any(np.all(archive_x == draw, axis=1)):
             return draw
-    raise RuntimeError("could not find a non-duplicate replacement in 1000 draws")
+    raise RuntimeError(
+        f"could not find a non-duplicate replacement in {_MAX_DRAWS} draws"
+    )
 
 
 def _accepts_seed(fun: Callable) -> bool:
@@ -310,9 +315,13 @@ def _run(
         )
         candidate = space.snap(search.xbest)[0]
         if not cfg.noise:
-            candidate = apply_duplicate_policy(
-                candidate, archive.X, cfg.duplicate, space, rng
-            )
+            try:
+                candidate = apply_duplicate_policy(
+                    candidate, archive.X, cfg.duplicate, space, rng
+                )
+            except RuntimeError:
+                msg = "stopped: no unevaluated point found to explore"
+                break
             if candidate is None:
                 msg = "stopped on duplicate candidate (duplicate=STOP)"
                 break
@@ -352,31 +361,35 @@ def _setup(lower, upper, control):
     return cfg, space, np.random.default_rng(cfg.seedSPOT)
 
 
-def _design_control(cfg: SpotConfig, rng: np.random.Generator) -> DesignControl:
+def _initial_rows(x, cfg: SpotConfig, space: ParamSpace, rng) -> np.ndarray:
     ctl = dict(cfg.designControl)
     seed = ctl.get("seed")
-    return DesignControl(
-        size=int(ctl.get("size", 10)),
-        retries=int(ctl.get("retries", 100)),
-        replicates=int(ctl.get("replicates", 1)),
-        seed=int(rng.integers(2**31 - 1)) if seed is None else int(seed),
-    )
-
-
-def _initial_rows(x, cfg: SpotConfig, space: ParamSpace, rng) -> np.ndarray:
-    design_ctl = _design_control(cfg, rng)
-    if cfg.noise and cfg.OCBA and design_ctl.replicates < 2 and cfg.replicates < 2:
+    ctl["seed"] = int(rng.integers(2**31 - 1)) if seed is None else int(seed)
+    replicates = int(ctl.get("replicates", 1))
+    if replicates < 1:
+        raise ValueError("designControl replicates must be at least 1")
+    if cfg.noise and cfg.OCBA and replicates < 2 and cfg.replicates < 2:
         warnings.warn(
             "OCBA needs repeated evaluations to estimate variances; "
             "set replicates above one",
             stacklevel=3,
         )
-    design_fn = _resolve(_DESIGNS, cfg.design, "design")
-    rows = [design_fn(x, space, design_ctl)]
+    rows = []
     if x is not None:
-        extra = space.snap(np.atleast_2d(np.asarray(x, dtype=float)))
-        rows.insert(0, np.repeat(extra, design_ctl.replicates, axis=0))
-    return np.vstack(rows)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        _check_width(x, space, "start rows x")
+        rows.append(space.snap(x))
+    design_fn = _resolve(_DESIGNS, cfg.design, "design")
+    rows.append(np.atleast_2d(design_fn(x, space, ctl)))
+    _check_width(rows[-1], space, "the design")
+    return np.repeat(np.vstack(rows), replicates, axis=0)
+
+
+def _check_width(rows: np.ndarray, space: ParamSpace, what: str) -> None:
+    if rows.shape[1] != space.dim:
+        raise ValueError(
+            f"{what} has {rows.shape[1]} columns, the bounds have {space.dim}"
+        )
 
 
 def initial_design(
@@ -387,8 +400,8 @@ def initial_design(
 ) -> np.ndarray:
     """The rows `spot` evaluates first under the same arguments, in order.
 
-    These are the supplied rows `x` (each repeated designControl.replicates
-    times), then the design drawn from the generator seeded by seedSPOT.
+    These are the supplied rows `x`, then the design drawn from the generator
+    seeded by seedSPOT, each row repeated designControl.replicates times.
     """
     cfg, space, rng = _setup(lower, upper, control)
     return _initial_rows(x, cfg, space, rng)

@@ -25,13 +25,6 @@ def fun_cubic(x: np.ndarray) -> np.ndarray:
     return np.sum(x**3 - 1.0, axis=1, keepdims=True)
 
 
-def branin(x: Sequence[float]) -> float:
-    """Branin test function on a 2-vector."""
-    x1, x2 = float(x[0]), float(x[1])
-    a = x2 - 5.1 / (4.0 * math.pi**2) * x1**2 + 5.0 / math.pi * x1 - 6.0
-    return a**2 + 10.0 * (1.0 - 1.0 / (8.0 * math.pi)) * math.cos(x1) + 10.0
-
-
 def fun_branin(x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != 2:
@@ -42,21 +35,8 @@ def fun_branin(x: np.ndarray) -> np.ndarray:
     return y.reshape(-1, 1)
 
 
-_FACTOR_SHIFT = {1: 1.0, 2: -1.0, 3: 0.0}
-
-
-def branin_factor(x: Sequence[float]) -> float:
-    """Branin plus a level-dependent shift on the third coordinate.
-
-    Level 1 adds 1, level 2 subtracts 1, level 3 leaves the value unchanged.
-    """
-    level = int(round(float(x[2])))
-    if level not in _FACTOR_SHIFT:
-        raise ValueError(f"factor level must be 1, 2 or 3, got {x[2]!r}")
-    return branin(x[:2]) + _FACTOR_SHIFT[level]
-
-
 def fun_branin_factor(x: np.ndarray) -> np.ndarray:
+    """Branin of columns 1-2; factor level 1, 2 or 3 in column 3 adds 1, -1 or 0."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != 3:
         raise ValueError("braninFactor expects 3 columns")
@@ -193,15 +173,14 @@ _REGISTRY: dict[str, Callable[..., np.ndarray]] = {
     "cubic": fun_cubic,
     "branin": fun_branin,
     "braninFactor": fun_branin_factor,
+    "sannSphere": make_sann_objective(),
 }
 
 
 def get_objective(name: str) -> Callable[..., np.ndarray]:
     """Look up an objective by its public name."""
-    if name == "sannSphere":
-        return make_sann_objective()
     try:
         return _REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY) + ["sannSphere"])
+        known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown objective {name!r} (known: {known})") from None

@@ -39,10 +39,8 @@ class StackFit:
 
 def _member_control(name: str, control: dict) -> dict:
     sub = dict(control.get("memberControls", {}).get(name, {}))
-    if name in ("kriging", "forest"):
-        sub.setdefault("seed", control.get("seed"))
-    if name == "kriging":
-        sub.setdefault("types", control.get("types"))
+    sub.setdefault("seed", control.get("seed"))
+    sub.setdefault("types", control.get("types"))
     return sub
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.stats import norm
 
 from seqtune import (
-    DesignControl,
     ParamSpace,
     descent_path,
     fit_kriging,
@@ -37,7 +36,7 @@ BRANIN_AT_1_2 = 21.62763539206238
 
 def _branin_sample(size=20, seed=1):
     space = ParamSpace(np.array([-5.0, 0.0]), np.array([10.0, 15.0]), ())
-    X = make_lhd(None, space, DesignControl(size=size, seed=seed))
+    X = make_lhd(None, space, dict(size=size, seed=seed))
     return X, fun_branin(X)
 
 
@@ -107,9 +106,7 @@ def test_04_lhd_designs_stratify_every_numeric_column():
             lower = np.full(dim, -2.0)
             upper = np.full(dim, 3.0)
             space = ParamSpace(lower, upper, ())
-            mat = make_lhd(
-                None, space, DesignControl(size=size, seed=10 * size + dim)
-            )
+            mat = make_lhd(None, space, dict(size=size, seed=10 * size + dim))
             assert mat.shape == (size, dim)
             for j in range(dim):
                 bins = np.floor(
@@ -228,7 +225,7 @@ def test_09_quadratic_analysis_recovers_the_sphere_geometry():
     # descent path reaching predicted y <= 0.1 (reference path min: 0.013)
     t0 = time.perf_counter()
     space = ParamSpace(np.array([-5.0, -5.0]), np.array([5.0, 5.0]), ())
-    X = make_lhd(None, space, DesignControl(size=20, seed=1))
+    X = make_lhd(None, space, dict(size=20, seed=1))
     fit = fit_rsm(X, fun_sphere(X))
     assert np.all(np.abs(fit.stationary) <= 1e-6)
     assert np.all(fit.eigenvalues > 0)
@@ -280,7 +277,7 @@ def test_11_stacked_surrogate_is_a_sound_convex_blend():
     # (reference: 2.9849), weights on the simplex to 1e-12
     t0 = time.perf_counter()
     space = ParamSpace(np.full(3, -1.0), np.full(3, 1.0), ())
-    X = make_lhd(None, space, DesignControl(size=30, seed=123))
+    X = make_lhd(None, space, dict(size=30, seed=123))
     fit = fit_stack(X, fun_sphere(X), {"seed": 5})
     assert np.all(fit.weights >= -1e-12)
     assert abs(fit.weights.sum() - 1.0) <= 1e-12

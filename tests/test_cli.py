@@ -388,6 +388,23 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
         assert line.split()[0] in capsys.readouterr().err
 
 
+def test_tune_saves_a_run_that_ran_out_of_grid_points(tmp_path, capsys):
+    # four integer points and a budget of six: the fifth candidate has no
+    # unevaluated replacement, so the run ends there and is still saved
+    cfg = _cfg(
+        tmp_path,
+        "[run]\nfun = sphere\nlower = 1, 1\nupper = 2, 2\ntypes = integer, integer\n"
+        "[spot]\nfunEvals = 6\nmodel = forest\n[designControl]\nsize = 2\n"
+        "[modelControl]\nntree = 10\n",
+    )
+    out = str(tmp_path / "b")
+    assert main(["tune", "--config", cfg, "--out", out]) == 0
+    assert "msg: stopped: no unevaluated point found" in capsys.readouterr().out
+    data = load_bundle(out)
+    assert data["x"].shape == (4, 2)
+    assert set(map(tuple, data["x"])) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
 def test_infeasible_budget_exits_3(tmp_path, capsys):
     cfg = _cfg(
         tmp_path,

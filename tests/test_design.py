@@ -6,13 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from seqtune.design import (
-    DesignControl,
-    ParamSpace,
-    _min_pairwise_distance,
-    make_lhd,
-    make_uniform,
-)
+from seqtune.design import ParamSpace, _min_pairwise_distance, make_lhd, make_uniform
+from seqtune.engine import initial_design
 
 
 def _bin_counts(col, lo, hi, size):
@@ -77,7 +72,7 @@ def test_lhd_stratifies_every_numeric_dimension(size, dim, seed):
     lower = np.full(dim, -2.0)
     upper = np.full(dim, 3.0)
     sp = ParamSpace(lower, upper)
-    x = make_lhd(None, sp, DesignControl(size=size, retries=3, seed=seed))
+    x = make_lhd(None, sp, dict(size=size, retries=3, seed=seed))
     assert x.shape == (size, dim)
     assert np.all(x >= lower) and np.all(x <= upper)
     for j in range(dim):
@@ -87,7 +82,7 @@ def test_lhd_stratifies_every_numeric_dimension(size, dim, seed):
 def test_lhd_snaps_typed_columns():
     sp = ParamSpace([1.0, 0.0, 1.0], [10.0, 1.0, 3.0],
                     ("integer", "numeric", "factor"))
-    x = make_lhd(None, sp, DesignControl(size=12, seed=5))
+    x = make_lhd(None, sp, dict(size=12, seed=5))
     assert np.array_equal(x[:, 0], np.rint(x[:, 0]))
     assert np.array_equal(x[:, 2], np.rint(x[:, 2]))
     assert set(np.unique(x[:, 2])) <= {1.0, 2.0, 3.0}
@@ -96,49 +91,58 @@ def test_lhd_snaps_typed_columns():
 
 def test_lhd_is_deterministic_under_seed():
     sp = ParamSpace([0.0, 0.0], [1.0, 1.0])
-    a = make_lhd(None, sp, DesignControl(size=8, seed=99))
-    b = make_lhd(None, sp, DesignControl(size=8, seed=99))
+    a = make_lhd(None, sp, dict(size=8, seed=99))
+    b = make_lhd(None, sp, dict(size=8, seed=99))
     assert np.array_equal(a, b)
 
 
 def test_lhd_replicates_rows_in_blocks():
-    sp = ParamSpace([0.0], [1.0])
-    x = make_lhd(None, sp, DesignControl(size=4, replicates=3, seed=1))
+    # the engine replicates the design, each row in its own block
+    x = initial_design(
+        None, [0.0], [1.0], {"designControl": {"size": 4, "replicates": 3, "seed": 1}}
+    )
     assert x.shape == (12, 1)
     for k in range(4):
         block = x[3 * k : 3 * k + 3, 0]
         assert np.all(block == block[0])
     # distinct design points stay distinct across blocks
     assert len(np.unique(x[:, 0])) == 4
+    once = make_lhd(None, ParamSpace([0.0], [1.0]), dict(size=4, seed=1))
+    assert np.array_equal(x, np.repeat(once, 3, axis=0))
 
 
 def test_lhd_default_size_is_ten():
     sp = ParamSpace([-1.0], [1.0])
-    x = make_lhd(None, sp, DesignControl(seed=0))
+    x = make_lhd(None, sp, dict(seed=0))
     assert x.shape == (10, 1)
 
 
 def test_lhd_returns_only_new_points():
     sp = ParamSpace([0.0, 0.0], [1.0, 1.0])
     existing = np.array([[0.5, 0.5], [0.1, 0.9]])
-    x = make_lhd(existing, sp, DesignControl(size=6, seed=2))
+    x = make_lhd(existing, sp, dict(size=6, seed=2))
     assert x.shape == (6, 2)
 
 
 def test_lhd_validates_existing_width():
-    sp = ParamSpace([0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        make_lhd(np.zeros((3, 5)), sp, DesignControl(size=4, seed=0))
+    # start rows of the wrong width are rejected before any design is drawn
+    with pytest.raises(ValueError, match="5 columns"):
+        initial_design(
+            np.zeros((3, 5)), [0.0, 0.0], [1.0, 1.0],
+            {"designControl": {"size": 4, "seed": 0}},
+        )
 
 
 def test_lhd_validates_control():
     sp = ParamSpace([0.0], [1.0])
     with pytest.raises(ValueError):
-        make_lhd(None, sp, DesignControl(size=0))
+        make_lhd(None, sp, dict(size=0))
     with pytest.raises(ValueError):
-        make_lhd(None, sp, DesignControl(size=3, retries=0))
-    with pytest.raises(ValueError):
-        make_lhd(None, sp, DesignControl(size=3, replicates=0))
+        make_lhd(None, sp, dict(size=3, retries=0))
+    with pytest.raises(ValueError, match="replicates"):
+        initial_design(
+            None, [0.0], [1.0], {"designControl": {"size": 3, "replicates": 0}}
+        )
 
 
 def test_lhd_more_retries_never_hurts_spread():
@@ -152,8 +156,8 @@ def test_lhd_more_retries_never_hurts_spread():
         iu = np.triu_indices(x.shape[0], k=1)
         return d[iu].min()
 
-    one = make_lhd(None, sp, DesignControl(size=10, retries=1, seed=7))
-    many = make_lhd(None, sp, DesignControl(size=10, retries=50, seed=7))
+    one = make_lhd(None, sp, dict(size=10, retries=1, seed=7))
+    many = make_lhd(None, sp, dict(size=10, retries=50, seed=7))
     assert min_dist(many) >= min_dist(one) - 1e-12
 
 
@@ -181,7 +185,7 @@ def test_min_pairwise_distance_matches_pdist(lower, upper):
 
 def test_uniform_bounds_types_and_shape():
     sp = ParamSpace([-5.0, 0.0], [15.0, 3.0], ("numeric", "integer"))
-    x = make_uniform(None, sp, DesignControl(size=25, seed=4))
+    x = make_uniform(None, sp, dict(size=25, seed=4))
     assert x.shape == (25, 2)
     assert np.all((x[:, 0] >= -5) & (x[:, 0] <= 15))
     assert np.array_equal(x[:, 1], np.rint(x[:, 1]))
@@ -189,21 +193,25 @@ def test_uniform_bounds_types_and_shape():
 
 def test_uniform_is_deterministic_under_seed():
     sp = ParamSpace([0.0], [1.0])
-    a = make_uniform(None, sp, DesignControl(size=5, seed=8))
-    b = make_uniform(None, sp, DesignControl(size=5, seed=8))
+    a = make_uniform(None, sp, dict(size=5, seed=8))
+    b = make_uniform(None, sp, dict(size=5, seed=8))
     assert np.array_equal(a, b)
 
 
 def test_uniform_replicates_rows():
-    sp = ParamSpace([0.0], [1.0])
-    x = make_uniform(None, sp, DesignControl(size=3, replicates=2, seed=1))
+    x = initial_design(
+        None, [0.0], [1.0],
+        {"design": "uniform", "designControl": {"size": 3, "replicates": 2, "seed": 1}},
+    )
     assert x.shape == (6, 1)
     assert np.array_equal(x[0], x[1])
     assert np.array_equal(x[2], x[3])
+    once = make_uniform(None, ParamSpace([0.0], [1.0]), dict(size=3, seed=1))
+    assert np.array_equal(x, np.repeat(once, 2, axis=0))
 
 
 def test_uniform_spreads_differently_from_lhd():
     # same seed, different generators: uniform draws need not stratify
     sp = ParamSpace([0.0], [1.0])
-    u = make_uniform(None, sp, DesignControl(size=12, seed=21))
+    u = make_uniform(None, sp, dict(size=12, seed=21))
     assert not np.all(_bin_counts(u[:, 0], 0.0, 1.0, 12) == 1)

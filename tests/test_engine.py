@@ -16,6 +16,7 @@ from seqtune import (
     spot,
     spot_loop,
 )
+from seqtune.engine import initial_design
 
 
 def _sphere(x):
@@ -266,15 +267,20 @@ def test_explore_fills_an_integer_grid_without_repeats():
     assert np.array_equal(res.xbest, np.round(res.xbest))
 
 
-def test_explore_errors_once_the_grid_is_exhausted():
-    with pytest.raises(RuntimeError, match="non-duplicate"):
-        spot(
-            None,
-            _sphere,
-            [1, 1],
-            [3, 3],
-            dict(_GRID_CFG, funEvals=10, duplicate="EXPLORE"),
-        )
+def test_explore_stops_once_the_grid_is_exhausted():
+    # the tenth evaluation has no unevaluated cell left: the run ends early
+    # and keeps its archive instead of raising
+    res = spot(
+        None,
+        _sphere,
+        [1, 1],
+        [3, 3],
+        dict(_GRID_CFG, funEvals=10, duplicate="EXPLORE"),
+    )
+    assert res.count == 9 < 10
+    assert len(set(map(tuple, res.x))) == 9
+    assert res.msg == "stopped: no unevaluated point found to explore"
+    assert res.ybest == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +380,40 @@ def test_custom_design_callable_is_used():
         },
     )
     assert np.array_equal(res.x[:4], fixed)
+
+
+def test_initial_rows_must_match_the_bounds_width():
+    def two_rows(x, space, ctl):
+        return np.zeros((2, space.dim))
+
+    def five_columns(x, space, ctl):
+        return np.ones((2, 5))
+
+    # np.clip would broadcast a 1-column x across both columns
+    with pytest.raises(ValueError, match="start rows x has 1 columns"):
+        initial_design(np.array([[0.5]]), [-1, -1], [1, 1], {"design": two_rows})
+    with pytest.raises(ValueError, match="the design has 5 columns"):
+        initial_design(None, [-1, -1], [1, 1], {"design": five_columns})
+    rows = initial_design(np.array([[0.5, 0.5]]), [-1, -1], [1, 1], {"design": two_rows})
+    assert rows.shape == (3, 2)
+
+
+def test_engine_replicates_custom_designs_and_passes_a_dict():
+    seen = []
+
+    def design(x, space, ctl):
+        seen.append(ctl)
+        return np.array([[0.1, 0.2], [0.3, 0.4]])
+
+    start = np.array([[0.5, -0.5]])
+    cfg = {"design": design, "designControl": {"size": 2, "replicates": 2}}
+    rows = initial_design(start, [-1, -1], [1, 1], cfg)
+    expected = np.repeat(np.vstack([start, design(None, None, {})]), 2, axis=0)
+    assert np.array_equal(rows, expected)
+    # the engine adds a seed from the generator; a given seed passes through
+    assert set(seen[0]) == {"size", "replicates", "seed"}
+    initial_design(start, [-1, -1], [1, 1], dict(cfg, designControl={"seed": 7}))
+    assert seen[2] == {"seed": 7}
 
 
 def test_config_rejects_bad_values():

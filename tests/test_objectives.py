@@ -15,8 +15,6 @@ from seqtune.objectives import (
     DEFAULT_SANN_SCENARIO,
     SannParams,
     TuningProblem,
-    branin,
-    branin_factor,
     fun_branin,
     fun_branin_factor,
     fun_cubic,
@@ -42,6 +40,21 @@ def _branin_oracle(x1, x2):
     ) + 10.0
 
 
+def branin(x):
+    """Scalar Branin on a 2-vector, the row-by-row oracle for fun_branin."""
+    x1, x2 = float(x[0]), float(x[1])
+    a = x2 - 5.1 / (4.0 * math.pi**2) * x1**2 + 5.0 / math.pi * x1 - 6.0
+    return a**2 + 10.0 * (1.0 - 1.0 / (8.0 * math.pi)) * math.cos(x1) + 10.0
+
+
+_FACTOR_SHIFT = {1: 1.0, 2: -1.0, 3: 0.0}
+
+
+def branin_factor(x):
+    """Branin plus the shift of level x[2]: level 1 adds 1, 2 subtracts 1, 3 none."""
+    return branin(x[:2]) + _FACTOR_SHIFT[int(round(float(x[2])))]
+
+
 def test_sphere_values_and_shape():
     y = fun_sphere([[1.0, 2.0], [0.0, 0.0], [-3.0, 4.0]])
     assert y.shape == (3, 1)
@@ -58,12 +71,12 @@ def test_cubic_values():
 
 
 def test_branin_known_point():
-    assert branin((1.0, 2.0)) == pytest.approx(21.62763539206238, abs=1e-9)
+    assert fun_branin((1.0, 2.0)).item() == pytest.approx(21.62763539206238, abs=1e-9)
 
 
 def test_branin_global_minimum_value():
     for pt in [(-math.pi, 12.275), (math.pi, 2.275), (9.42478, 2.475)]:
-        assert branin(pt) == pytest.approx(0.397887, abs=1e-4)
+        assert fun_branin(pt).item() == pytest.approx(0.397887, abs=1e-4)
 
 
 @given(
@@ -71,7 +84,9 @@ def test_branin_global_minimum_value():
     st.floats(0.0, 15.0, allow_nan=False),
 )
 def test_branin_matches_textbook_formula(x1, x2):
-    assert branin((x1, x2)) == pytest.approx(_branin_oracle(x1, x2), rel=1e-12)
+    assert fun_branin((x1, x2)).item() == pytest.approx(
+        _branin_oracle(x1, x2), rel=1e-12
+    )
 
 
 def test_fun_branin_vectorizes_scalar():
@@ -90,14 +105,14 @@ def test_fun_branin_rejects_wrong_width():
 
 def test_branin_factor_level_shifts():
     base = branin((2.0, 3.0))
-    assert branin_factor((2.0, 3.0, 1)) == pytest.approx(base + 1.0)
-    assert branin_factor((2.0, 3.0, 2)) == pytest.approx(base - 1.0)
-    assert branin_factor((2.0, 3.0, 3)) == pytest.approx(base)
+    assert fun_branin_factor((2.0, 3.0, 1)).item() == pytest.approx(base + 1.0)
+    assert fun_branin_factor((2.0, 3.0, 2)).item() == pytest.approx(base - 1.0)
+    assert fun_branin_factor((2.0, 3.0, 3)).item() == pytest.approx(base)
 
 
 def test_branin_factor_rejects_bad_level():
     with pytest.raises(ValueError):
-        branin_factor((0.0, 0.0, 4))
+        fun_branin_factor((0.0, 0.0, 4))
     with pytest.raises(ValueError):
         fun_branin_factor([[0.0, 0.0, 0.0]])
 
@@ -308,5 +323,5 @@ def test_get_objective_known_names():
 
 
 def test_get_objective_unknown_name():
-    with pytest.raises(ValueError, match="unknown objective"):
+    with pytest.raises(ValueError, match="unknown objective.*sannSphere"):
         get_objective("rosenbrock")

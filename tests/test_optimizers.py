@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqtune import OptResult, fun_sphere, optim_lhd, optim_local_bounded
-from seqtune.design import DesignControl, ParamSpace, make_lhd
+from seqtune.design import ParamSpace, make_lhd
 
 LOWER = np.array([-10.0, -20.0])
 UPPER = np.array([20.0, 8.0])
@@ -52,7 +52,7 @@ def test_lhd_sample_is_the_single_retry_design(types):
     control = {"funEvals": 17, "seed": 31, "types": types}
     res = optim_lhd(None, fun_sphere, LOWER, UPPER, control)
     space = ParamSpace(LOWER, UPPER, types)
-    design = make_lhd(None, space, DesignControl(size=17, retries=1, seed=31))
+    design = make_lhd(None, space, dict(size=17, retries=1, seed=31))
     assert np.array_equal(res.x, design)
 
 

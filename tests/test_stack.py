@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seqtune.design import DesignControl, ParamSpace, make_lhd
+from seqtune.design import ParamSpace, make_lhd
 from seqtune.stack import fit_stack, predict_stack
 
 
@@ -23,7 +23,7 @@ def _fit_mean(X, y, control=None):
 
 def _sphere_data(n=30, d=3, seed=123):
     space = ParamSpace([-1.0] * d, [1.0] * d)
-    X = make_lhd(None, space, DesignControl(size=n, seed=seed))
+    X = make_lhd(None, space, dict(size=n, seed=seed))
     y = (X**2).sum(axis=1)
     return X, y
 
@@ -91,6 +91,17 @@ def test_callable_members_are_supported():
     fit = fit_stack(X, y, {"members": (_fit_mean,), "seed": 4})
     assert fit.member_names == ["_fit_mean"]
     assert fit.predict([[0.0, 0.0, 0.0]]).item() == pytest.approx(y.mean())
+
+    # like the named members, a custom one gets the stack's seed and types
+    seen = []
+
+    def recording(X, y, control):
+        seen.append(control)
+        return _fit_mean(X, y)
+
+    types = ("numeric", "integer", "numeric")
+    fit_stack(X, y, {"members": (recording,), "seed": 4, "types": types})
+    assert seen and all(c == {"seed": 4, "types": types} for c in seen)
 
 
 def test_unknown_member_name_is_rejected():
