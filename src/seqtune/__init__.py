@@ -12,7 +12,7 @@ from .engine import (
     apply_duplicate_policy,
 )
 from .forest import ForestFit, fit_forest, predict_forest
-from .kriging import KrigingFit, kernel_value, fit_kriging, predict_kriging
+from .kriging import KrigingFit, fit_kriging, predict_kriging
 from .objectives import (
     SannParams,
     SannResult,
@@ -75,7 +75,6 @@ __all__ = [
     "fit_forest",
     "predict_forest",
     "KrigingFit",
-    "kernel_value",
     "fit_kriging",
     "predict_kriging",
     "ocba_allocate",

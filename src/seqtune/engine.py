@@ -86,8 +86,14 @@ class SpotConfig:
             if not isinstance(getattr(self, name), bool):
                 raise bad(name, "true or false")
         for name in ("designControl", "modelControl", "optimizerControl"):
-            if not isinstance(getattr(self, name), dict):
+            section = getattr(self, name)
+            if not isinstance(section, dict):
                 raise bad(name, "a section of keys")
+            seed = section.get("seed")
+            if seed is not None and not _is_int(seed):
+                raise ValueError(
+                    f"{name} seed must be an integer or none, got {seed!r}"
+                )
         if self.funEvals < 1:
             raise ValueError("funEvals must be at least 1")
         if self.replicates < 1:

@@ -1,4 +1,4 @@
-"""Random forest regression grown from scratch on numpy arrays.
+"""Random forest regression written directly on numpy arrays.
 
 Trees are fit on bootstrap resamples with per-node feature subsampling and
 variance-reduction splits; every leaf predicts the mean of its training
@@ -23,10 +23,6 @@ class _Node:
     right: Optional["_Node"] = None
     value: float = 0.0
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
 
 @dataclass
 class ForestFit:
@@ -35,7 +31,7 @@ class ForestFit:
     mtry: int
     min_node_size: int
     seeds: np.ndarray
-    n_features: int = 0
+    n_features: int
 
     def predict(self, xnew: np.ndarray) -> np.ndarray:
         return predict_forest(self, xnew)
@@ -135,29 +131,20 @@ def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> 
     )
 
 
-def _tree_apply(node: _Node, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    if node.is_leaf:
-        out[rows] = node.value
-        return
-    mask = x[rows, node.feature] <= node.threshold
-    if mask.any():
-        _tree_apply(node.left, x, rows[mask], out)
-    if not mask.all():
-        _tree_apply(node.right, x, rows[~mask], out)
-
-
 def predict_forest(fit: ForestFit, xnew: np.ndarray) -> np.ndarray:
     """Mean over tree predictions, one column."""
     xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
-    if fit.n_features and xnew.shape[1] != fit.n_features:
+    if xnew.shape[1] != fit.n_features:
         raise ValueError(
             f"prediction input has {xnew.shape[1]} columns, model was fit on "
             f"{fit.n_features}"
         )
-    acc = np.zeros(xnew.shape[0])
-    scratch = np.empty(xnew.shape[0])
-    rows = np.arange(xnew.shape[0])
-    for tree in fit.trees:
-        _tree_apply(tree, xnew, rows, scratch)
-        acc += scratch
-    return (acc / len(fit.trees)).reshape(-1, 1)
+    means = []
+    for row in xnew.tolist():
+        total = 0.0
+        for node in fit.trees:
+            while node.left is not None:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            total += node.value
+        means.append(total / len(fit.trees))
+    return np.array(means).reshape(-1, 1)

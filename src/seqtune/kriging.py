@@ -13,7 +13,7 @@ the fitted activity parameters live on that scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
@@ -27,31 +27,6 @@ _PENALTY = 1e10
 
 DEFAULT_THETA_BOUNDS = (-6.0, 2.0)
 DEFAULT_LAMBDA_BOUNDS = (-6.0, 0.0)
-
-
-def kernel_value(
-    a: Sequence[float],
-    b: Sequence[float],
-    theta: Sequence[float],
-    p: float = 2.0,
-    types: Optional[Sequence[str]] = None,
-) -> float:
-    """Correlation between two raw-coordinate points."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if not (a.shape == b.shape == theta.shape):
-        raise ValueError("a, b and theta must have the same length")
-    if np.any(theta < 0):
-        raise ValueError("theta must be nonnegative")
-    types = tuple(types) if types else ("numeric",) * a.size
-    acc = 0.0
-    for i, t in enumerate(types):
-        if t == "factor":
-            acc += theta[i] * (a[i] != b[i])
-        else:
-            acc += theta[i] * abs(a[i] - b[i]) ** p
-    return float(np.exp(-acc))
 
 
 @dataclass

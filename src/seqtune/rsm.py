@@ -291,8 +291,6 @@ def descent_path(fit: RSMFit) -> DescentPath:
     if fit.B is None or np.all(fit.B == 0.0):
         grad = fit.b[fit.active]
         norm = np.linalg.norm(grad)
-        if norm == 0.0:
-            raise ValueError("flat fit has no descent direction")
         direction = np.zeros(d)
         direction[fit.active] = -grad / norm
         coded = radii[:, None] * direction[None, :]

@@ -387,6 +387,20 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
         assert main(["design", "--config", wrong_type, "--out", "/dev/null"]) == 2
         assert line.split()[0] in capsys.readouterr().err
 
+    # a bad seed in a control section used to crash the run with a TypeError
+    for section, text in (
+        ("modelControl", "[modelControl]\nntree = 10\nseed = abc\n"),
+        ("optimizerControl",
+         "[modelControl]\nntree = 10\n[optimizerControl]\nseed = abc\n"),
+    ):
+        bad_seed = _cfg(
+            tmp_path,
+            "[run]\nfun = sphere\nlower = 0, 0\nupper = 1, 1\n"
+            "[spot]\nfunEvals = 12\nmodel = forest\n" + text,
+        )
+        assert main(["tune", "--config", bad_seed, "--out", out]) == 2
+        assert f"{section} seed" in capsys.readouterr().err
+
 
 def test_tune_saves_a_run_that_ran_out_of_grid_points(tmp_path, capsys):
     # four integer points and a budget of six: the fifth candidate has no

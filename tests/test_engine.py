@@ -433,6 +433,13 @@ def test_config_rejects_bad_values():
         SpotConfig(noise="maybe")
     with pytest.raises(ValueError, match="modelControl"):
         SpotConfig(modelControl=5)
+    for name in ("designControl", "modelControl", "optimizerControl"):
+        with pytest.raises(ValueError, match=f"{name} seed"):
+            SpotConfig(**{name: {"seed": "abc"}})
+        with pytest.raises(ValueError, match=f"{name} seed"):
+            SpotConfig(**{name: {"seed": 2.5}})
+        SpotConfig(**{name: {"seed": None}})
+        SpotConfig(**{name: {"seed": 7}})
 
 
 def test_config_defaults():

@@ -2,7 +2,10 @@
 
 The split oracle below enumerates every (feature, threshold) pair by brute
 force and compares achieved error reduction, so it is independent of the
-cumulative-sum implementation inside the package.
+cumulative-sum implementation inside the package.  The prediction oracle
+sends whole batches down each tree by recursive boolean-mask partitions and
+sums the trees with numpy adds; the package walks one row at a time, so the
+two must agree bit for bit.
 """
 
 import numpy as np
@@ -34,6 +37,34 @@ def _best_gain_bruteforce(x, y, min_leaf):
     return best
 
 
+def _tree_apply(node, x, rows, out):
+    """Write each row's leaf value of the tree at `node` into `out[rows]`."""
+    if node.left is None:
+        out[rows] = node.value
+        return
+    mask = x[rows, node.feature] <= node.threshold
+    if mask.any():
+        _tree_apply(node.left, x, rows[mask], out)
+    if not mask.all():
+        _tree_apply(node.right, x, rows[~mask], out)
+
+
+def _reference_predict(fit, x):
+    acc = np.zeros(x.shape[0])
+    scratch = np.empty(x.shape[0])
+    rows = np.arange(x.shape[0])
+    for tree in fit.trees:
+        _tree_apply(tree, x, rows, scratch)
+        acc += scratch
+    return (acc / len(fit.trees)).reshape(-1, 1)
+
+
+def _splits(node):
+    if node.left is None:
+        return []
+    return [(node.feature, node.threshold), *_splits(node.left), *_splits(node.right)]
+
+
 def _single_tree_fit(tree, n_features):
     return ForestFit(
         trees=[tree], ntree=1, mtry=n_features, min_node_size=1,
@@ -50,11 +81,14 @@ def test_step_data_splits_between_the_levels():
     y = np.array([0.0, 0.0, 10.0, 10.0])
     tree = grow_tree(x, y, mtry=1, min_node_size=1,
                      rng=np.random.default_rng(0))
-    assert not tree.is_leaf
+    assert tree.left is not None
     assert tree.feature == 0
     assert 1.0 < tree.threshold < 2.0
     pred = predict_forest(_single_tree_fit(tree, 1), x)[:, 0]
     assert pred == pytest.approx(y)
+    # a query on the threshold itself goes left
+    tie = predict_forest(_single_tree_fit(tree, 1), [[tree.threshold]])
+    assert tie.item() == tree.left.value
 
 
 def test_root_split_achieves_bruteforce_best_gain():
@@ -66,7 +100,7 @@ def test_root_split_achieves_bruteforce_best_gain():
         )
         # all features offered, so the root split must be globally optimal
         tree = grow_tree(x, y, mtry=2, min_node_size=1, rng=np.random.default_rng(1))
-        assert not tree.is_leaf
+        assert tree.left is not None
         mask = x[:, tree.feature] <= tree.threshold
         gain = _sse(y) - _sse(y[mask]) - _sse(y[~mask])
         assert gain == pytest.approx(_best_gain_bruteforce(x, y, 1), rel=1e-9)
@@ -76,7 +110,7 @@ def test_constant_targets_grow_a_leaf():
     x = np.arange(10, dtype=float).reshape(-1, 1)
     tree = grow_tree(x, np.full(10, 2.5), mtry=1, min_node_size=1,
                      rng=np.random.default_rng(0))
-    assert tree.is_leaf
+    assert tree.left is None
     assert tree.value == 2.5
 
 
@@ -85,7 +119,7 @@ def test_small_nodes_stop_splitting():
     y = np.array([0.0, 0.0, 10.0, 10.0])
     # 2*min_node_size exceeds n, so no split is allowed at all
     tree = grow_tree(x, y, mtry=1, min_node_size=3, rng=np.random.default_rng(0))
-    assert tree.is_leaf
+    assert tree.left is None
     assert tree.value == pytest.approx(5.0)
 
 
@@ -141,6 +175,23 @@ def test_forest_averages_its_trees():
         ]
     )
     assert fit.predict(xq)[:, 0] == pytest.approx(per_tree.mean(axis=1))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 100, 1000])
+def test_predict_matches_the_partition_reference_bit_for_bit(rows):
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-2, 3, size=(30, 3))
+    y = np.sin(2 * X[:, 0]) * X[:, 1] + X[:, 2] ** 2
+    fit = fit_forest(X, y, {"ntree": 60, "seed": 10, "min_node_size": 2})
+    xq = rng.uniform(-3, 4, size=(rows, 3))
+    # put two coordinates of every other row exactly on split thresholds
+    splits = [s for tree in fit.trees for s in _splits(tree)]
+    for i in range(0, rows, 2):
+        for f, thr in (splits[j] for j in rng.integers(len(splits), size=2)):
+            xq[i, f] = thr
+    pred = predict_forest(fit, xq)
+    assert pred.shape == (rows, 1)
+    assert pred.tobytes() == _reference_predict(fit, xq).tobytes()
 
 
 def test_forest_learns_a_signal():
