@@ -53,6 +53,14 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+# control keys that the designs, models and optimizers read as counts
+_INT_KEYS = {
+    "designControl": ("size", "replicates", "retries"),
+    "modelControl": ("ntree", "mtry", "min_node_size", "folds", "budget"),
+    "optimizerControl": ("funEvals",),
+}
+
+
 @dataclass
 class SpotConfig:
     """Run settings; field names match the run-config file format."""
@@ -85,7 +93,7 @@ class SpotConfig:
         for name in ("noise", "OCBA"):
             if not isinstance(getattr(self, name), bool):
                 raise bad(name, "true or false")
-        for name in ("designControl", "modelControl", "optimizerControl"):
+        for name, keys in _INT_KEYS.items():
             section = getattr(self, name)
             if not isinstance(section, dict):
                 raise bad(name, "a section of keys")
@@ -94,6 +102,11 @@ class SpotConfig:
                 raise ValueError(
                     f"{name} seed must be an integer or none, got {seed!r}"
                 )
+            for key in keys:
+                if key in section and not _is_int(section[key]):
+                    raise ValueError(
+                        f"{name} {key} must be an integer, got {section[key]!r}"
+                    )
         if self.funEvals < 1:
             raise ValueError("funEvals must be at least 1")
         if self.replicates < 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import optimizers
 from .design import cross_dist
@@ -54,37 +54,68 @@ class KrigingFit:
         return predict_kriging(self, xnew)["mean"]
 
 
+def _factor(k: np.ndarray) -> Optional[np.ndarray]:
+    """Lower Cholesky factor of k, or None when k is not positive definite."""
+    lower, info = dpotrf(k, lower=1, clean=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return None if info > 0 else lower
+
+
+def _solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve k x = b given the lower Cholesky factor of k."""
+    x, info = dpotrs(lower, b, lower=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
+def _correlation(theta: np.ndarray, flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """Correlations exp(-theta . d) of the given shape from (d, m*n) distances."""
+    return np.exp(-np.dot(theta.reshape(1, -1), flat)).reshape(shape)
+
+
 def _neg_log_likelihood(
-    theta: np.ndarray, lam: float, dists: np.ndarray, y: np.ndarray
+    theta: np.ndarray,
+    lam: float,
+    flat: np.ndarray,
+    diag: np.ndarray,
+    one: np.ndarray,
+    y: np.ndarray,
 ):
-    """Concentrated -ln-likelihood; returns (value, parts or None)."""
+    """Concentrated -ln-likelihood; returns (value, parts or None).
+
+    `flat` is the (d, n*n) distance tensor, `diag` indexes the diagonal of a
+    raveled n-by-n matrix and `one` is the (n, 1) ones column, all built
+    once per fit.
+    """
     n = y.shape[0]
-    psi = np.exp(-np.tensordot(theta, dists, axes=1))
-    k = psi + lam * np.eye(n)
-    try:
-        lower = cholesky(k, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    k = _correlation(theta, flat, (n, n))
+    # off-diagonal correlations are >= 0, so adding the nugget on the
+    # diagonal alone equals adding lam * identity
+    k.reshape(-1)[diag] += lam
+    lower = _factor(k)
+    if lower is None:
         return _PENALTY, None
-    diag = np.diag(lower)
-    if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
+    ldiag = np.diag(lower)
+    if np.any(ldiag <= 0) or not np.all(np.isfinite(ldiag)):
         return _PENALTY, None
     # a factorization that succeeds but is effectively singular is useless
     # for prediction, so such hyperparameters are penalized like a failure
-    if (diag.max() / diag.min()) ** 2 > 1e12:
+    if (ldiag.max() / ldiag.min()) ** 2 > 1e12:
         return _PENALTY, None
-    one = np.ones((n, 1))
-    kinv_y = cho_solve((lower, True), y, check_finite=False)
-    kinv_one = cho_solve((lower, True), one, check_finite=False)
+    kinv_y = _solve(lower, y)
+    kinv_one = _solve(lower, one)
     mu = ((one.T @ kinv_y) / (one.T @ kinv_one)).item()
     resid = y - mu
     kinv_resid = kinv_y - mu * kinv_one
     sigma2 = (resid.T @ kinv_resid).item() / n
     if not np.isfinite(sigma2):
         return _PENALTY, None
-    value = 0.5 * n * np.log(max(sigma2, 1e-300)) + np.sum(np.log(diag))
+    value = 0.5 * n * np.log(max(sigma2, 1e-300)) + np.sum(np.log(ldiag))
     if not np.isfinite(value):
         return _PENALTY, None
-    return float(value), (psi, k, lower, mu, sigma2, kinv_resid)
+    return float(value), (k, lower, mu, sigma2, kinv_resid)
 
 
 def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> KrigingFit:
@@ -123,7 +154,9 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         if t == "factor":
             x_offset[i], x_scale[i] = 0.0, 1.0
     z = (X - x_offset) / x_scale
-    dists = cross_dist(z, z, types)
+    flat = cross_dist(z, z, types).reshape(d, n * n)
+    diag = np.arange(n) * (n + 1)
+    one = np.ones((n, 1))
 
     n_par = d + (1 if use_lambda else 0)
     budget = int(control.get("budget", 200 * n_par))
@@ -138,7 +171,7 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         for i, row in enumerate(v):
             theta = 10.0 ** row[:d]
             lam = 10.0 ** row[d] if use_lambda else 0.0
-            out[i, 0] = _neg_log_likelihood(theta, lam, dists, y)[0]
+            out[i, 0] = _neg_log_likelihood(theta, lam, flat, diag, one, y)[0]
         return out
 
     alg = control.get("algTheta", "lhd")
@@ -170,12 +203,12 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
 
     theta = 10.0 ** xbest[:d]
     lam = 10.0 ** xbest[d] if use_lambda else 0.0
-    value, parts = _neg_log_likelihood(theta, lam, dists, y)
+    value, parts = _neg_log_likelihood(theta, lam, flat, diag, one, y)
     if parts is None:
         raise ValueError(
             "correlation matrix is singular at the selected hyperparameters"
         )
-    psi_pure, k_mat, lower_chol, mu, sigma2, alpha = parts
+    k_mat, lower_chol, mu, sigma2, alpha = parts
 
     # polish the prediction weights by iterative refinement: the plain solve
     # is fine for the likelihood but loses digits when the kernel is nearly
@@ -186,7 +219,7 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         gap = resid - k_mat @ alpha
         if np.max(np.abs(gap)) <= 1e-14 * scale_r:
             break
-        alpha = alpha + cho_solve((lower_chol, True), gap, check_finite=False)
+        alpha = alpha + _solve(lower_chol, gap)
 
     sigma2_re = sigma2
     lower_re = None
@@ -195,19 +228,14 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         # nugget-free correlation, for error estimates that vanish at the
         # data; built over the distinct training sites because replicated
         # rows would make it exactly singular
+        psi_pure = _correlation(theta, flat, (n, n))
         sigma2_re = (alpha.T @ psi_pure @ alpha).item() / n
         uniq_idx = np.sort(np.unique(z, axis=0, return_index=True)[1])
         psi_u = psi_pure[np.ix_(uniq_idx, uniq_idx)]
         for jitter in (0.0, 1e-12, 1e-10, 1e-8):
-            try:
-                lower_re = cholesky(
-                    psi_u + jitter * np.eye(uniq_idx.size),
-                    lower=True,
-                    check_finite=False,
-                )
+            lower_re = _factor(psi_u + jitter * np.eye(uniq_idx.size))
+            if lower_re is not None:
                 break
-            except np.linalg.LinAlgError:
-                continue
 
     return KrigingFit(
         X=X,
@@ -242,17 +270,15 @@ def predict_kriging(fit: KrigingFit, xnew: np.ndarray) -> dict:
     znew = (xnew - fit.x_offset) / fit.x_scale
     ztrain = (fit.X - fit.x_offset) / fit.x_scale
     cross = cross_dist(znew, ztrain, fit.types)
-    psi = np.exp(-np.tensordot(fit.theta, cross, axes=1))
+    psi = _correlation(fit.theta, cross.reshape(cross.shape[0], -1), cross.shape[1:])
     mean = fit.mu_hat + psi @ fit.alpha
 
     if fit.lambda_ > 0.0 and fit.reinterpolate and fit.corr_factorization_re is not None:
         psi_u = psi[:, fit.reinterp_idx]
-        solved = cho_solve(
-            (fit.corr_factorization_re, True), psi_u.T, check_finite=False
-        )
+        solved = _solve(fit.corr_factorization_re, psi_u.T)
         s2 = fit.sigma2_re * (1.0 - np.sum(psi_u.T * solved, axis=0))
     else:
-        solved = cho_solve((fit.corr_factorization, True), psi.T, check_finite=False)
+        solved = _solve(fit.corr_factorization, psi.T)
         s2 = fit.sigma2_hat * (
             1.0 + fit.lambda_ - np.sum(psi.T * solved, axis=0)
         )

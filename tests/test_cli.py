@@ -401,6 +401,21 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
         assert main(["tune", "--config", bad_seed, "--out", out]) == 2
         assert f"{section} seed" in capsys.readouterr().err
 
+    # a fractional count used to be truncated: 3 rows, 8 rows, 20 trees
+    sphere = "[run]\nfun = sphere\nlower = 0, 0\nupper = 1, 1\n"
+    for command, text, key in (
+        ("design", "[designControl]\nsize = 3.7\n", "designControl size"),
+        ("design", "[designControl]\nsize = 4\nreplicates = 2.5\n",
+         "designControl replicates"),
+        ("tune",
+         "[spot]\nfunEvals = 12\nmodel = forest\n[modelControl]\nntree = 20.9\n",
+         "modelControl ntree"),
+    ):
+        fractional = _cfg(tmp_path, sphere + text)
+        target = "/dev/null" if command == "design" else out
+        assert main([command, "--config", fractional, "--out", target]) == 2
+        assert key in capsys.readouterr().err
+
 
 def test_tune_saves_a_run_that_ran_out_of_grid_points(tmp_path, capsys):
     # four integer points and a budget of six: the fifth candidate has no

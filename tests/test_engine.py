@@ -440,6 +440,23 @@ def test_config_rejects_bad_values():
             SpotConfig(**{name: {"seed": 2.5}})
         SpotConfig(**{name: {"seed": None}})
         SpotConfig(**{name: {"seed": 7}})
+    # counts read by the designs, models and optimizers: a fraction used to
+    # be truncated silently
+    for name, key in (
+        ("designControl", "size"),
+        ("designControl", "replicates"),
+        ("designControl", "retries"),
+        ("modelControl", "ntree"),
+        ("modelControl", "mtry"),
+        ("modelControl", "min_node_size"),
+        ("modelControl", "folds"),
+        ("modelControl", "budget"),
+        ("optimizerControl", "funEvals"),
+    ):
+        for value in (3.7, "abc", None, True):
+            with pytest.raises(ValueError, match=f"{name} {key}"):
+                SpotConfig(**{name: {key: value}})
+        SpotConfig(**{name: {key: 3}})
 
 
 def test_config_defaults():

@@ -5,9 +5,9 @@ fixed config: the archive.csv of the three shipped configs, of a stacked
 Branin run, of a noisy OCBA run and of its continuation, and the CSV of a
 surface drawn from a bundle's fitted model.  The test re-runs every command
 and compares bytes, so reproducibility is pinned across commits, not only
-between two runs in one process.  The stacked run is also repeated in a
-fresh interpreter with OpenBLAS held to one thread, so the archive cannot
-depend on the BLAS thread count.
+between two runs in one process.  The stacked run and the Branin Kriging run
+are also repeated in a fresh interpreter with OpenBLAS held to one thread,
+so their archives cannot depend on the BLAS thread count.
 
 A change that alters a golden file alters the engine's results.  Regenerate
 the files only together with a note saying what changed and why:
@@ -74,15 +74,19 @@ def test_output_matches_the_golden_file(produced, name):
     assert produced[name] == (GOLDEN / name).read_bytes()
 
 
-def test_stacked_run_does_not_depend_on_the_blas_thread_count(tmp_path):
+@pytest.mark.parametrize("config", [
+    GOLDEN / "branin_stack.cfg",
+    ROOT / "configs" / "branin_kriging.cfg",
+], ids=lambda path: path.stem)
+def test_run_does_not_depend_on_the_blas_thread_count(tmp_path, config):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    out = tmp_path / "branin_stack"
+    out = tmp_path / config.stem
     proc = subprocess.run(
         [sys.executable, "-m", "seqtune.cli", "tune",
-         "--config", str(GOLDEN / "branin_stack.cfg"), "--out", str(out)],
+         "--config", str(config), "--out", str(out)],
         capture_output=True,
         text=True,
         env=env,
@@ -90,7 +94,7 @@ def test_stacked_run_does_not_depend_on_the_blas_thread_count(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "archive.csv").read_bytes() == (
-        GOLDEN / "branin_stack.csv").read_bytes()
+        GOLDEN / f"{config.stem}.csv").read_bytes()
 
 
 if __name__ == "__main__":

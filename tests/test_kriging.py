@@ -5,6 +5,11 @@ with plain dense solves (np.linalg.solve on the full correlation matrix),
 so it shares no code path with the Cholesky-based implementation.  The
 kernel oracle `kernel_value` sums the correlation exponent one term at a
 time, independent of the vectorized distance kernel in the package.
+
+The package factors and solves through LAPACK's dpotrf/dpotrs directly.
+`_reference_neg_log_likelihood` and `_reference_predict` keep the same
+computations written with scipy's `cholesky`/`cho_solve` wrappers and
+`np.tensordot`, and the results must agree with them bit for bit.
 """
 
 import math
@@ -15,10 +20,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scipy.linalg import cho_solve, cholesky
+
+from seqtune.design import cross_dist
 from seqtune.kriging import (
+    _PENALTY,
     DEFAULT_LAMBDA_BOUNDS,
     DEFAULT_THETA_BOUNDS,
     KrigingFit,
+    _correlation,
+    _neg_log_likelihood,
     fit_kriging,
     predict_kriging,
 )
@@ -290,3 +301,115 @@ def test_theta_search_range_reaches_tiny_activity():
     # model almost-perfect cross-level correlation
     assert DEFAULT_THETA_BOUNDS[0] <= -6.0
     assert DEFAULT_THETA_BOUNDS[1] >= 2.0
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit references for the direct LAPACK calls
+
+
+def _reference_neg_log_likelihood(theta, lam, dists, y):
+    """The likelihood through scipy's wrappers; a penalty names its branch."""
+    n = y.shape[0]
+    psi = np.exp(-np.tensordot(theta, dists, axes=1))
+    k = psi + lam * np.eye(n)
+    try:
+        lower = cholesky(k, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return _PENALTY, "factor"
+    diag = np.diag(lower)
+    if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
+        return _PENALTY, "diagonal"
+    if (diag.max() / diag.min()) ** 2 > 1e12:
+        return _PENALTY, "conditioning"
+    one = np.ones((n, 1))
+    kinv_y = cho_solve((lower, True), y, check_finite=False)
+    kinv_one = cho_solve((lower, True), one, check_finite=False)
+    mu = ((one.T @ kinv_y) / (one.T @ kinv_one)).item()
+    resid = y - mu
+    kinv_resid = kinv_y - mu * kinv_one
+    sigma2 = (resid.T @ kinv_resid).item() / n
+    if not np.isfinite(sigma2):
+        return _PENALTY, "sigma2"
+    value = 0.5 * n * np.log(max(sigma2, 1e-300)) + np.sum(np.log(diag))
+    if not np.isfinite(value):
+        return _PENALTY, "value"
+    return float(value), (psi, k, lower, mu, sigma2, kinv_resid)
+
+
+def _reference_predict(fit: KrigingFit, xnew: np.ndarray) -> dict:
+    """`predict_kriging` through scipy's `cho_solve` and `np.tensordot`."""
+    xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
+    znew = (xnew - fit.x_offset) / fit.x_scale
+    ztrain = (fit.X - fit.x_offset) / fit.x_scale
+    cross = cross_dist(znew, ztrain, fit.types)
+    psi = np.exp(-np.tensordot(fit.theta, cross, axes=1))
+    mean = fit.mu_hat + psi @ fit.alpha
+    if fit.lambda_ > 0.0 and fit.reinterpolate and fit.corr_factorization_re is not None:
+        psi_u = psi[:, fit.reinterp_idx]
+        solved = cho_solve(
+            (fit.corr_factorization_re, True), psi_u.T, check_finite=False
+        )
+        s2 = fit.sigma2_re * (1.0 - np.sum(psi_u.T * solved, axis=0))
+    else:
+        solved = cho_solve((fit.corr_factorization, True), psi.T, check_finite=False)
+        s2 = fit.sigma2_hat * (1.0 + fit.lambda_ - np.sum(psi.T * solved, axis=0))
+    sd = np.sqrt(np.clip(s2, 0.0, None)).reshape(-1, 1)
+    return {"mean": mean.reshape(-1, 1), "sd": sd}
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("nugget", [True, False])
+@pytest.mark.parametrize("n", [12, 30, 60])
+def test_likelihood_matches_the_wrapper_reference_bit_for_bit(n, nugget):
+    rng = np.random.default_rng(n)
+    d = 2
+    z = rng.uniform(0.0, 1.0, size=(n, d))
+    y = (np.sin(6.0 * z[:, 0]) + z[:, 1] ** 2).reshape(-1, 1)
+    dists = cross_dist(z, z, ("numeric",) * d)
+    flat = dists.reshape(d, n * n)
+    diag = np.arange(n) * (n + 1)
+    one = np.ones((n, 1))
+    rows = rng.uniform(DEFAULT_THETA_BOUNDS[0], DEFAULT_THETA_BOUNDS[1], (200, d))
+    lams = 10.0 ** rng.uniform(*DEFAULT_LAMBDA_BOUNDS, 200) if nugget else np.zeros(200)
+    branches = set()
+    for row, lam in zip(rows, lams):
+        theta = 10.0 ** row
+        want, ref = _reference_neg_log_likelihood(theta, lam, dists, y)
+        got, parts = _neg_log_likelihood(theta, lam, flat, diag, one, y)
+        assert _bits(got) == _bits(want)
+        if isinstance(ref, str):
+            branches.add(ref)
+            assert parts is None
+            continue
+        branches.add("value")
+        psi, *ref_parts = ref
+        assert _bits(_correlation(theta, flat, (n, n))) == _bits(psi)
+        assert len(parts) == len(ref_parts)
+        for part, ref_part in zip(parts, ref_parts):
+            assert _bits(part) == _bits(ref_part)
+    # the rows must reach a finite value, and without a nugget both ways a
+    # correlation matrix is penalized: a failed factorization and a factor
+    # that is too badly conditioned to use
+    assert "value" in branches
+    if not nugget:
+        assert {"factor", "conditioning"} <= branches
+
+
+@pytest.mark.parametrize("rows", [1, 100])
+@pytest.mark.parametrize("reinterpolate", [True, False])
+def test_prediction_matches_the_wrapper_reference_bit_for_bit(reinterpolate, rows):
+    rng = np.random.default_rng(37)
+    base = rng.uniform(-5.0, 10.0, size=(10, 2))
+    X = np.vstack([base, base[:4]])  # replicated sites need the nugget
+    y = np.cos(X[:, 0]) + 0.1 * X[:, 1] + rng.normal(0.0, 0.3, X.shape[0])
+    fit = fit_kriging(X, y, {"budget": 120, "seed": 9, "reinterpolate": reinterpolate})
+    assert fit.lambda_ > 0
+    assert (fit.corr_factorization_re is not None) == reinterpolate
+    xq = rng.uniform(-5.0, 10.0, size=(rows, 2))
+    got = predict_kriging(fit, xq)
+    want = _reference_predict(fit, xq)
+    assert _bits(got["mean"]) == _bits(want["mean"])
+    assert _bits(got["sd"]) == _bits(want["sd"])
