@@ -107,6 +107,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> 
     n, d = X.shape
     if y.shape[0] != n:
         raise ValueError("X and y row counts differ")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite values in X or y")
     if n < 1:
         raise ValueError("need at least one training point")
     ntree = int(control.get("ntree", 500))

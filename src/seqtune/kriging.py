@@ -133,6 +133,8 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     n, d = X.shape
     if y.shape[0] != n:
         raise ValueError("X and y row counts differ")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite values in X or y")
     if n < 2:
         raise ValueError("need at least 2 training points")
     types = tuple(control.get("types") or ("numeric",) * d)

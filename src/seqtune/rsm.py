@@ -4,11 +4,17 @@ Inputs are coded to [-1, 1] per dimension using the data's min/max, the full
 quadratic basis is fit by least squares, and descent paths are built by
 solving the ridge subproblem (minimize the fitted quadratic on a sphere of
 given radius around the coded origin) at a ladder of radii.
+
+Each ridge step solves the secular equation ||z(t)|| = r in the shift t > 0
+below the smallest eigenvalue (More & Sorensen, Computing a trust region
+step, 1983) on a closed-form bracket; in the hard case, where -b/2 has no
+component along the lowest eigenspace, the step is padded along it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -41,6 +47,8 @@ class RSMFit:
 
     def code(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != self.centers.size:
+            raise ValueError("points have the wrong dimension")
         halves = np.where(self.halves > 0, self.halves, 1.0)
         return (x - self.centers) / halves
 
@@ -53,22 +61,13 @@ class RSMFit:
 
 
 def _basis(z: np.ndarray, active: np.ndarray, main_effects_only: bool):
-    """Design matrix columns and their names for coded points."""
-    n = z.shape[0]
-    cols = [np.ones(n)]
-    names = ["1"]
-    for i in active:
-        cols.append(z[:, i])
-        names.append(f"x{i + 1}")
-    if not main_effects_only:
-        for a_pos, i in enumerate(active):
-            for j in active[a_pos + 1 :]:
-                cols.append(z[:, i] * z[:, j])
-                names.append(f"x{i + 1}:x{j + 1}")
-        for i in active:
-            cols.append(z[:, i] ** 2)
-            names.append(f"x{i + 1}^2")
-    return np.column_stack(cols), names
+    """Design matrix, column names and (i, j) pairs of the second-order columns."""
+    pairs = [] if main_effects_only else [*combinations(active, 2), *zip(active, active)]
+    cols = [np.ones(z.shape[0])] + [z[:, i] for i in active]
+    cols += [z[:, i] * z[:, j] for i, j in pairs]
+    names = ["1"] + [f"x{i + 1}" for i in active]
+    names += [f"x{i + 1}^2" if i == j else f"x{i + 1}:x{j + 1}" for i, j in pairs]
+    return np.column_stack(cols), names, pairs
 
 
 def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSMFit:
@@ -87,6 +86,8 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
     n, d = X.shape
     if y.shape[0] != n:
         raise ValueError("X and y row counts differ")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite values in X or y")
     lo, hi = X.min(axis=0), X.max(axis=0)
     centers = (lo + hi) / 2.0
     halves = (hi - lo) / 2.0
@@ -96,7 +97,7 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
     scale = np.where(halves > 0, halves, 1.0)
     z = (X - centers) / scale
 
-    basis, names = _basis(z, active, main_effects_only)
+    basis, names, pairs = _basis(z, active, main_effects_only)
     n_terms = basis.shape[1]
     if n < n_terms:
         raise RankDeficiencyError(
@@ -115,20 +116,12 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
 
     b0 = float(coef[0])
     b = np.zeros(d)
-    k = 1
-    for i in active:
-        b[i] = coef[k]
-        k += 1
+    b[active] = coef[1 : 1 + active.size]
     B = None
     if not main_effects_only:
         B = np.zeros((d, d))
-        for a_pos, i in enumerate(active):
-            for j in active[a_pos + 1 :]:
-                B[i, j] = B[j, i] = coef[k] / 2.0
-                k += 1
-        for i in active:
-            B[i, i] = coef[k]
-            k += 1
+        for (i, j), v in zip(pairs, coef[1 + active.size :]):
+            B[i, j] = B[j, i] = v if i == j else v / 2.0
 
     stationary_coded = stationary = eigenvalues = eigenvectors = None
     if B is not None:
@@ -161,8 +154,6 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
 
 def predict_rsm(fit: RSMFit, xnew: np.ndarray) -> np.ndarray:
     z = fit.code(xnew)
-    if z.shape[1] != fit.centers.size:
-        raise ValueError("prediction points have the wrong dimension")
     out = fit.b0 + z @ fit.b
     if fit.B is not None:
         out = out + np.sum((z @ fit.B) * z, axis=1)
@@ -183,66 +174,35 @@ class DescentPath:
 def _ridge_point(eigenvalues, vecs, c, r: float) -> np.ndarray:
     """Minimize the quadratic on the sphere of radius r.
 
-    Solves (B - mu I) z = -b/2 for the mu below the smallest eigenvalue at
-    which ||z|| = r, handling the degenerate case where -b/2 has no
-    component along the lowest eigenspace.
+    The step is z(t) = vecs @ (c / (g + t)) with gaps g = eigenvalues -
+    eigenvalues[0] >= 0 and the shift t > 0 at which ||z(t)|| = r; the norm
+    falls as t grows.  ||z(t)|| <= ||c||/t, so t = 2||c||/r bounds the root
+    above; c0, the largest |c_i| with g_i = 0, gives ||z(t)|| >= c0/t, so
+    t = c0/(2r) bounds it below, and the search in t keeps full relative
+    precision however close the root lies to zero.  Such c_i within rounding
+    of the coefficient scale count as zero, so a tie between the two sides
+    of a symmetric fit does not follow the sign of rounding noise.  With
+    c0 = 0 and ||z|| < r at the smallest positive t (the hard case), that z
+    is padded along the lowest eigenvector up to radius r.
     """
-    lam_min = eigenvalues[0]
-    gap_tol = 1e-12 * max(1.0, abs(lam_min))
-    low_group = eigenvalues <= lam_min + gap_tol
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    gaps = eigenvalues - eigenvalues[0]
+    low = gaps == 0.0
+    cut = 4.0 * eps * max(np.linalg.norm(c), np.abs(eigenvalues).max())
+    c = np.where(low & (np.abs(c) <= cut), 0.0, c)
 
-    def z_of(mu: float) -> np.ndarray:
-        return vecs @ (c / (eigenvalues - mu))
+    def z_of(t: float) -> np.ndarray:
+        return vecs @ (c / (gaps + t))
 
-    c_scale = np.linalg.norm(c)
-    if c_scale == 0.0:
-        # pure quadratic: descend along the lowest eigenvector
-        v = vecs[:, 0]
-        return r * _fix_sign(v)
-    # A component along the lowest eigenspace only pulls ||z|| up to r if it
-    # does so at some representable mu below lam_min; smaller components can
-    # never bring the crossing within reach of brentq, so they behave exactly
-    # like zero and belong to the degenerate case below.
-    resolvable = 4.0 * np.spacing(max(1.0, abs(lam_min))) * r
-    if np.any(np.abs(c[low_group]) > max(1e-10 * c_scale, resolvable)):
-        # the norm grows without bound as mu approaches lam_min
-        hi = lam_min - 1e-14 * max(1.0, abs(lam_min))
-        lo = lam_min - max(1.0, c_scale / r)
-        while np.linalg.norm(z_of(lo)) > r:
-            lo = lam_min - 2.0 * (lam_min - lo)
-        bracketed = True
-        while np.linalg.norm(z_of(hi)) < r:
-            new_hi = lam_min - 0.5 * (lam_min - hi)
-            if new_hi <= hi or new_hi >= lam_min:
-                bracketed = False
-                break
-            hi = new_hi
-        if bracketed:
-            mu = brentq(
-                lambda m: np.linalg.norm(z_of(m)) - r, lo, hi, xtol=1e-15, rtol=1e-15
-            )
-            return z_of(mu)
-        # the crossing sits closer to lam_min than one float spacing: fall
-        # through and treat the low components as zero
-    # hard case: solve on the complement and pad along the lowest eigenspace
-    rest = ~low_group
-    z0 = vecs[:, rest] @ (c[rest] / (eigenvalues[rest] - lam_min)) if rest.any() else 0.0
-    z0 = np.asarray(z0, dtype=float)
-    if z0.ndim == 0:
-        z0 = np.zeros(vecs.shape[0])
-    nz = np.linalg.norm(z0)
-    if nz >= r:
-        # no padding needed; fall back to the boundary solve on the complement
-        hi = lam_min - 1e-14 * max(1.0, abs(lam_min))
-        lo = lam_min - max(1.0, c_scale / r)
-        while np.linalg.norm(z_of(lo)) > r:
-            lo = lam_min - 2.0 * (lam_min - lo)
-        mu = brentq(
-            lambda m: np.linalg.norm(z_of(m)) - r, lo, hi, xtol=1e-15, rtol=1e-15
-        )
-        return z_of(mu)
-    tau = np.sqrt(max(r**2 - nz**2, 0.0))
-    return z0 + tau * _fix_sign(vecs[:, 0])
+    t_lo = max(np.abs(c[low]).max() / (2.0 * r), tiny)
+    z = z_of(t_lo)
+    nz = np.linalg.norm(z)
+    if nz < r:
+        return z + np.sqrt(r**2 - nz**2) * _fix_sign(vecs[:, 0])
+    t_hi = 2.0 * np.linalg.norm(c) / r
+    t = brentq(lambda t: np.linalg.norm(z_of(t)) - r, t_lo, t_hi,
+               xtol=tiny, rtol=4 * eps)
+    return z_of(t)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

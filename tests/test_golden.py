@@ -9,24 +9,33 @@ between two runs in one process.  The stacked run and the Branin Kriging run
 are also repeated in a fresh interpreter with OpenBLAS held to one thread,
 so their archives cannot depend on the BLAS thread count.
 
+The `*_rsm_path.csv` files are the `rsm-path` output on the bundles of the
+three shipped configs.  Their header is compared byte for byte and their
+values to 1e-12 of each column's largest magnitude: the ridge step is the
+root of a secular equation, and a change to the root search may move its
+last digits without changing the path.
+
 A change that alters a golden file alters the engine's results.  Regenerate
 the files only together with a note saying what changed and why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import io
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqtune.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SHIPPED = ("sphere_kriging", "branin_kriging", "sann_forest")
 
 NAMES = [
     "sphere_kriging.csv",
@@ -47,8 +56,7 @@ def _run(*argv) -> None:
 
 def produce(out: Path) -> dict:
     """Run every golden command under `out`; returns file name -> bytes."""
-    configs = {name: ROOT / "configs" / f"{name}.cfg"
-               for name in ("sphere_kriging", "branin_kriging", "sann_forest")}
+    configs = {name: ROOT / "configs" / f"{name}.cfg" for name in SHIPPED}
     configs.update({name: GOLDEN / f"{name}.cfg"
                     for name in ("branin_stack", "sann_ocba")})
     for name, cfg in configs.items():
@@ -61,6 +69,10 @@ def produce(out: Path) -> dict:
              for name in [*configs, "sann_ocba_continue"]}
     files["sphere_kriging_surface.csv"] = (
         out / "sphere_kriging_surface.csv").read_bytes()
+    for name in SHIPPED:
+        path = out / f"{name}_rsm_path.csv"
+        _run("rsm-path", "--bundle", out / name, "--out", path)
+        files[path.name] = path.read_bytes()
     return files
 
 
@@ -72,6 +84,16 @@ def produced(tmp_path_factory):
 @pytest.mark.parametrize("name", NAMES)
 def test_output_matches_the_golden_file(produced, name):
     assert produced[name] == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", [f"{name}_rsm_path.csv" for name in SHIPPED])
+def test_rsm_path_matches_the_golden_file(produced, name):
+    got, want = produced[name], (GOLDEN / name).read_bytes()
+    assert got.split(b"\n", 1)[0] == want.split(b"\n", 1)[0]
+    got, want = (np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1)
+                 for data in (got, want))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
 
 
 @pytest.mark.parametrize("config", [

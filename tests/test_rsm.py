@@ -147,8 +147,9 @@ def test_row_count_mismatch_is_rejected():
 def test_predict_validates_dimension():
     X = np.random.default_rng(11).uniform(0, 1, size=(10, 2))
     fit = fit_rsm(X, X[:, 0])
-    with pytest.raises(ValueError):
-        fit.predict([[0.0, 1.0, 2.0]])
+    for xq in ([[0.0, 1.0, 2.0]], [[0.5]]):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            fit.predict(xq)
 
 
 def test_main_effects_only_fits_a_plane():
@@ -212,15 +213,16 @@ def test_each_path_point_beats_random_sphere_samples():
         assert path.y[k, 0] <= sampled + 1e-9
 
 
-def test_hard_case_geometry_still_minimizes():
-    # quadratic whose gradient has no component along the falling axis: the
-    # textbook degenerate ridge case
+@pytest.mark.parametrize("e", [0.0, 1e-12, 1e-9, 1e-6])
+def test_hard_case_geometry_still_minimizes(e):
+    # quadratic whose gradient has no (e = 0) or almost no component along
+    # the falling axis: the textbook degenerate ridge case and its neighbours
     X = _grid2()
-    y = -(X[:, 0] ** 2) + X[:, 1] ** 2 - 2.0 * X[:, 1]
+    y = -(X[:, 0] ** 2) + X[:, 1] ** 2 - 2.0 * X[:, 1] + e * X[:, 0]
     fit = fit_rsm(X, y)
     path = descent_path(fit)
     norms = np.linalg.norm(path.coded, axis=1)
-    assert norms == pytest.approx(path.radii, abs=1e-9)
+    assert np.all(np.abs(norms - path.radii) <= 1e-12 * np.maximum(1.0, path.radii))
     for k, r in enumerate(path.radii):
         assert path.y[k, 0] <= _sphere_oracle_min(fit, r, seed=100 + k) + 1e-9
     # the descent genuinely uses the falling axis
@@ -299,6 +301,8 @@ def test_path_step_beats_random_probes_on_its_sphere(seed):
         return  # flat fit: nothing to check
     probes = rng.normal(size=(40, 2))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    norms = np.linalg.norm(path.coded, axis=1)
+    assert np.all(np.abs(norms - path.radii) <= 1e-12 * np.maximum(1.0, path.radii))
     for k, r in enumerate(path.radii):
         vals = fit.predict(fit.decode(r * probes))[:, 0]
         floor = float(vals.min())

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from seqtune.design import ParamSpace, make_lhd
+from seqtune.forest import fit_forest
+from seqtune.kriging import fit_kriging
+from seqtune.rsm import fit_rsm
 from seqtune.stack import fit_stack, predict_stack
 
 
@@ -118,6 +121,18 @@ def test_validates_folds_and_rows():
         fit_stack(X[:3], y[:3], {"folds": 5})
     with pytest.raises(ValueError):
         fit_stack(X, y, {"members": ()})
+
+
+@pytest.mark.parametrize("fitter", [fit_kriging, fit_forest, fit_rsm, fit_stack])
+@pytest.mark.parametrize("where", ["y", "X"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_training_data_is_rejected(fitter, where, bad):
+    # every fitter refuses it, rather than fitting a model that predicts nan
+    # or a stack that silently keeps only the members that tolerate it
+    X, y = _sphere_data()
+    (y if where == "y" else X[:, 1])[4] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fitter(X, y, dict(_FAST, seed=1, budget=60, ntree=25))
 
 
 def test_fit_is_deterministic_under_seed():
