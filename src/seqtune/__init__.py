@@ -11,7 +11,7 @@ from .engine import (
     spot_loop,
     apply_duplicate_policy,
 )
-from .forest import ForestFit, fit_forest, predict_forest
+from .forest import ForestFit, fit_forest
 from .kriging import KrigingFit, fit_kriging, predict_kriging
 from .objectives import (
     SannParams,
@@ -35,10 +35,9 @@ from .rsm import (
     DescentPath,
     RankDeficiencyError,
     fit_rsm,
-    predict_rsm,
     descent_path,
 )
-from .stack import StackFit, fit_stack, predict_stack
+from .stack import StackFit, fit_stack
 
 __version__ = "0.1.0"
 
@@ -73,7 +72,6 @@ __all__ = [
     "apply_duplicate_policy",
     "ForestFit",
     "fit_forest",
-    "predict_forest",
     "KrigingFit",
     "fit_kriging",
     "predict_kriging",
@@ -84,9 +82,7 @@ __all__ = [
     "RSMFit",
     "DescentPath",
     "fit_rsm",
-    "predict_rsm",
     "descent_path",
     "StackFit",
     "fit_stack",
-    "predict_stack",
 ]

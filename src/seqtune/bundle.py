@@ -24,7 +24,7 @@ class CorruptBundleError(Exception):
     """The bundle directory is missing pieces or inconsistent."""
 
 
-def _fmt(v: float) -> str:
+def fmt(v: float) -> str:
     return repr(float(v))
 
 
@@ -42,15 +42,15 @@ def archive_lines(
     lines = [header]
     for i in range(x.shape[0]):
         seed = seeds[i] if i < len(seeds) else None
-        cells = [_fmt(v) for v in x[i]]
-        cells.append(_fmt(y[i]))
+        cells = [fmt(v) for v in x[i]]
+        cells.append(fmt(y[i]))
         cells.append("" if seed is None else str(int(seed)))
         cells.append(str(int(replicates[i])))
         lines.append(",".join(cells))
     return lines
 
 
-def write_archive(path: str, lines: list[str]) -> None:
+def write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -65,7 +65,7 @@ def save_bundle(
 ) -> None:
     """Write archive.csv and meta.json under `path` (created if needed)."""
     os.makedirs(path, exist_ok=True)
-    write_archive(
+    write_lines(
         os.path.join(path, ARCHIVE_NAME), archive_lines(x, y, seeds, replicates)
     )
     meta = dict(meta)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bundle import CorruptBundleError, archive_lines, load_bundle, save_bundle
+from .bundle import CorruptBundleError, fmt, load_bundle, save_bundle, write_lines
 from .engine import (
     InfeasibleBudgetError,
     SpotConfig,
@@ -36,14 +36,11 @@ class ConfigError(Exception):
     pass
 
 
-# engine fields read from their own config sections; the rest sit in [spot]
+# [spot] holds the engine fields other than the control sections and types
 _CONTROL_SECTIONS = ("designControl", "modelControl", "optimizerControl")
-_SPOT_KEYS = {f.name for f in dataclasses.fields(SpotConfig)} - set(_CONTROL_SECTIONS)
+_SPOT_KEYS = {f.name for f in dataclasses.fields(SpotConfig)}
+_SPOT_KEYS -= {*_CONTROL_SECTIONS, "types"}
 _RUN_KEYS = {"fun", "lower", "upper", "types"}
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -130,8 +127,6 @@ def _spot_config(cp: configparser.ConfigParser, run: dict) -> dict:
             fields[key] = _coerce(val)
     for section in _CONTROL_SECTIONS:
         fields[section] = _control_dict(cp, section)
-    if "types" in fields and not isinstance(fields["types"], tuple):
-        raise ConfigError("types belong in the [run] section")
     return fields
 
 
@@ -184,12 +179,10 @@ def _save_run(path: str, result, meta: dict) -> None:
 
 
 def _write_rows(path: Optional[str], lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        write_lines(path, lines)
 
 
 def _read_config(args) -> tuple[dict, dict]:
@@ -206,7 +199,7 @@ def cmd_design(args) -> int:
     run, fields = _read_config(args)
     mat = initial_design(None, run["lower"], run["upper"], _build_spot_config(fields))
     header = ",".join(f"x{i + 1}" for i in range(mat.shape[1]))
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in mat]
+    lines = [header] + [",".join(fmt(v) for v in row) for row in mat]
     _write_rows(args.out, lines)
     return 0
 
@@ -261,7 +254,7 @@ def cmd_rsm_path(args) -> int:
     header = ",".join([f"x{i + 1}" for i in range(d)] + ["y"])
     lines = [header]
     for row, val in zip(path.x, path.y[:, 0]):
-        lines.append(",".join([_fmt(v) for v in row] + [_fmt(val)]))
+        lines.append(",".join([fmt(v) for v in row] + [fmt(val)]))
     _write_rows(args.out, lines)
     return 0
 
@@ -310,9 +303,7 @@ def cmd_surface(args) -> int:
     vals = evaluate(pts)
     lines = [f"x{di},x{dj},y"]
     for row, val in zip(pts, vals):
-        lines.append(
-            ",".join([_fmt(row[di - 1]), _fmt(row[dj - 1]), _fmt(val)])
-        )
+        lines.append(",".join([fmt(row[di - 1]), fmt(row[dj - 1]), fmt(val)]))
     _write_rows(args.out, lines)
     return 0
 

@@ -316,7 +316,6 @@ def _run(
     if design is not None:
         _evaluate(fun, design, cfg, archive, pass_seed)
     run_search = _resolve(_OPTIMIZERS, cfg.optimizer, "optimizer")
-    local_style = run_search is not optim_lhd
     model = None
     msg = "budget exhausted"
 
@@ -324,9 +323,8 @@ def _run(
         # the model seed is drawn even when modelControl sets its own, so
         # the generator's sequence does not depend on modelControl
         model = fit_surrogate(archive.X, archive.y, cfg, int(rng.integers(2**31 - 1)))
-        start = archive.best()[0] if local_style else None
         search = run_search(
-            start,
+            archive.best()[0],
             lambda xq: np.asarray(model.predict(xq)).reshape(-1, 1),
             space.lower,
             space.upper,

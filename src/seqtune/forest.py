@@ -34,7 +34,22 @@ class ForestFit:
     n_features: int
 
     def predict(self, xnew: np.ndarray) -> np.ndarray:
-        return predict_forest(self, xnew)
+        """Mean over tree predictions, one column."""
+        xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
+        if xnew.shape[1] != self.n_features:
+            raise ValueError(
+                f"prediction input has {xnew.shape[1]} columns, model was fit on "
+                f"{self.n_features}"
+            )
+        means = []
+        for row in xnew.tolist():
+            total = 0.0
+            for node in self.trees:
+                while node.left is not None:
+                    node = node.left if row[node.feature] <= node.threshold else node.right
+                total += node.value
+            means.append(total / len(self.trees))
+        return np.array(means).reshape(-1, 1)
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray, min_leaf: int):
@@ -131,22 +146,3 @@ def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> 
         seeds=seeds,
         n_features=d,
     )
-
-
-def predict_forest(fit: ForestFit, xnew: np.ndarray) -> np.ndarray:
-    """Mean over tree predictions, one column."""
-    xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
-    if xnew.shape[1] != fit.n_features:
-        raise ValueError(
-            f"prediction input has {xnew.shape[1]} columns, model was fit on "
-            f"{fit.n_features}"
-        )
-    means = []
-    for row in xnew.tolist():
-        total = 0.0
-        for node in fit.trees:
-            while node.left is not None:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            total += node.value
-        means.append(total / len(fit.trees))
-    return np.array(means).reshape(-1, 1)

@@ -42,7 +42,6 @@ class KrigingFit:
     corr_factorization: np.ndarray
     types: tuple[str, ...]
     likelihood_evals: int
-    reinterpolate: bool
     x_offset: np.ndarray
     x_scale: np.ndarray
     alpha: np.ndarray
@@ -113,19 +112,17 @@ def _neg_log_likelihood(
     if not np.isfinite(sigma2):
         return _PENALTY, None
     value = 0.5 * n * np.log(max(sigma2, 1e-300)) + np.sum(np.log(ldiag))
-    if not np.isfinite(value):
-        return _PENALTY, None
     return float(value), (k, lower, mu, sigma2, kinv_resid)
 
 
 def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> KrigingFit:
     """Maximum-likelihood Kriging fit.
 
-    Recognized control keys: types, algTheta ("lhd", "local" or a callable
-    with the optimizer signature), budget (likelihood evaluations, default
-    200 per hyperparameter), useLambda (fit a nugget, default True),
-    reinterpolate (default True) and seed.  Hyperparameters are searched on
-    the log10 ranges DEFAULT_THETA_BOUNDS and DEFAULT_LAMBDA_BOUNDS.
+    Control keys read: types, algTheta ("lhd", "local" or a callable with
+    the optimizer signature), budget (likelihood evaluations, default 200
+    per hyperparameter), useLambda (fit a nugget, default True) and seed;
+    any other key is ignored.  Hyperparameters are searched on the log10
+    ranges DEFAULT_THETA_BOUNDS and DEFAULT_LAMBDA_BOUNDS.
     """
     control = dict(control or {})
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -141,7 +138,6 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     if len(types) != d:
         raise ValueError("types length must match X columns")
     use_lambda = bool(control.get("useLambda", True))
-    reinterpolate = bool(control.get("reinterpolate", True))
 
     if not use_lambda:
         uniq = np.unique(X, axis=0)
@@ -187,18 +183,15 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         screen_evals = budget // 2 if budget >= 20 else 0
         start = None
         if screen_evals:
-            screen = optimizers.optim_lhd(
+            start = optimizers.optim_lhd(
                 None, objective, lower, upper,
                 {"funEvals": screen_evals, "seed": seed},
-            )
-            start = screen.xbest.ravel()
+            ).xbest.ravel()
         res = optimizers.optim_local_bounded(
             start, objective, lower, upper,
             {"funEvals": budget - screen_evals, "seed": seed},
         )
         xbest, evals = res.xbest, res.count + screen_evals
-        if screen_evals and float(screen.ybest) < float(res.ybest):
-            xbest = screen.xbest
     else:
         raise ValueError(f"unknown algTheta {alg!r}")
     xbest = np.asarray(xbest, dtype=float).ravel()
@@ -226,7 +219,7 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     sigma2_re = sigma2
     lower_re = None
     uniq_idx = None
-    if lam > 0.0 and reinterpolate:
+    if lam > 0.0:
         # nugget-free correlation, for error estimates that vanish at the
         # data; built over the distinct training sites because replicated
         # rows would make it exactly singular
@@ -249,7 +242,6 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         corr_factorization=lower_chol,
         types=types,
         likelihood_evals=evals,
-        reinterpolate=reinterpolate,
         x_offset=x_offset,
         x_scale=x_scale,
         alpha=alpha,
@@ -262,9 +254,9 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
 def predict_kriging(fit: KrigingFit, xnew: np.ndarray) -> dict:
     """Predict mean and standard deviation at new points.
 
-    With a positive nugget and reinterpolation active, the error estimate
-    uses the nugget-free correlation so it collapses to zero at the training
-    points; without a nugget the two formulas coincide.
+    With a positive nugget the error estimate uses the nugget-free
+    correlation, so it collapses to zero at the training points; at zero
+    nugget, or if that correlation would not factorize, the fitted one.
     """
     xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
     if xnew.shape[1] != fit.X.shape[1]:
@@ -275,7 +267,7 @@ def predict_kriging(fit: KrigingFit, xnew: np.ndarray) -> dict:
     psi = _correlation(fit.theta, cross.reshape(cross.shape[0], -1), cross.shape[1:])
     mean = fit.mu_hat + psi @ fit.alpha
 
-    if fit.lambda_ > 0.0 and fit.reinterpolate and fit.corr_factorization_re is not None:
+    if fit.corr_factorization_re is not None:
         psi_u = psi[:, fit.reinterp_idx]
         solved = _solve(fit.corr_factorization_re, psi_u.T)
         s2 = fit.sigma2_re * (1.0 - np.sum(psi_u.T * solved, axis=0))

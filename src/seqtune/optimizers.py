@@ -47,24 +47,17 @@ def optim_lhd(
     upper: np.ndarray,
     control: Optional[dict] = None,
 ) -> OptResult:
-    """Best point of one space-filling sample.
+    """Best of control["funEvals"] (default 100) snapped Latin hypercube points.
 
-    The total evaluation count is exactly control["funEvals"] (default 100);
-    supplied start rows are evaluated as part of that budget, with the
-    hypercube shrunk to make room for them.
+    `start` is ignored, the way designs ignore `existing`.
     """
     control = dict(control or {})
     fun_evals = int(control.get("funEvals", 100))
     if fun_evals < 1:
         raise ValueError("funEvals must be at least 1")
     space = ParamSpace(lower, upper, tuple(control.get("types", ())))
-    rows = [] if start is None else [np.atleast_2d(np.asarray(start, dtype=float))]
-    n_start = 0 if not rows else rows[0].shape[0]
-    size = fun_evals - n_start
-    if size > 0:
-        rng = np.random.default_rng(control.get("seed"))
-        rows.append(space.snap(sample_lhd(rng, space, size)))
-    x = np.vstack(rows)
+    rng = np.random.default_rng(control.get("seed"))
+    x = space.snap(sample_lhd(rng, space, fun_evals))
     y = np.asarray(fun(x), dtype=float)
     return _finish(x, y)
 

@@ -54,10 +54,16 @@ class RSMFit:
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
+        if z.shape[1] != self.centers.size:
+            raise ValueError("points have the wrong dimension")
         return self.centers + z * self.halves
 
     def predict(self, xnew: np.ndarray) -> np.ndarray:
-        return predict_rsm(self, xnew)
+        z = self.code(xnew)
+        out = self.b0 + z @ self.b
+        if self.B is not None:
+            out = out + np.sum((z @ self.B) * z, axis=1)
+        return out.reshape(-1, 1)
 
 
 def _basis(z: np.ndarray, active: np.ndarray, main_effects_only: bool):
@@ -152,14 +158,6 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
     )
 
 
-def predict_rsm(fit: RSMFit, xnew: np.ndarray) -> np.ndarray:
-    z = fit.code(xnew)
-    out = fit.b0 + z @ fit.b
-    if fit.B is not None:
-        out = out + np.sum((z @ fit.B) * z, axis=1)
-    return out.reshape(-1, 1)
-
-
 @dataclass
 class DescentPath:
     """Ladder of descent steps in original units, with the coded geometry."""
@@ -245,7 +243,7 @@ def descent_path(fit: RSMFit) -> DescentPath:
         coded = fit.stationary_coded[None, :] + radii[:, None] * v[None, :]
         x = fit.decode(coded)
         return DescentPath(
-            x=x, y=predict_rsm(fit, x), coded=coded, radii=radii.copy(), mode="canonical"
+            x=x, y=fit.predict(x), coded=coded, radii=radii.copy(), mode="canonical"
         )
 
     if fit.B is None or np.all(fit.B == 0.0):
@@ -271,5 +269,5 @@ def descent_path(fit: RSMFit) -> DescentPath:
 
     x = fit.decode(coded)
     return DescentPath(
-        x=x, y=predict_rsm(fit, x), coded=coded, radii=radii.copy(), mode="ridge"
+        x=x, y=fit.predict(x), coded=coded, radii=radii.copy(), mode="ridge"
     )

@@ -34,7 +34,11 @@ class StackFit:
     weights: np.ndarray
 
     def predict(self, xnew: np.ndarray) -> np.ndarray:
-        return predict_stack(self, xnew)
+        xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
+        out = np.zeros((xnew.shape[0], 1))
+        for w, member in zip(self.weights, self.members):
+            out += w * np.asarray(member.predict(xnew), dtype=float).reshape(-1, 1)
+        return out
 
 
 def _member_control(name: str, control: dict) -> dict:
@@ -108,11 +112,3 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
         else:
             weights = weights / weights.sum()
     return StackFit(members=fitted, member_names=kept_names, weights=weights)
-
-
-def predict_stack(fit: StackFit, xnew: np.ndarray) -> np.ndarray:
-    xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
-    out = np.zeros((xnew.shape[0], 1))
-    for w, member in zip(fit.weights, fit.members):
-        out += w * np.asarray(member.predict(xnew), dtype=float).reshape(-1, 1)
-    return out

@@ -353,11 +353,12 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
     assert main(["design", "--config", missing_run, "--out", "/dev/null"]) == 2
     assert "config error" in capsys.readouterr().err
 
-    unknown_key = _cfg(
-        tmp_path, "[run]\nfun = sphere\nlower = 0\nupper = 1\n[spot]\nbogus = 1\n"
-    )
-    assert main(["design", "--config", unknown_key, "--out", "/dev/null"]) == 2
-    assert "bogus" in capsys.readouterr().err
+    for key in ("bogus = 1", "types = integer"):
+        unknown_key = _cfg(
+            tmp_path, f"[run]\nfun = sphere\nlower = 0\nupper = 1\n[spot]\n{key}\n"
+        )
+        assert main(["design", "--config", unknown_key, "--out", "/dev/null"]) == 2
+        assert f"unknown [spot] keys: {key.split()[0]}" in capsys.readouterr().err
 
     mismatched = _cfg(tmp_path, "[run]\nfun = sphere\nlower = 0, 0\nupper = 1\n")
     assert main(["design", "--config", mismatched, "--out", "/dev/null"]) == 2

@@ -478,9 +478,13 @@ def test_the_lhd_optimizer_callable_runs_like_its_name():
     cfg = {"funEvals": 9, "designControl": {"size": 5}, **_FAST_FOREST,
            "optimizerControl": {"funEvals": 30}}
     by_name = spot(None, _sphere, [-3, -3], [3, 3], cfg)
-    by_callable = spot(None, _sphere, [-3, -3], [3, 3], dict(cfg, optimizer=optim_lhd))
-    assert np.array_equal(by_callable.x, by_name.x)
-    assert np.array_equal(by_callable.y, by_name.y)
+    # a wrapper gets the same call as optim_lhd itself: the incumbent as start
+    for optimizer in (optim_lhd, lambda *a: optim_lhd(*a)):
+        by_callable = spot(
+            None, _sphere, [-3, -3], [3, 3], dict(cfg, optimizer=optimizer)
+        )
+        assert np.array_equal(by_callable.x, by_name.x)
+        assert np.array_equal(by_callable.y, by_name.y)
 
 
 def test_unknown_component_names_are_rejected():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqtune.forest import ForestFit, fit_forest, grow_tree, predict_forest
+from seqtune.forest import ForestFit, fit_forest, grow_tree
 
 
 def _sse(v):
@@ -84,10 +84,10 @@ def test_step_data_splits_between_the_levels():
     assert tree.left is not None
     assert tree.feature == 0
     assert 1.0 < tree.threshold < 2.0
-    pred = predict_forest(_single_tree_fit(tree, 1), x)[:, 0]
+    pred = _single_tree_fit(tree, 1).predict(x)[:, 0]
     assert pred == pytest.approx(y)
     # a query on the threshold itself goes left
-    tie = predict_forest(_single_tree_fit(tree, 1), [[tree.threshold]])
+    tie = _single_tree_fit(tree, 1).predict([[tree.threshold]])
     assert tie.item() == tree.left.value
 
 
@@ -170,7 +170,7 @@ def test_forest_averages_its_trees():
     xq = rng.uniform(0, 1, size=(6, 1))
     per_tree = np.column_stack(
         [
-            predict_forest(_single_tree_fit(t, 1), xq)[:, 0]
+            _single_tree_fit(t, 1).predict(xq)[:, 0]
             for t in fit.trees
         ]
     )
@@ -189,7 +189,7 @@ def test_predict_matches_the_partition_reference_bit_for_bit(rows):
     for i in range(0, rows, 2):
         for f, thr in (splits[j] for j in rng.integers(len(splits), size=2)):
             xq[i, f] = thr
-    pred = predict_forest(fit, xq)
+    pred = fit.predict(xq)
     assert pred.shape == (rows, 1)
     assert pred.tobytes() == _reference_predict(fit, xq).tobytes()
 

@@ -169,7 +169,7 @@ def test_prediction_matches_oracle_with_nugget_and_offset_scaling():
     rng = np.random.default_rng(7)
     X = rng.uniform(100.0, 140.0, size=(10, 2))
     y = 0.01 * (X[:, 0] - 120.0) ** 2 + rng.normal(0, 0.1, 10)
-    fit = fit_kriging(X, y, {"budget": 90, "seed": 4, "reinterpolate": False})
+    fit = fit_kriging(X, y, {"budget": 90, "seed": 4})
     xq = rng.uniform(100.0, 140.0, size=(5, 2))
     assert predict_kriging(fit, xq)["mean"] == pytest.approx(
         _blup_oracle(fit, xq), abs=1e-7
@@ -344,7 +344,7 @@ def _reference_predict(fit: KrigingFit, xnew: np.ndarray) -> dict:
     cross = cross_dist(znew, ztrain, fit.types)
     psi = np.exp(-np.tensordot(fit.theta, cross, axes=1))
     mean = fit.mu_hat + psi @ fit.alpha
-    if fit.lambda_ > 0.0 and fit.reinterpolate and fit.corr_factorization_re is not None:
+    if fit.corr_factorization_re is not None:
         psi_u = psi[:, fit.reinterp_idx]
         solved = cho_solve(
             (fit.corr_factorization_re, True), psi_u.T, check_finite=False
@@ -399,15 +399,18 @@ def test_likelihood_matches_the_wrapper_reference_bit_for_bit(n, nugget):
 
 
 @pytest.mark.parametrize("rows", [1, 100])
-@pytest.mark.parametrize("reinterpolate", [True, False])
-def test_prediction_matches_the_wrapper_reference_bit_for_bit(reinterpolate, rows):
+@pytest.mark.parametrize("use_lambda", [True, False])
+def test_prediction_matches_the_wrapper_reference_bit_for_bit(use_lambda, rows):
+    # with a nugget sd comes from the nugget-free factor, without it from
+    # the fitted one
     rng = np.random.default_rng(37)
     base = rng.uniform(-5.0, 10.0, size=(10, 2))
-    X = np.vstack([base, base[:4]])  # replicated sites need the nugget
+    # replicated sites need the nugget
+    X = np.vstack([base, base[:4]]) if use_lambda else base
     y = np.cos(X[:, 0]) + 0.1 * X[:, 1] + rng.normal(0.0, 0.3, X.shape[0])
-    fit = fit_kriging(X, y, {"budget": 120, "seed": 9, "reinterpolate": reinterpolate})
-    assert fit.lambda_ > 0
-    assert (fit.corr_factorization_re is not None) == reinterpolate
+    fit = fit_kriging(X, y, {"budget": 120, "seed": 9, "useLambda": use_lambda})
+    assert (fit.lambda_ > 0) == use_lambda
+    assert (fit.corr_factorization_re is not None) == use_lambda
     xq = rng.uniform(-5.0, 10.0, size=(rows, 2))
     got = predict_kriging(fit, xq)
     want = _reference_predict(fit, xq)

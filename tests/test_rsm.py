@@ -17,7 +17,6 @@ from seqtune.rsm import (
     RankDeficiencyError,
     descent_path,
     fit_rsm,
-    predict_rsm,
 )
 
 
@@ -70,7 +69,7 @@ def test_fit_matches_external_least_squares():
     coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
     xq = rng.uniform(0, 10, size=(7, 2))
     expected = _test_basis(xq, centers, halves, 2) @ coef
-    assert predict_rsm(fit, xq)[:, 0] == pytest.approx(expected, abs=1e-9)
+    assert fit.predict(xq)[:, 0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_exact_quadratic_is_reproduced_everywhere():
@@ -150,6 +149,8 @@ def test_predict_validates_dimension():
     for xq in ([[0.0, 1.0, 2.0]], [[0.5]]):
         with pytest.raises(ValueError, match="wrong dimension"):
             fit.predict(xq)
+        with pytest.raises(ValueError, match="wrong dimension"):
+            fit.decode(xq)
 
 
 def test_main_effects_only_fits_a_plane():

@@ -7,7 +7,7 @@ from seqtune.design import ParamSpace, make_lhd
 from seqtune.forest import fit_forest
 from seqtune.kriging import fit_kriging
 from seqtune.rsm import fit_rsm
-from seqtune.stack import fit_stack, predict_stack
+from seqtune.stack import fit_stack
 
 
 class _MeanModel:
@@ -61,7 +61,7 @@ def test_prediction_is_the_weighted_member_blend():
     manual = np.zeros((8, 1))
     for w, member in zip(fit.weights, fit.members):
         manual += w * np.asarray(member.predict(xq)).reshape(-1, 1)
-    assert predict_stack(fit, xq) == pytest.approx(manual)
+    assert fit.predict(xq) == pytest.approx(manual)
 
 
 def test_single_member_gets_unit_weight():
