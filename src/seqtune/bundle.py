@@ -123,6 +123,8 @@ def load_bundle(path: str) -> dict:
             reps.append(int(cells[d + 2]))
         except ValueError:
             raise CorruptBundleError(f"malformed archive row: {ln!r}") from None
+        if not np.isfinite(xs[-1]).all():  # y may be inf, a failed evaluation
+            raise CorruptBundleError(f"non-finite input in archive row: {ln!r}")
     if "count" in meta and meta["count"] != len(ys):
         raise CorruptBundleError(
             f"metadata says {meta['count']} rows, archive has {len(ys)}"

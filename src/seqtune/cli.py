@@ -178,7 +178,9 @@ def _save_run(path: str, result, meta: dict) -> None:
     save_bundle(path, result.x, result.y, result.seeds, result.replicates, meta)
 
 
-def _write_rows(path: Optional[str], lines: list[str]) -> None:
+def _write_table(path: Optional[str], names: list[str], rows: np.ndarray) -> None:
+    """CSV of float rows under a header of `names`, to `path` or stdout."""
+    lines = [",".join(names)] + [",".join(fmt(v) for v in row) for row in rows]
     if path is None:
         sys.stdout.write("\n".join(lines) + "\n")
     else:
@@ -198,9 +200,7 @@ def _read_config(args) -> tuple[dict, dict]:
 def cmd_design(args) -> int:
     run, fields = _read_config(args)
     mat = initial_design(None, run["lower"], run["upper"], _build_spot_config(fields))
-    header = ",".join(f"x{i + 1}" for i in range(mat.shape[1]))
-    lines = [header] + [",".join(fmt(v) for v in row) for row in mat]
-    _write_rows(args.out, lines)
+    _write_table(args.out, [f"x{i + 1}" for i in range(mat.shape[1])], mat)
     return 0
 
 
@@ -250,12 +250,8 @@ def cmd_rsm_path(args) -> int:
     finite = np.isfinite(data["y"][:, 0])
     fit = fit_rsm(data["x"][finite], data["y"][finite])
     path = descent_path(fit)
-    d = path.x.shape[1]
-    header = ",".join([f"x{i + 1}" for i in range(d)] + ["y"])
-    lines = [header]
-    for row, val in zip(path.x, path.y[:, 0]):
-        lines.append(",".join([fmt(v) for v in row] + [fmt(val)]))
-    _write_rows(args.out, lines)
+    names = [f"x{i + 1}" for i in range(path.x.shape[1])] + ["y"]
+    _write_table(args.out, names, np.column_stack([path.x, path.y]))
     return 0
 
 
@@ -300,11 +296,8 @@ def cmd_surface(args) -> int:
     pts = np.tile(base, (args.grid * args.grid, 1))
     pts[:, di - 1] = np.repeat(gi, args.grid)
     pts[:, dj - 1] = np.tile(gj, args.grid)
-    vals = evaluate(pts)
-    lines = [f"x{di},x{dj},y"]
-    for row, val in zip(pts, vals):
-        lines.append(",".join([fmt(row[di - 1]), fmt(row[dj - 1]), fmt(val)]))
-    _write_rows(args.out, lines)
+    cols = [pts[:, di - 1], pts[:, dj - 1], evaluate(pts)]
+    _write_table(args.out, [f"x{di}", f"x{dj}", "y"], np.column_stack(cols))
     return 0
 
 

@@ -115,6 +115,9 @@ class SpotConfig:
             raise ValueError("OCBAbudget must be nonnegative")
         if self.duplicate not in ("EXPLORE", "STOP"):
             raise ValueError("duplicate must be EXPLORE or STOP")
+        _resolve(_DESIGNS, self.design, "design")
+        _resolve(_MODELS, self.model, "model")
+        _resolve(_OPTIMIZERS, self.optimizer, "optimizer")
         self.types = tuple(self.types or ())
 
 
@@ -141,10 +144,11 @@ class EvalArchive:
         return self.y.shape[0]
 
     def append(self, x_row: np.ndarray, y_val: float, seed: Optional[int]) -> None:
+        """Archive one evaluation; a non-finite value is stored as inf."""
         x_row = np.asarray(x_row, dtype=float).reshape(1, -1)
-        prior = int(np.sum(np.all(self.X == x_row, axis=1))) if self.count else 0
+        prior = int(np.sum(np.all(self.X == x_row, axis=1)))
         self.X = np.vstack([self.X, x_row])
-        self.y = np.vstack([self.y, [[y_val]]])
+        self.y = np.vstack([self.y, [[y_val if np.isfinite(y_val) else np.inf]]])
         self.seeds.append(seed)
         self.replicates = np.append(self.replicates, prior + 1)
 
@@ -184,7 +188,7 @@ def apply_duplicate_policy(
     duplicate passes through.
     """
     candidate = np.asarray(candidate, dtype=float).reshape(-1)
-    if archive_x.shape[0] == 0 or not np.any(np.all(archive_x == candidate, axis=1)):
+    if not np.any(np.all(archive_x == candidate, axis=1)):
         return candidate
     if policy == "STOP":
         return None
@@ -206,6 +210,14 @@ def _accepts_seed(fun: Callable) -> bool:
         return False
 
 
+def _values(vals, rows: int) -> np.ndarray:
+    """The objective's output as a flat float array of one value per row."""
+    vals = np.asarray(vals, dtype=float).reshape(-1)
+    if vals.shape[0] != rows:
+        raise ValueError("objective returned the wrong number of values")
+    return vals
+
+
 def _evaluate(
     fun: Callable,
     rows: np.ndarray,
@@ -224,18 +236,11 @@ def _evaluate(
         for row in rows:
             s = cfg.seedFun + archive.count
             np.random.seed(s % 2**32)
-            if pass_seed:
-                val = fun(row.reshape(1, -1), seed=s)
-            else:
-                val = fun(row.reshape(1, -1))
-            val = float(np.asarray(val, dtype=float).reshape(-1)[0])
-            archive.append(row, val if np.isfinite(val) else np.inf, s)
+            kwargs = {"seed": s} if pass_seed else {}
+            archive.append(row, _values(fun(row.reshape(1, -1), **kwargs), 1)[0], s)
     else:
-        vals = np.asarray(fun(rows), dtype=float).reshape(-1)
-        if vals.shape[0] != rows.shape[0]:
-            raise ValueError("objective returned the wrong number of values")
-        for row, val in zip(rows, vals):
-            archive.append(row, val if np.isfinite(val) else np.inf, None)
+        for row, val in zip(rows, _values(fun(rows), rows.shape[0])):
+            archive.append(row, val, None)
 
 
 def _resolve(table: dict, value, kind: str) -> Callable:
@@ -243,7 +248,7 @@ def _resolve(table: dict, value, kind: str) -> Callable:
         return value
     try:
         return table[value]
-    except KeyError:
+    except (KeyError, TypeError):
         known = ", ".join(sorted(table))
         raise ValueError(f"unknown {kind} {value!r} (known: {known})") from None
 
@@ -323,8 +328,9 @@ def _run(
         # the model seed is drawn even when modelControl sets its own, so
         # the generator's sequence does not depend on modelControl
         model = fit_surrogate(archive.X, archive.y, cfg, int(rng.integers(2**31 - 1)))
+        # a continued archive may hold a best row outside the box
         search = run_search(
-            archive.best()[0],
+            np.clip(archive.best()[0], space.lower, space.upper),
             lambda xq: np.asarray(model.predict(xq)).reshape(-1, 1),
             space.lower,
             space.upper,
@@ -476,5 +482,5 @@ def spot_loop(
         raise ValueError("seeds and x row counts differ")
     archive = EvalArchive.empty(space.dim)
     for row, val, seed in zip(x, y[:, 0], seeds):
-        archive.append(row, val if np.isfinite(val) else np.inf, seed)
+        archive.append(row, val, seed)
     return _run(fun, cfg, space, rng, archive)

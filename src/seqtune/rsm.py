@@ -36,11 +36,11 @@ class RSMFit:
     active: np.ndarray
     b0: float
     b: np.ndarray
-    B: Optional[np.ndarray]
+    B: np.ndarray
     stationary_coded: Optional[np.ndarray]
     stationary: Optional[np.ndarray]
-    eigenvalues: Optional[np.ndarray]
-    eigenvectors: Optional[np.ndarray]
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     main_effects_only: bool
     canonical: bool
     term_names: list = field(default_factory=list)
@@ -60,9 +60,7 @@ class RSMFit:
 
     def predict(self, xnew: np.ndarray) -> np.ndarray:
         z = self.code(xnew)
-        out = self.b0 + z @ self.b
-        if self.B is not None:
-            out = out + np.sum((z @ self.B) * z, axis=1)
+        out = self.b0 + z @ self.b + np.sum((z @ self.B) * z, axis=1)
         return out.reshape(-1, 1)
 
 
@@ -79,7 +77,7 @@ def _basis(z: np.ndarray, active: np.ndarray, main_effects_only: bool):
 def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSMFit:
     """Least-squares fit of the full second-order model in coded units.
 
-    Control keys: mainEffectsOnly (drop interactions and quadratics) and
+    Control keys: mainEffectsOnly (drop interactions and quadratics; B = 0) and
     canonical (let descent paths leave a saddle along its falling axis).
     Constant columns are excluded from the basis; a rank-deficient basis
     raises RankDeficiencyError naming the terms that cannot be estimated.
@@ -123,23 +121,19 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
     b0 = float(coef[0])
     b = np.zeros(d)
     b[active] = coef[1 : 1 + active.size]
-    B = None
-    if not main_effects_only:
-        B = np.zeros((d, d))
-        for (i, j), v in zip(pairs, coef[1 + active.size :]):
-            B[i, j] = B[j, i] = v if i == j else v / 2.0
+    B = np.zeros((d, d))
+    for (i, j), v in zip(pairs, coef[1 + active.size :]):
+        B[i, j] = B[j, i] = v if i == j else v / 2.0
 
-    stationary_coded = stationary = eigenvalues = eigenvectors = None
-    if B is not None:
-        sub = B[np.ix_(active, active)]
-        eigenvalues, vecs = np.linalg.eigh(sub)
-        eigenvectors = np.zeros((d, active.size))
-        eigenvectors[active, :] = vecs
-        if np.linalg.cond(sub) < 1e12:
-            zs = np.zeros(d)
-            zs[active] = np.linalg.solve(sub, -0.5 * b[active])
-            stationary_coded = zs
-            stationary = centers + zs * halves
+    sub = B[np.ix_(active, active)]
+    eigenvalues, vecs = np.linalg.eigh(sub)
+    eigenvectors = np.zeros((d, active.size))
+    eigenvectors[active, :] = vecs
+    stationary_coded = stationary = None
+    if np.linalg.cond(sub) < 1e12:
+        stationary_coded = np.zeros(d)
+        stationary_coded[active] = np.linalg.solve(sub, -0.5 * b[active])
+        stationary = centers + stationary_coded * halves
 
     return RSMFit(
         centers=centers,
@@ -218,23 +212,22 @@ def descent_path(fit: RSMFit) -> DescentPath:
     When the fitted surface has an interior minimum inside that radius, the
     ladder is adjusted to place one step exactly at the predicted minimum.
     With `canonical` set and a saddle-shaped fit, the path instead leaves
-    the stationary point along the axis of most negative curvature.
+    the stationary point along the axis of most negative curvature.  A
+    main-effects fit (B = 0) gets steepest descent, r * -b / ||b||, as the
+    ridge step at zero curvature.
     """
     d = fit.centers.size
     radii = PATH_RADIUS * np.arange(1, PATH_STEPS + 1) / PATH_STEPS
 
-    coef_scale = float(np.linalg.norm(fit.b[fit.active]))
-    if fit.B is not None:
-        coef_scale = max(
-            coef_scale,
-            float(np.linalg.norm(fit.B[np.ix_(fit.active, fit.active)])),
-        )
+    coef_scale = max(
+        float(np.linalg.norm(fit.b[fit.active])),
+        float(np.linalg.norm(fit.B[np.ix_(fit.active, fit.active)])),
+    )
     if coef_scale <= 1e-12 * max(1.0, abs(fit.b0)):
         raise ValueError("flat fit has no descent direction")
 
     if (
         fit.canonical
-        and fit.eigenvalues is not None
         and fit.stationary_coded is not None
         and fit.eigenvalues[0] < 0 < fit.eigenvalues[-1]
     ):
@@ -246,26 +239,16 @@ def descent_path(fit: RSMFit) -> DescentPath:
             x=x, y=fit.predict(x), coded=coded, radii=radii.copy(), mode="canonical"
         )
 
-    if fit.B is None or np.all(fit.B == 0.0):
-        grad = fit.b[fit.active]
-        norm = np.linalg.norm(grad)
-        direction = np.zeros(d)
-        direction[fit.active] = -grad / norm
-        coded = radii[:, None] * direction[None, :]
-    else:
-        if (
-            fit.stationary_coded is not None
-            and fit.eigenvalues[0] > 0
-        ):
-            rs = float(np.linalg.norm(fit.stationary_coded))
-            if 0.0 < rs <= PATH_RADIUS:
-                radii[int(np.argmin(np.abs(radii - rs)))] = rs
-                radii = np.sort(radii)
-        vecs = fit.eigenvectors[fit.active]
-        c = vecs.T @ (-0.5 * fit.b[fit.active])
-        coded = np.zeros((PATH_STEPS, d))
-        for k, r in enumerate(radii):
-            coded[k, fit.active] = _ridge_point(fit.eigenvalues, vecs, c, float(r))
+    if fit.stationary_coded is not None and fit.eigenvalues[0] > 0:
+        rs = float(np.linalg.norm(fit.stationary_coded))
+        if 0.0 < rs <= PATH_RADIUS:
+            radii[int(np.argmin(np.abs(radii - rs)))] = rs
+            radii = np.sort(radii)
+    vecs = fit.eigenvectors[fit.active]
+    c = vecs.T @ (-0.5 * fit.b[fit.active])
+    coded = np.zeros((PATH_STEPS, d))
+    for k, r in enumerate(radii):
+        coded[k, fit.active] = _ridge_point(fit.eigenvalues, vecs, c, float(r))
 
     x = fit.decode(coded)
     return DescentPath(

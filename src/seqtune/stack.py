@@ -102,13 +102,9 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
 
     if not fitted:
         raise ValueError(f"every stack member failed to fit: {last_error}")
-    if len(fitted) == 1:
-        weights = np.array([1.0])
+    weights, _ = nnls(np.column_stack(oof_cols), y.reshape(-1))
+    if weights.sum() <= 0:
+        weights = np.full(len(fitted), 1.0 / len(fitted))
     else:
-        a = np.column_stack(oof_cols)
-        weights, _ = nnls(a, y.reshape(-1))
-        if weights.sum() <= 0:
-            weights = np.full(len(fitted), 1.0 / len(fitted))
-        else:
-            weights = weights / weights.sum()
+        weights = weights / weights.sum()
     return StackFit(members=fitted, member_names=kept_names, weights=weights)

@@ -138,6 +138,18 @@ def test_load_rejects_non_numeric_cells(tmp_path):
         load_bundle(where)
 
 
+def test_load_rejects_non_finite_inputs_but_keeps_infinite_values(tmp_path):
+    for cell in ("nan", "inf", "-inf"):
+        where = _write_bundle_files(
+            tmp_path, f"x1,y,seed,replicate\n{cell},2.0,,1\n"
+        )
+        with pytest.raises(CorruptBundleError, match="non-finite input"):
+            load_bundle(where)
+    # an infinite y marks a failed evaluation and loads as it is
+    where = _write_bundle_files(tmp_path, "x1,y,seed,replicate\n1.0,inf,,1\n")
+    assert np.isposinf(load_bundle(where)["y"][0, 0])
+
+
 def test_load_rejects_row_count_mismatch(tmp_path):
     where = _write_bundle_files(
         tmp_path, "x1,y,seed,replicate\n1.0,2.0,,1\n", '{"count": 5}\n'
@@ -471,6 +483,36 @@ def test_corrupt_bundle_config_exits_4(cfg_path, tmp_path, capsys, command, corr
     args = {"continue": ["--funEvals", "12"], "surface": ["--grid", "3"]}[command]
     assert main([command, "--bundle", where] + args) == 4
     assert "bundle error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["continue", "rsm-path", "surface"])
+def test_non_finite_archive_inputs_exit_4(cfg_path, tmp_path, capsys, command):
+    where = str(tmp_path / "bundle")
+    main(["tune", "--config", cfg_path, "--out", where])
+    archive_path = os.path.join(where, "archive.csv")
+    lines = _read(archive_path).decode().split("\n")
+    lines[2] = "nan" + lines[2][lines[2].index(","):]
+    with open(archive_path, "w") as fh:
+        fh.write("\n".join(lines))
+    capsys.readouterr()
+    args = {"continue": ["--funEvals", "12"], "rsm-path": [],
+            "surface": ["--grid", "3"]}[command]
+    assert main([command, "--bundle", where] + args) == 4
+    assert "non-finite input" in capsys.readouterr().err
+
+
+def test_continue_searches_inside_the_box_after_an_edited_best_row(cfg_path, tmp_path):
+    where = str(tmp_path / "bundle")
+    main(["tune", "--config", cfg_path, "--out", where])
+    data = load_bundle(where)
+    best = int(np.argmin(data["y"][:, 0]))
+    data["x"][best, 0] = 99.0
+    meta = dict(data["meta"], config=dict(data["meta"]["config"], optimizer="local"))
+    save_bundle(where, data["x"], data["y"], data["seeds"], data["replicates"], meta)
+    assert main(["continue", "--bundle", where, "--funEvals", "12"]) == 0
+    back = load_bundle(where)
+    assert back["x"][best, 0] == 99.0
+    assert np.all(np.abs(back["x"][10:]) <= 2.0)
 
 
 def test_metadata_contains_the_resolved_config(cfg_path, tmp_path):

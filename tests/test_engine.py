@@ -488,12 +488,31 @@ def test_the_lhd_optimizer_callable_runs_like_its_name():
 
 
 def test_unknown_component_names_are_rejected():
-    with pytest.raises(ValueError, match="unknown model"):
-        spot(None, _sphere, [-1, -1], [1, 1], {"funEvals": 12, "model": "spline"})
-    with pytest.raises(ValueError, match="unknown optimizer"):
-        spot(None, _sphere, [-1, -1], [1, 1], {"funEvals": 12, "optimizer": "bfgs"})
-    with pytest.raises(ValueError, match="unknown design"):
-        spot(None, _sphere, [-1, -1], [1, 1], {"funEvals": 12, "design": "sobol"})
+    # names are checked with the config, before the design is evaluated
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape[0])
+        return _sphere(x)
+
+    for key, name in (("model", "spline"), ("optimizer", "bfgs"),
+                      ("design", "sobol"), ("model", ["kriging", "forest"])):
+        with pytest.raises(ValueError, match=f"unknown {key}"):
+            spot(None, counted, [-1, -1], [1, 1], {"funEvals": 12, key: name})
+    assert calls == []
+
+
+@pytest.mark.parametrize("count", [0, 2])
+@pytest.mark.parametrize("seeded", [False, True], ids=["batch", "seeded"])
+def test_objective_must_return_one_value_per_row(seeded, count):
+    def wrong(x, seed=None):
+        return np.zeros((count, 1))
+
+    cfg = {"funEvals": 6, "designControl": {"size": 4}}
+    if seeded:
+        cfg.update(noise=True, seedFun=1)
+    with pytest.raises(ValueError, match="wrong number of values"):
+        spot(None, wrong, [-1, -1], [1, 1], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +557,19 @@ def test_continuation_with_spent_budget_returns_archive_unchanged():
     assert np.array_equal(again.y, first.y)
     assert again.msg == "budget exhausted"
     assert again.modelFit is None
+
+
+def test_continuation_from_a_best_row_outside_the_box_searches_inside_it():
+    # local search starts at the incumbent, clipped into the bounds
+    x = np.array([[-1.0, 0.5], [0.5, -2.0], [2.5, 1.0], [20.0, 20.0]])
+    y = np.array([1.0, 2.0, 3.0, -1.0])
+    cfg = {"funEvals": 6, "model": _bowl_model, "optimizer": "local",
+           "optimizerControl": {"funEvals": 25}}
+    res = spot_loop(x, y, _sphere, [-3, -3], [3, 3], cfg)
+    assert res.count == 6
+    assert np.array_equal(res.x[:4], x)
+    assert np.all(np.abs(res.x[4:]) <= 3.0)
+    assert res.x[4] == pytest.approx([2.0, 2.0], abs=1e-3)
 
 
 def test_continuation_validates_shapes():

@@ -158,7 +158,8 @@ def test_main_effects_only_fits_a_plane():
     X = rng.uniform(-2, 2, size=(10, 2))
     y = 1.0 + 3.0 * X[:, 0] - 4.0 * X[:, 1]
     fit = fit_rsm(X, y, {"mainEffectsOnly": True})
-    assert fit.B is None
+    assert fit.main_effects_only
+    assert np.array_equal(fit.B, np.zeros((2, 2)))
     assert fit.term_names == ["1", "x1", "x2"]
     xq = rng.uniform(-2, 2, size=(5, 2))
     assert fit.predict(xq)[:, 0] == pytest.approx(
@@ -258,6 +259,24 @@ def test_plane_fit_descends_along_the_negative_gradient():
     dirs = path.coded / np.linalg.norm(path.coded, axis=1, keepdims=True)
     assert np.allclose(dirs, dirs[0])
     assert np.all(np.diff(path.y[:, 0]) < 0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_main_effects_path_is_the_steepest_descent_closed_form(seed):
+    # B = 0 makes every ridge step the normalized negative gradient; the
+    # reference is the closed form the ridge solve replaces
+    rng = np.random.default_rng(seed)
+    d = 1 + seed % 4
+    X = rng.uniform(-3, 3, size=(12, d))
+    if d > 1 and seed % 2:
+        X[:, 0] = 1.5  # a constant column drops out of the basis
+    y = X @ rng.normal(size=d) + rng.normal(scale=0.1, size=12)
+    fit = fit_rsm(X, y, {"mainEffectsOnly": True})
+    path = descent_path(fit)
+    reference = path.radii[:, None] * (-fit.b / np.linalg.norm(fit.b))[None, :]
+    scale = np.abs(reference).max()
+    assert np.abs(path.coded - reference).max() <= 1e-14 * scale
+    assert path.mode == "ridge"
 
 
 def test_flat_fit_has_no_path():

@@ -1,5 +1,7 @@
 """Stacked surrogate: weight simplex, member dropping, convex blending."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,19 @@ def test_single_member_gets_unit_weight():
                            "seed": 1})
     assert fit.member_names == ["forest"]
     assert np.array_equal(fit.weights, [1.0])
+
+
+def test_single_member_with_no_nnls_weight_still_gets_unit_weight():
+    # out-of-fold predictions of -||x||^2 anticorrelate with y = ||x||^2, so
+    # NNLS gives the lone column weight 0 and the equal-weight fallback holds
+    def upside_down(X, y, control=None):
+        return SimpleNamespace(predict=lambda q: -np.sum(q**2, axis=1))
+
+    X, y = _sphere_data(n=10)
+    fit = fit_stack(X, y, {"members": (upside_down,), "seed": 5})
+    assert fit.member_names == ["upside_down"]
+    assert np.array_equal(fit.weights, [1.0])
+    assert fit.predict(X)[:, 0] == pytest.approx(-y)
 
 
 def test_failing_member_is_dropped():
