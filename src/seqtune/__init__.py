@@ -5,7 +5,6 @@ from .design import ParamSpace, make_lhd, make_uniform
 from .engine import (
     SpotConfig,
     SpotResult,
-    EvalArchive,
     InfeasibleBudgetError,
     spot,
     spot_loop,
@@ -65,7 +64,6 @@ __all__ = [
     "make_uniform",
     "SpotConfig",
     "SpotResult",
-    "EvalArchive",
     "InfeasibleBudgetError",
     "spot",
     "spot_loop",

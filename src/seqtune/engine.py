@@ -122,52 +122,41 @@ class SpotConfig:
 
 
 @dataclass
-class EvalArchive:
-    """Row-per-evaluation history of a run."""
+class SpotResult:
+    """A run's one record: a row per evaluation, and how the run ended."""
 
-    X: np.ndarray
+    x: np.ndarray
     y: np.ndarray
     seeds: list
     replicates: np.ndarray
+    msg: str = "budget exhausted"
+    modelFit: Optional[object] = None
 
     @classmethod
-    def empty(cls, dim: int) -> "EvalArchive":
-        return cls(
-            X=np.empty((0, dim)),
-            y=np.empty((0, 1)),
-            seeds=[],
-            replicates=np.empty(0, dtype=int),
-        )
+    def empty(cls, dim: int) -> "SpotResult":
+        return cls(np.empty((0, dim)), np.empty((0, 1)), [], np.empty(0, dtype=int))
 
     @property
     def count(self) -> int:
         return self.y.shape[0]
 
+    @property
+    def xbest(self) -> np.ndarray:
+        """A copy of the first row with the smallest value."""
+        return self.x[int(np.argmin(self.y[:, 0]))].copy()
+
+    @property
+    def ybest(self) -> float:
+        return float(np.min(self.y[:, 0]))
+
     def append(self, x_row: np.ndarray, y_val: float, seed: Optional[int]) -> None:
         """Archive one evaluation; a non-finite value is stored as inf."""
         x_row = np.asarray(x_row, dtype=float).reshape(1, -1)
-        prior = int(np.sum(np.all(self.X == x_row, axis=1)))
-        self.X = np.vstack([self.X, x_row])
+        prior = int(np.sum(np.all(self.x == x_row, axis=1)))
+        self.x = np.vstack([self.x, x_row])
         self.y = np.vstack([self.y, [[y_val if np.isfinite(y_val) else np.inf]]])
         self.seeds.append(seed)
         self.replicates = np.append(self.replicates, prior + 1)
-
-    def best(self) -> tuple[np.ndarray, float]:
-        idx = int(np.argmin(self.y[:, 0]))
-        return self.X[idx].copy(), float(self.y[idx, 0])
-
-
-@dataclass
-class SpotResult:
-    xbest: np.ndarray
-    ybest: float
-    x: np.ndarray
-    y: np.ndarray
-    count: int
-    msg: str
-    modelFit: Optional[object]
-    seeds: list = field(default_factory=list)
-    replicates: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
 
 _MAX_DRAWS = 1000
@@ -222,7 +211,7 @@ def _evaluate(
     fun: Callable,
     rows: np.ndarray,
     cfg: SpotConfig,
-    archive: EvalArchive,
+    archive: SpotResult,
     pass_seed: bool,
 ) -> None:
     """Evaluate rows one batch or one seeded row at a time, archiving all.
@@ -281,14 +270,14 @@ def _optimizer_control(cfg: SpotConfig, rng: np.random.Generator) -> dict:
 def _ocba_step(
     fun: Callable,
     cfg: SpotConfig,
-    archive: EvalArchive,
+    archive: SpotResult,
     pass_seed: bool,
 ) -> None:
     """Spend the OCBA top-up budget on the most informative replications."""
     extra = min(cfg.OCBAbudget, cfg.funEvals - archive.count)
     if extra <= 0:
         return
-    configs, inverse = np.unique(archive.X, axis=0, return_inverse=True)
+    configs, inverse = np.unique(archive.x, axis=0, return_inverse=True)
     means = np.empty(configs.shape[0])
     variances = np.empty(configs.shape[0])
     counts = np.empty(configs.shape[0], dtype=int)
@@ -313,7 +302,7 @@ def _run(
     cfg: SpotConfig,
     space: ParamSpace,
     rng: np.random.Generator,
-    archive: EvalArchive,
+    archive: SpotResult,
     design: Optional[np.ndarray] = None,
 ) -> SpotResult:
     """Evaluate `design`, then fit, search and evaluate until the budget is spent."""
@@ -321,16 +310,15 @@ def _run(
     if design is not None:
         _evaluate(fun, design, cfg, archive, pass_seed)
     run_search = _resolve(_OPTIMIZERS, cfg.optimizer, "optimizer")
-    model = None
-    msg = "budget exhausted"
 
     while archive.count < cfg.funEvals:
         # the model seed is drawn even when modelControl sets its own, so
         # the generator's sequence does not depend on modelControl
-        model = fit_surrogate(archive.X, archive.y, cfg, int(rng.integers(2**31 - 1)))
+        seed = int(rng.integers(2**31 - 1))
+        model = archive.modelFit = fit_surrogate(archive.x, archive.y, cfg, seed)
         # a continued archive may hold a best row outside the box
         search = run_search(
-            np.clip(archive.best()[0], space.lower, space.upper),
+            np.clip(archive.xbest, space.lower, space.upper),
             lambda xq: np.asarray(model.predict(xq)).reshape(-1, 1),
             space.lower,
             space.upper,
@@ -340,13 +328,13 @@ def _run(
         if not cfg.noise:
             try:
                 candidate = apply_duplicate_policy(
-                    candidate, archive.X, cfg.duplicate, space, rng
+                    candidate, archive.x, cfg.duplicate, space, rng
                 )
             except RuntimeError:
-                msg = "stopped: no unevaluated point found to explore"
+                archive.msg = "stopped: no unevaluated point found to explore"
                 break
             if candidate is None:
-                msg = "stopped on duplicate candidate (duplicate=STOP)"
+                archive.msg = "stopped on duplicate candidate (duplicate=STOP)"
                 break
         reps = min(cfg.replicates, cfg.funEvals - archive.count)
         rows = np.repeat(candidate.reshape(1, -1), reps, axis=0)
@@ -354,18 +342,7 @@ def _run(
         if cfg.OCBA and cfg.noise:
             _ocba_step(fun, cfg, archive, pass_seed)
 
-    xbest, ybest = archive.best()
-    return SpotResult(
-        xbest=xbest,
-        ybest=ybest,
-        x=archive.X,
-        y=archive.y,
-        count=archive.count,
-        msg=msg,
-        modelFit=model,
-        seeds=list(archive.seeds),
-        replicates=archive.replicates.copy(),
-    )
+    return archive
 
 
 def _normalize_config(control) -> SpotConfig:
@@ -450,7 +427,7 @@ def spot(
             f"initial design needs {initial.shape[0]} evaluations, "
             f"budget is {cfg.funEvals}"
         )
-    return _run(fun, cfg, space, rng, EvalArchive.empty(space.dim), initial)
+    return _run(fun, cfg, space, rng, SpotResult.empty(space.dim), initial)
 
 
 def spot_loop(
@@ -480,7 +457,7 @@ def spot_loop(
         seeds = [None] * x.shape[0]
     elif len(seeds) != x.shape[0]:
         raise ValueError("seeds and x row counts differ")
-    archive = EvalArchive.empty(space.dim)
+    archive = SpotResult.empty(space.dim)
     for row, val, seed in zip(x, y[:, 0], seeds):
         archive.append(row, val, seed)
     return _run(fun, cfg, space, rng, archive)

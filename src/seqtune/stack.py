@@ -41,21 +41,36 @@ class StackFit:
         return out
 
 
-def _member_control(name: str, control: dict) -> dict:
-    sub = dict(control.get("memberControls", {}).get(name, {}))
-    sub.setdefault("seed", control.get("seed"))
-    sub.setdefault("types", control.get("types"))
-    return sub
+def _member_settings(control: dict) -> tuple[list, dict]:
+    """The members list and the memberControls dict, checked up front.
+
+    A single name or callable is a one-member list.
+    """
+    names = control.get("members", DEFAULT_MEMBERS)
+    if isinstance(names, str) or callable(names):
+        names = [names]
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ValueError(f"stack members must name at least one model, got {names!r}")
+    per_member = control.get("memberControls", {})
+    if not isinstance(per_member, dict) or not all(
+        isinstance(sub, dict) for sub in per_member.values()
+    ):
+        raise ValueError(
+            "stack memberControls must map member names to control dicts, "
+            f"got {per_member!r}"
+        )
+    return list(names), per_member
 
 
 def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> StackFit:
     """Fit members and their out-of-fold blend weights.
 
     Control keys: members (names from kriging/forest/rsm, or callables with
-    the common fit signature), folds (default 5), seed, types, and
-    memberControls (a dict of per-member control dicts).  Members that fail
-    to fit on the full data or on any fold are dropped; if none survive, the
-    error from the last failure is raised.
+    the common fit signature; a single one is a one-member stack), folds
+    (default 5), seed, types, and memberControls (a dict of per-member
+    control dicts).  Members that fail to fit on the full data or on any
+    fold, or that predict a non-finite value out of fold, are dropped; if
+    none survive, the error from the last failure is raised.
     """
     control = dict(control or {})
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -66,9 +81,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
         raise ValueError("folds must be at least 2")
     if n < folds:
         raise ValueError("need at least as many rows as folds")
-    names = list(control.get("members", DEFAULT_MEMBERS))
-    if not names:
-        raise ValueError("no members requested")
+    names, per_member = _member_settings(control)
 
     rng = np.random.default_rng(control.get("seed"))
     order = rng.permutation(n)
@@ -85,7 +98,9 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
             if name not in _FITTERS:
                 raise ValueError(f"unknown stack member {name!r}")
             fitter, label = _FITTERS[name], name
-        sub = _member_control(label, control)
+        sub = dict(per_member.get(label, {}))
+        sub.setdefault("seed", control.get("seed"))
+        sub.setdefault("types", control.get("types"))
         try:
             full = fitter(X, y, sub)
             oof = np.empty(n)
@@ -93,6 +108,8 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
                 test = fold_of == k
                 part = fitter(X[~test], y[~test], sub)
                 oof[test] = np.asarray(part.predict(X[test])).reshape(-1)
+            if not np.isfinite(oof).all():
+                raise ValueError(f"member {label!r} predicted non-finite values")
         except Exception as err:  # member dropped, others may still work
             last_error = err
             continue

@@ -429,6 +429,29 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
         assert main([command, "--config", fractional, "--out", target]) == 2
         assert key in capsys.readouterr().err
 
+    # unusable stack settings used to end in a TypeError or AttributeError
+    for text, key in (
+        ("members =\n", "stack members"),
+        ("memberControls = x\n", "stack memberControls"),
+    ):
+        bad_stack = _cfg(
+            tmp_path,
+            sphere + "[spot]\nfunEvals = 12\nmodel = stack\n[modelControl]\n" + text,
+        )
+        assert main(["tune", "--config", bad_stack, "--out", out]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_a_lone_stack_member_in_a_config_is_one_member(tmp_path, capsys):
+    cfg = _cfg(
+        tmp_path,
+        "[run]\nfun = sphere\nlower = 0, 0\nupper = 1, 1\n"
+        "[spot]\nfunEvals = 11\nmodel = stack\n[modelControl]\nmembers = rsm\n",
+    )
+    out = str(tmp_path / "b")
+    assert main(["tune", "--config", cfg, "--out", out]) == 0
+    assert load_bundle(out)["x"].shape == (11, 2)
+
 
 def test_tune_saves_a_run_that_ran_out_of_grid_points(tmp_path, capsys):
     # four integer points and a budget of six: the fifth candidate has no

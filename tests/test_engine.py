@@ -11,6 +11,7 @@ from seqtune import (
     InfeasibleBudgetError,
     ParamSpace,
     SpotConfig,
+    SpotResult,
     apply_duplicate_policy,
     optim_lhd,
     spot,
@@ -157,6 +158,24 @@ def test_hard_budget_and_archive_consistency():
     best = int(np.argmin(res.y[:, 0]))
     assert res.ybest == res.y[best, 0]
     assert np.array_equal(res.xbest, res.x[best])
+
+
+def test_the_run_record_reads_count_and_best_from_its_rows():
+    rec = SpotResult.empty(2)
+    for row, val in (([0, 0], 2.0), ([1, 1], np.nan), ([2, 2], 1.0), ([3, 3], 1.0)):
+        rec.append(np.array(row), val, None)
+    rec.append(np.array([2, 2]), 5.0, 7)
+    assert rec.count == 5
+    assert rec.y[1, 0] == np.inf
+    assert rec.replicates.tolist() == [1, 1, 1, 1, 2]
+    assert rec.seeds == [None, None, None, None, 7]
+    # a tie goes to the first row, and xbest is a copy of it
+    assert rec.ybest == 1.0
+    best = rec.xbest
+    assert best.tolist() == [2.0, 2.0]
+    best[:] = 9.0
+    assert rec.x[2].tolist() == [2.0, 2.0]
+    assert (rec.msg, rec.modelFit) == ("budget exhausted", None)
 
 
 def test_ocba_top_ups_respect_the_total_budget():

@@ -416,3 +416,4 @@ def test_prediction_matches_the_wrapper_reference_bit_for_bit(use_lambda, rows):
     want = _reference_predict(fit, xq)
     assert _bits(got["mean"]) == _bits(want["mean"])
     assert _bits(got["sd"]) == _bits(want["sd"])
+    assert _bits(fit.predict(xq)) == _bits(want["mean"])

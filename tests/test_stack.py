@@ -26,6 +26,10 @@ def _fit_mean(X, y, control=None):
     return _MeanModel(float(np.asarray(y).mean()))
 
 
+def _fit_nan(X, y, control=None):
+    return SimpleNamespace(predict=lambda q: np.full(np.atleast_2d(q).shape[0], np.nan))
+
+
 def _sphere_data(n=30, d=3, seed=123):
     space = ParamSpace([-1.0] * d, [1.0] * d)
     X = make_lhd(None, space, dict(size=n, seed=seed))
@@ -74,6 +78,14 @@ def test_single_member_gets_unit_weight():
     assert fit.member_names == ["forest"]
     assert np.array_equal(fit.weights, [1.0])
 
+    # a config file gives a lone name as a string, not a one-item list
+    for members, name in (("forest", "forest"), (_fit_mean, "_fit_mean")):
+        fit = fit_stack(X, y, {"members": members,
+                               "memberControls": {"forest": {"ntree": 10}},
+                               "seed": 1})
+        assert fit.member_names == [name]
+        assert np.array_equal(fit.weights, [1.0])
+
 
 def test_single_member_with_no_nnls_weight_still_gets_unit_weight():
     # out-of-fold predictions of -||x||^2 anticorrelate with y = ||x||^2, so
@@ -97,11 +109,19 @@ def test_failing_member_is_dropped():
     assert set(fit.member_names) == {"kriging", "forest"}
     assert fit.weights.sum() == pytest.approx(1.0)
 
+    # a member whose out-of-fold predictions are not finite is dropped too
+    X, y = _sphere_data(n=10)
+    fit = fit_stack(X, y, {"members": (_fit_nan, _fit_mean), "seed": 2})
+    assert fit.member_names == ["_fit_mean"]
+    assert np.array_equal(fit.weights, [1.0])
+
 
 def test_all_members_failing_raises():
     X, y = _sphere_data(n=8)
     with pytest.raises(ValueError, match="every stack member failed"):
         fit_stack(X, y, {"members": ("rsm",), "seed": 3})
+    with pytest.raises(ValueError, match="every stack member failed"):
+        fit_stack(X, y, {"members": (_fit_nan,), "seed": 3})
 
 
 def test_callable_members_are_supported():
@@ -134,8 +154,15 @@ def test_validates_folds_and_rows():
         fit_stack(X, y, {"folds": 1})
     with pytest.raises(ValueError):
         fit_stack(X[:3], y[:3], {"folds": 5})
-    with pytest.raises(ValueError):
-        fit_stack(X, y, {"members": ()})
+    for key, bad in (
+        ("members", ()),
+        ("members", None),
+        ("members", 3),
+        ("memberControls", "x"),
+        ("memberControls", {"forest": 10}),
+    ):
+        with pytest.raises(ValueError, match=f"stack {key} must"):
+            fit_stack(X, y, {key: bad})
 
 
 @pytest.mark.parametrize("fitter", [fit_kriging, fit_forest, fit_rsm, fit_stack])
