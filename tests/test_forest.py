@@ -2,18 +2,101 @@
 
 The split oracle below enumerates every (feature, threshold) pair by brute
 force and compares achieved error reduction, so it is independent of the
-cumulative-sum implementation inside the package.  The prediction oracle
-sends whole batches down each tree by recursive boolean-mask partitions and
-sums the trees with numpy adds; the package walks one row at a time, so the
-two must agree bit for bit.
+cumulative-sum implementation inside the package.  The growth oracle is the
+recursive grower that the package used before its trees grew in lockstep:
+one `_best_split` and one `grow_tree` call per node, on the node's own rows.
+Every tree of a fit must equal it bit for bit.  (The two differ only where
+the midpoint of two neighbouring doubles rounds up to the upper one: there
+the oracle recurses forever, and the property test's grids never make such
+pairs.)  The prediction oracle sends
+whole batches down each tree by recursive boolean-mask partitions and sums
+the trees with numpy adds; the package walks one row at a time, so the two
+must agree bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtune.forest import ForestFit, fit_forest, grow_tree
+from seqtune.forest import ForestFit, _Node, fit_forest, grow_trees
+
+
+def _best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray, min_leaf: int):
+    """Exhaustive search over midpoint thresholds for the given features.
+
+    Returns (feature, threshold) or None.  Targets are centered first so a
+    constant node never splits on rounding noise.
+    """
+    n = y.shape[0]
+    yc = y - y.mean()
+    parent_sse = float(yc @ yc)
+    best_gain, best = 1e-12 * parent_sse, None
+    for f in features:
+        order = np.argsort(x[:, f], kind="stable")
+        xs, ys = x[order, f], yc[order]
+        s1 = np.cumsum(ys)
+        s2 = np.cumsum(ys**2)
+        total1, total2 = s1[-1], s2[-1]
+        # split after position i puts i+1 samples on the left
+        sizes = np.arange(1, n)
+        left_sse = s2[:-1] - s1[:-1] ** 2 / sizes
+        right_n = n - sizes
+        right_sse = (total2 - s2[:-1]) - (total1 - s1[:-1]) ** 2 / right_n
+        gain = parent_sse - (left_sse + right_sse)
+        valid = (
+            (sizes >= min_leaf)
+            & (right_n >= min_leaf)
+            & (xs[1:] > xs[:-1])
+        )
+        if not np.any(valid):
+            continue
+        gain = np.where(valid, gain, -np.inf)
+        i = int(np.argmax(gain))
+        if gain[i] > best_gain:
+            best_gain = gain[i]
+            best = (int(f), float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+def grow_tree(
+    x: np.ndarray,
+    y: np.ndarray,
+    mtry: int,
+    min_node_size: int,
+    rng: np.random.Generator,
+) -> _Node:
+    """Recursively grow one regression tree on the given sample."""
+    n = y.shape[0]
+    if n < 2 * min_node_size or n < 2 or np.all(y == y[0]):
+        return _Node(value=float(y.mean()))
+    features = rng.choice(x.shape[1], size=min(mtry, x.shape[1]), replace=False)
+    split = _best_split(x, y, features, min_node_size)
+    if split is None:
+        return _Node(value=float(y.mean()))
+    f, thr = split
+    mask = x[:, f] <= thr
+    return _Node(
+        feature=f,
+        threshold=thr,
+        left=grow_tree(x[mask], y[mask], mtry, min_node_size, rng),
+        right=grow_tree(x[~mask], y[~mask], mtry, min_node_size, rng),
+    )
+
+
+def _grow_one(x, y, mtry, min_node_size, rng):
+    """The package's grower on all rows of (x, y), as a single tree."""
+    return grow_trees(x, y, [np.arange(len(y))], mtry, min_node_size, [rng])[0]
+
+
+def _shape(node):
+    """A tree as nested tuples: feature and float64 bytes of each number."""
+    if node.left is None:
+        return np.float64(node.value).tobytes()
+    return (node.feature, np.float64(node.threshold).tobytes(),
+            _shape(node.left), _shape(node.right))
 
 
 def _sse(v):
@@ -79,7 +162,7 @@ def _single_tree_fit(tree, n_features):
 def test_step_data_splits_between_the_levels():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 10.0, 10.0])
-    tree = grow_tree(x, y, mtry=1, min_node_size=1,
+    tree = _grow_one(x, y, mtry=1, min_node_size=1,
                      rng=np.random.default_rng(0))
     assert tree.left is not None
     assert tree.feature == 0
@@ -99,7 +182,7 @@ def test_root_split_achieves_bruteforce_best_gain():
             0, 0.2, 14
         )
         # all features offered, so the root split must be globally optimal
-        tree = grow_tree(x, y, mtry=2, min_node_size=1, rng=np.random.default_rng(1))
+        tree = _grow_one(x, y, mtry=2, min_node_size=1, rng=np.random.default_rng(1))
         assert tree.left is not None
         mask = x[:, tree.feature] <= tree.threshold
         gain = _sse(y) - _sse(y[mask]) - _sse(y[~mask])
@@ -108,7 +191,7 @@ def test_root_split_achieves_bruteforce_best_gain():
 
 def test_constant_targets_grow_a_leaf():
     x = np.arange(10, dtype=float).reshape(-1, 1)
-    tree = grow_tree(x, np.full(10, 2.5), mtry=1, min_node_size=1,
+    tree = _grow_one(x, np.full(10, 2.5), mtry=1, min_node_size=1,
                      rng=np.random.default_rng(0))
     assert tree.left is None
     assert tree.value == 2.5
@@ -118,9 +201,52 @@ def test_small_nodes_stop_splitting():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 10.0, 10.0])
     # 2*min_node_size exceeds n, so no split is allowed at all
-    tree = grow_tree(x, y, mtry=1, min_node_size=3, rng=np.random.default_rng(0))
+    tree = _grow_one(x, y, mtry=1, min_node_size=3, rng=np.random.default_rng(0))
     assert tree.left is None
     assert tree.value == pytest.approx(5.0)
+
+
+def test_neighbouring_doubles_split_between_them():
+    # their midpoint rounds up to the upper value; taken as the threshold it
+    # would send every row left and the node would split forever
+    lo = 1.0 + np.finfo(float).eps
+    hi = np.nextafter(lo, 2.0)
+    x = np.array([[lo], [hi]] * 3)
+    y = np.array([0.0, 1.0] * 3)
+    assert (lo + hi) / 2.0 == hi
+    tree = _grow_one(x, y, mtry=1, min_node_size=1, rng=np.random.default_rng(0))
+    assert tree.threshold == lo
+    assert (tree.left.value, tree.right.value) == (0.0, 1.0)
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 5),
+    mtry=st.integers(1, 5),
+    min_node_size=st.integers(1, 6),
+    ntree=st.integers(1, 8),
+    x_levels=st.sampled_from([2, 5, 1000]),
+    y_levels=st.sampled_from([1, 2, 3, 0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_tree_equals_the_recursive_oracle_bit_for_bit(
+    n, d, mtry, min_node_size, ntree, x_levels, y_levels, seed
+):
+    # few x levels make ties; few y levels, inexact multiples of 0.1, make
+    # constant nodes and gains that are rounding noise (0 = continuous)
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, x_levels, size=(n, d)) / x_levels
+    y = rng.integers(0, y_levels, size=n) * 0.1 if y_levels else rng.normal(0, 3, n)
+    # mtry above d is allowed; both growers then offer all d features
+    fit = fit_forest(X, y, {"ntree": ntree, "mtry": mtry,
+                            "min_node_size": min_node_size, "seed": seed})
+    assert len(fit.trees) == ntree
+    for tree, s in zip(fit.trees, fit.seeds):
+        tree_rng = np.random.default_rng(int(s))
+        idx = tree_rng.integers(0, n, size=n)
+        oracle = grow_tree(X[idx], y[idx], mtry, min_node_size, tree_rng)
+        assert _shape(tree) == _shape(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +346,27 @@ def test_mtry_floor_is_one():
     X = np.linspace(0, 1, 6).reshape(-1, 1)
     fit = fit_forest(X, X[:, 0], {"ntree": 3, "seed": 0})
     assert fit.mtry == 1
+
+
+def test_mtry_reports_the_features_drawn_per_node():
+    X = np.random.default_rng(0).uniform(size=(12, 2))
+    fit = fit_forest(X, X[:, 0], {"ntree": 3, "mtry": 5, "seed": 0})
+    assert fit.mtry == 2
+
+
+def test_a_default_fit_on_fifty_rows_peaks_below_three_megabytes():
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0, 1, size=(50, 2))
+    y = np.sin(6 * X[:, 0]) + X[:, 1] ** 2 + rng.normal(0, 0.1, 50)
+    fit_forest(X, y, {"ntree": 5, "seed": 0})  # load lazily imported code
+    tracemalloc.start()
+    try:
+        fit = fit_forest(X, y, {"seed": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.ntree == 500
+    assert peak <= 3 * 2**20
 
 
 def test_fit_validates_input():

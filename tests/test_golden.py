@@ -7,7 +7,10 @@ surface drawn from a bundle's fitted model.  The test re-runs every command
 and compares bytes, so reproducibility is pinned across commits, not only
 between two runs in one process.  The stacked run and the Branin Kriging run
 are also repeated in a fresh interpreter with OpenBLAS held to one thread,
-so their archives cannot depend on the BLAS thread count.
+so their archives cannot depend on the BLAS thread count.  The two
+forest-only runs (the shipped SANN forest config and the OCBA run) are
+repeated under OpenBLAS's Haswell and Prescott kernels, so their archives
+cannot depend on the CPU's BLAS kernel either.
 
 The `*_rsm_path.csv` files are the `rsm-path` output on the bundles of the
 three shipped configs.  Their header is compared byte for byte and their
@@ -96,16 +99,12 @@ def test_rsm_path_matches_the_golden_file(produced, name):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
 
 
-@pytest.mark.parametrize("config", [
-    GOLDEN / "branin_stack.cfg",
-    ROOT / "configs" / "branin_kriging.cfg",
-], ids=lambda path: path.stem)
-def test_run_does_not_depend_on_the_blas_thread_count(tmp_path, config):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+def _tune_in_subprocess(config: Path, out: Path, **env_vars) -> str:
+    """Run `seqtune tune` on `config` in a fresh interpreter; returns stderr."""
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    out = tmp_path / config.stem
     proc = subprocess.run(
         [sys.executable, "-m", "seqtune.cli", "tune",
          "--config", str(config), "--out", str(out)],
@@ -115,6 +114,38 @@ def test_run_does_not_depend_on_the_blas_thread_count(tmp_path, config):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("config", [
+    GOLDEN / "branin_stack.cfg",
+    ROOT / "configs" / "branin_kriging.cfg",
+], ids=lambda path: path.stem)
+def test_run_does_not_depend_on_the_blas_thread_count(tmp_path, config):
+    out = tmp_path / config.stem
+    _tune_in_subprocess(config, out, OPENBLAS_NUM_THREADS="1")
+    assert (out / "archive.csv").read_bytes() == (
+        GOLDEN / f"{config.stem}.csv").read_bytes()
+
+
+# OpenBLAS names the kernel it runs in its verbose start-up line; some builds
+# run the Prescott request on their Katmai kernels
+KERNEL_NAMES = {"Haswell": ("Haswell",), "Prescott": ("Prescott", "Katmai")}
+
+
+@pytest.mark.parametrize("coretype", sorted(KERNEL_NAMES))
+@pytest.mark.parametrize("config", [
+    ROOT / "configs" / "sann_forest.cfg",
+    GOLDEN / "sann_ocba.cfg",
+], ids=lambda path: path.stem)
+def test_forest_runs_do_not_depend_on_the_blas_kernel(tmp_path, config, coretype):
+    out = tmp_path / config.stem
+    stderr = _tune_in_subprocess(config, out, OPENBLAS_CORETYPE=coretype,
+                                 OPENBLAS_VERBOSE="2")
+    cores = [line.split(":", 1)[1].strip() for line in stderr.splitlines()
+             if line.startswith("Core:")]
+    assert cores, "OpenBLAS printed no kernel name"
+    assert all(core in KERNEL_NAMES[coretype] for core in cores), cores
     assert (out / "archive.csv").read_bytes() == (
         GOLDEN / f"{config.stem}.csv").read_bytes()
 
