@@ -107,6 +107,11 @@ class SpotConfig:
                     raise ValueError(
                         f"{name} {key} must be an integer, got {section[key]!r}"
                     )
+        # the fit's and the search's budgets, checked before any evaluation
+        for name, key in (("modelControl", "budget"), ("optimizerControl", "funEvals")):
+            value = getattr(self, name).get(key, 1)
+            if value < 1:
+                raise ValueError(f"{name} {key} must be at least 1, got {value!r}")
         if self.funEvals < 1:
             raise ValueError("funEvals must be at least 1")
         if self.replicates < 1:

@@ -25,6 +25,19 @@ from .design import cross_dist
 # be factorized; large enough that the search never keeps such a point
 _PENALTY = 1e10
 
+# the likelihood search factors its hyperparameter rows in stacks of about
+# this many doubles, which keeps the search's memory flat in the budget
+_STACK_DOUBLES = 2**15
+
+# trailing diagonal of the bordered matrices: far above 1' K^-1 1 and
+# y' K^-1 y of any factor that the search keeps, so the last two pivots
+# stay positive
+_BORDER = 1e300
+
+# larger targets skip the bordered factor: there the per-row path's own
+# overflow, not the border, decides which rows are penalized
+_MAX_BORDERED_Y = 1e100
+
 DEFAULT_THETA_BOUNDS = (-6.0, 2.0)
 DEFAULT_LAMBDA_BOUNDS = (-6.0, 0.0)
 
@@ -76,6 +89,33 @@ def _correlation(theta: np.ndarray, flat: np.ndarray, shape: tuple) -> np.ndarra
     return np.exp(-np.dot(theta.reshape(1, -1), flat)).reshape(shape)
 
 
+def _usable_factor(ldiag: np.ndarray) -> np.ndarray:
+    """Whether each row of Cholesky pivots (B, n) gives a usable factor.
+
+    Every pivot must be positive and finite, and the factor must not be
+    effectively singular (squared pivot ratio above 1e12): that would be
+    useless for prediction, so it is penalized like a failure.
+    """
+    lo, hi = ldiag.min(axis=1), ldiag.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a NaN pivot makes lo and hi NaN, which fails every comparison
+        return (lo > 0) & (hi < np.inf) & ((hi / lo) ** 2 <= 1e12)
+
+
+def _likelihood_values(ldiag: np.ndarray, sigma2: np.ndarray):
+    """Concentrated -ln-likelihoods from pivots (B, n) and variances (B,).
+
+    Returns (values, usable).  A row is usable, and its value not _PENALTY,
+    when its factor is usable and its sigma2 finite.
+    """
+    n = ldiag.shape[1]
+    usable = _usable_factor(ldiag) & np.isfinite(sigma2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half_log_det = np.log(ldiag).sum(axis=1)
+        value = 0.5 * n * np.log(np.maximum(sigma2, 1e-300)) + half_log_det
+    return np.where(usable, value, _PENALTY), usable
+
+
 def _neg_log_likelihood(
     theta: np.ndarray,
     lam: float,
@@ -84,7 +124,7 @@ def _neg_log_likelihood(
     one: np.ndarray,
     y: np.ndarray,
 ):
-    """Concentrated -ln-likelihood; returns (value, parts or None).
+    """Concentrated -ln-likelihood of one row; returns (value, parts or None).
 
     `flat` is the (d, n*n) distance tensor, `diag` indexes the diagonal of a
     raveled n-by-n matrix and `one` is the (n, 1) ones column, all built
@@ -96,25 +136,93 @@ def _neg_log_likelihood(
     # diagonal alone equals adding lam * identity
     k.reshape(-1)[diag] += lam
     lower = _factor(k)
-    if lower is None:
-        return _PENALTY, None
-    ldiag = np.diag(lower)
-    if np.any(ldiag <= 0) or not np.all(np.isfinite(ldiag)):
-        return _PENALTY, None
-    # a factorization that succeeds but is effectively singular is useless
-    # for prediction, so such hyperparameters are penalized like a failure
-    if (ldiag.max() / ldiag.min()) ** 2 > 1e12:
+    if lower is None or not _usable_factor(np.diag(lower)[None])[0]:
         return _PENALTY, None
     kinv_y = _solve(lower, y)
     kinv_one = _solve(lower, one)
-    mu = ((one.T @ kinv_y) / (one.T @ kinv_one)).item()
-    resid = y - mu
-    kinv_resid = kinv_y - mu * kinv_one
-    sigma2 = (resid.T @ kinv_resid).item() / n
-    if not np.isfinite(sigma2):
+    # huge targets can overflow here; the rule below penalizes that
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = ((one.T @ kinv_y) / (one.T @ kinv_one)).item()
+        resid = y - mu
+        kinv_resid = kinv_y - mu * kinv_one
+        sigma2 = (resid.T @ kinv_resid).item() / n
+    value, usable = _likelihood_values(np.diag(lower)[None], np.array([sigma2]))
+    if not usable[0]:
         return _PENALTY, None
-    value = 0.5 * n * np.log(max(sigma2, 1e-300)) + np.sum(np.log(ldiag))
-    return float(value), (k, lower, mu, sigma2, kinv_resid)
+    return float(value[0]), (k, lower, mu, sigma2, kinv_resid)
+
+
+def _bordered_values(m: np.ndarray) -> Optional[np.ndarray]:
+    """Likelihood values from a stack of bordered matrices (B, n+2, n+2).
+
+    None when any matrix of the stack does not factor.
+    """
+    n = m.shape[1] - 2
+    try:
+        lower = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    kinv_one = lower[:, n, :n]
+    kinv_y = lower[:, n + 1, :n]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mu = (kinv_one * kinv_y).sum(axis=1) / (kinv_one * kinv_one).sum(axis=1)
+        resid = kinv_y - mu[:, None] * kinv_one
+        sigma2 = (resid * resid).sum(axis=1) / n
+    # the first n entries of each factor's diagonal
+    pivots = lower.reshape(m.shape[0], -1)[:, : n * (n + 3) : n + 3]
+    return _likelihood_values(pivots, sigma2)[0]
+
+
+def _stacked_neg_log_likelihood(
+    theta: np.ndarray,
+    lam: np.ndarray,
+    flat: np.ndarray,
+    diag: np.ndarray,
+    one: np.ndarray,
+    y: np.ndarray,
+) -> np.ndarray:
+    """Concentrated -ln-likelihoods of the rows of theta (B, d) and lam (B,).
+
+    The rows go in stacks of about _STACK_DOUBLES doubles, and one
+    np.linalg.cholesky call factors a stack's bordered matrices
+    [[K + lam I, 1, y], [1', C, 0], [y', 0, C]].  Rows n and n+1 of each
+    factor are then L^-1 1 and L^-1 y, and its leading n pivots are those of
+    K + lam I, so no solve is needed.  The values agree with
+    _neg_log_likelihood to rounding, not bit for bit.  A stack with a matrix
+    that does not factor, or every row when y is too large for the border,
+    is evaluated by _neg_log_likelihood instead.
+    """
+
+    def per_row(lo: int, hi: int) -> list:
+        return [
+            _neg_log_likelihood(t, lam_t, flat, diag, one, y)[0]
+            for t, lam_t in zip(theta[lo:hi], lam[lo:hi])
+        ]
+
+    rows, n = theta.shape[0], y.shape[0]
+    if np.max(np.abs(y)) > _MAX_BORDERED_Y:
+        return np.array(per_row(0, rows))
+    block = max(1, min(rows, _STACK_DOUBLES // (n + 2) ** 2))
+    # buffers shared by the stacks, so that each stack allocates only its
+    # factor; the border is written once
+    corr = np.empty((block, n * n))
+    m = np.empty((block, n + 2, n + 2))
+    m[:, n, :n] = m[:, :n, n] = 1.0
+    m[:, n + 1, :n] = m[:, :n, n + 1] = y.ravel()
+    m[:, n:, n:] = [[_BORDER, 0.0], [0.0, _BORDER]]
+    values = np.empty(rows)
+    for lo in range(0, rows, block):
+        hi = min(rows, lo + block)
+        b = hi - lo
+        c = np.matmul(theta[lo:hi], flat, out=corr[:b])
+        np.negative(c, out=c)
+        np.exp(c, out=c)
+        m[:b, :n, :n] = c.reshape(b, n, n)
+        # the diagonal of a raveled (n+2)-square matrix has stride n+3
+        m[:b].reshape(b, -1)[:, : n * (n + 3) : n + 3] += lam[lo:hi, None]
+        stacked = _bordered_values(m[:b])
+        values[lo:hi] = per_row(lo, hi) if stacked is None else stacked
+    return values
 
 
 def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> KrigingFit:
@@ -125,6 +233,13 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     per hyperparameter), useLambda (fit a nugget, default True) and seed;
     any other key is ignored.  Hyperparameters are searched on the log10
     ranges DEFAULT_THETA_BOUNDS and DEFAULT_LAMBDA_BOUNDS.
+
+    The search evaluates its rows in stacks of about _STACK_DOUBLES
+    doubles, one bordered Cholesky factorization per stack
+    (_stacked_neg_log_likelihood).  The fit at the chosen hyperparameters
+    takes the per-row LAPACK path (_neg_log_likelihood), so the stored
+    factor, weights and variances, and every prediction from them, do not
+    depend on how the search grouped its rows.
     """
     control = dict(control or {})
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -167,12 +282,10 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
 
     def objective(v: np.ndarray) -> np.ndarray:
         v = np.atleast_2d(v)
-        out = np.empty((v.shape[0], 1))
-        for i, row in enumerate(v):
-            theta = 10.0 ** row[:d]
-            lam = 10.0 ** row[d] if use_lambda else 0.0
-            out[i, 0] = _neg_log_likelihood(theta, lam, flat, diag, one, y)[0]
-        return out
+        theta = 10.0 ** v[:, :d]
+        lam = 10.0 ** v[:, d] if use_lambda else np.zeros(v.shape[0])
+        values = _stacked_neg_log_likelihood(theta, lam, flat, diag, one, y)
+        return values.reshape(-1, 1)
 
     alg = control.get("algTheta", "lhd")
     seed = control.get("seed")

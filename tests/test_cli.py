@@ -429,6 +429,18 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
         assert main([command, "--config", fractional, "--out", target]) == 2
         assert key in capsys.readouterr().err
 
+    # a zero budget used to evaluate the whole design, then fail naming the
+    # search's funEvals
+    for text, key in (
+        ("[modelControl]\nbudget = 0\n", "modelControl budget"),
+        ("[optimizerControl]\nfunEvals = 0\n", "optimizerControl funEvals"),
+    ):
+        zero_budget = _cfg(tmp_path, sphere + "[spot]\nfunEvals = 12\n" + text)
+        fresh = str(tmp_path / key.replace(" ", "_"))
+        assert main(["tune", "--config", zero_budget, "--out", fresh]) == 2
+        assert f"{key} must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(fresh)
+
     # unusable stack settings used to end in a TypeError or AttributeError
     for text, key in (
         ("members =\n", "stack members"),

@@ -476,6 +476,13 @@ def test_config_rejects_bad_values():
             with pytest.raises(ValueError, match=f"{name} {key}"):
                 SpotConfig(**{name: {key: value}})
         SpotConfig(**{name: {key: 3}})
+    # a zero budget used to fail after the design was evaluated, naming the
+    # search's funEvals
+    for name, key in (("modelControl", "budget"), ("optimizerControl", "funEvals")):
+        for value in (0, -2):
+            with pytest.raises(ValueError, match=f"{name} {key} must be at least 1"):
+                SpotConfig(**{name: {key: value}})
+        SpotConfig(**{name: {key: 1}})
 
 
 def test_config_defaults():

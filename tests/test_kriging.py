@@ -9,15 +9,19 @@ time, independent of the vectorized distance kernel in the package.
 The package factors and solves through LAPACK's dpotrf/dpotrs directly.
 `_reference_neg_log_likelihood` and `_reference_predict` keep the same
 computations written with scipy's `cholesky`/`cho_solve` wrappers and
-`np.tensordot`, and the results must agree with them bit for bit.
+`np.tensordot`, and the results must agree with them bit for bit.  The
+likelihood search factors stacks of bordered matrices instead; its values
+are checked against the per-row `_neg_log_likelihood` to a tolerance that
+grows with the conditioning.
 """
 
 import math
+import tracemalloc
 from typing import Optional, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scipy.linalg import cho_solve, cholesky
@@ -30,6 +34,7 @@ from seqtune.kriging import (
     KrigingFit,
     _correlation,
     _neg_log_likelihood,
+    _stacked_neg_log_likelihood,
     fit_kriging,
     predict_kriging,
 )
@@ -417,3 +422,162 @@ def test_prediction_matches_the_wrapper_reference_bit_for_bit(use_lambda, rows):
     assert _bits(got["mean"]) == _bits(want["mean"])
     assert _bits(got["sd"]) == _bits(want["sd"])
     assert _bits(fit.predict(xq)) == _bits(want["mean"])
+
+
+# ---------------------------------------------------------------------------
+# the stacked likelihood search against the per-row likelihood
+
+
+def _search_objective(X, y, types, use_lambda):
+    """The objective that fit_kriging hands its hyperparameter search."""
+    captured = []
+
+    def capture(start, fun, lower, upper, control):
+        captured.append((fun, lower, upper))
+        return optim_lhd(start, fun, lower, upper, control)
+
+    control = {"types": types, "useLambda": use_lambda, "algTheta": capture}
+    try:
+        fit_kriging(X, y, dict(control, budget=1, seed=0))
+    except ValueError as err:  # the one drawn row can be penalized
+        assert "singular" in str(err)
+    return captured[0]
+
+
+def _per_row_oracle(X, y, types, rows, use_lambda):
+    """Per-row values and squared pivot ratios on the fit's own scale.
+
+    The numeric columns of X span [0, 1] exactly, so the fit's unit-box
+    scaling leaves them unchanged and the distances here are the fit's.
+    """
+    n, d = X.shape
+    flat = cross_dist(X, X, types).reshape(d, n * n)
+    diag, one = np.arange(n) * (n + 1), np.ones((n, 1))
+    values, ratio2 = [], []
+    for row in rows:
+        lam = 10.0 ** row[d] if use_lambda else 0.0
+        value, parts = _neg_log_likelihood(10.0**row[:d], lam, flat, diag, one, y)
+        values.append(value)
+        pivots = np.diag(parts[1]) if parts else np.ones(1)
+        ratio2.append((pivots.max() / pivots.min()) ** 2)
+    return np.array(values), np.array(ratio2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    types=st.lists(st.sampled_from(["numeric", "factor"]), min_size=1, max_size=3),
+    use_lambda=st.booleans(),
+    magnitude=st.integers(-150, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_search_matches_the_per_row_likelihood(
+    n, types, use_lambda, magnitude, seed
+):
+    rng = np.random.default_rng(seed)
+    types = tuple(types)
+    X = np.column_stack([
+        rng.integers(0, 3, n).astype(float) if t == "factor" else rng.uniform(0, 1, n)
+        for t in types
+    ])
+    X[:2, [t == "numeric" for t in types]] = [[0.0], [1.0]]
+    if not use_lambda:
+        X = np.unique(X, axis=0)  # without a nugget the fit rejects duplicates
+        assume(X.shape[0] >= 2)
+    y = 10.0**magnitude * rng.normal(size=(X.shape[0], 1))
+    objective, lower, upper = _search_objective(X, y, types, use_lambda)
+    rows = rng.uniform(lower, upper, size=(300, lower.size))
+    got = objective(rows)[:, 0]
+    want, ratio2 = _per_row_oracle(X, y, types, rows, use_lambda)
+    assert np.array_equal(got == _PENALTY, want == _PENALTY)
+    # both paths round like a backward-stable solve, so beyond a squared
+    # pivot ratio of 1e4 the gap grows with the conditioning (near 1e12 the
+    # per-row value can be 4e-4 off the exact likelihood of the same matrix)
+    tol = 1e-9 * np.maximum(1.0, ratio2 / 1e4) * np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(got - want) <= tol)
+    best, want_best = int(np.argmin(got)), int(np.argmin(want))
+    tie = want[best] - want[want_best] <= tol[best] + tol[want_best]
+    assert best == want_best or tie
+
+
+def test_a_stack_that_does_not_factor_is_evaluated_row_by_row(monkeypatch):
+    # without a nugget, near-zero activity makes K + lam I all but a matrix
+    # of ones, which does not factor; the stack then falls back to the
+    # per-row path, whose values are bit-equal to the oracle's
+    rng = np.random.default_rng(43)
+    n, d = 12, 2
+    z = rng.uniform(0.0, 1.0, size=(n, d))
+    y = (np.sin(6.0 * z[:, 0]) + z[:, 1] ** 2).reshape(-1, 1)
+    flat = cross_dist(z, z, ("numeric",) * d).reshape(d, n * n)
+    diag, one = np.arange(n) * (n + 1), np.ones((n, 1))
+    theta = 10.0 ** np.array([[1.0, 1.0], [-6.0, -6.0], [0.5, 1.5]])
+    lam = np.zeros(3)
+    raised = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        try:
+            return cholesky(a)
+        except np.linalg.LinAlgError:
+            raised.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    got = _stacked_neg_log_likelihood(theta, lam, flat, diag, one, y)
+    assert raised == [(3, n + 2, n + 2)]
+    want = [_neg_log_likelihood(t, 0.0, flat, diag, one, y)[0] for t in theta]
+    assert _bits(got) == _bits(np.array(want))
+    assert got[1] == _PENALTY and np.all(got[[0, 2]] < _PENALTY)
+
+
+def test_targets_beyond_1e100_take_the_per_row_path():
+    # near |y| = 1e149 the per-row products overflow and penalize rows that
+    # the bordered factor would score, so such targets skip the border and
+    # the per-row path makes every decision
+    rng = np.random.default_rng(59)
+    n, d = 12, 2
+    z = rng.uniform(0.0, 1.0, size=(n, d))
+    y = 1e120 * (np.sin(6.0 * z[:, 0]) + z[:, 1] ** 2).reshape(-1, 1)
+    flat = cross_dist(z, z, ("numeric",) * d).reshape(d, n * n)
+    diag, one = np.arange(n) * (n + 1), np.ones((n, 1))
+    theta = 10.0 ** rng.uniform(-2.0, 2.0, size=(20, d))
+    lam = np.full(20, 1e-3)
+    got = _stacked_neg_log_likelihood(theta, lam, flat, diag, one, y)
+    want = [_neg_log_likelihood(t, 1e-3, flat, diag, one, y)[0] for t in theta]
+    assert _bits(got) == _bits(np.array(want))
+    assert np.all(got < _PENALTY)
+
+
+def test_the_search_factors_each_stack_of_rows_in_one_call(monkeypatch):
+    # 2**15 doubles hold 167 bordered 14-by-14 matrices; with a nugget
+    # every stack factors, so the 400 rows take three calls
+    shapes = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        lower = cholesky(a)
+        shapes.append(a.shape)
+        return lower
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    rng = np.random.default_rng(53)
+    X = rng.uniform(-1.0, 1.0, size=(12, 1))
+    fit = fit_kriging(X, np.cos(3.0 * X[:, 0]), {"seed": 2})
+    assert fit.likelihood_evals == 400
+    assert shapes == [(167, 14, 14), (167, 14, 14), (66, 14, 14)]
+
+
+def test_a_default_fit_on_thirty_rows_peaks_below_one_and_a_half_megabytes():
+    # the search factors its rows in stacks of about 2**15 doubles
+    rng = np.random.default_rng(47)
+    X = rng.uniform(0.0, 1.0, size=(30, 2))
+    y = np.sin(6.0 * X[:, 0]) + X[:, 1] ** 2
+    fit_kriging(X[:5], y[:5], {"budget": 5, "seed": 0})  # load lazily imported code
+    tracemalloc.start()
+    try:
+        fit = fit_kriging(X, y, {"seed": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.likelihood_evals == 600
+    assert peak <= 1.5 * 2**20
