@@ -53,11 +53,13 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# control keys that the designs, models and optimizers read as counts
+# control keys that the designs, models and optimizers read as counts, with
+# the smallest value the fits and the search can use (checked before any
+# evaluation)
 _INT_KEYS = {
-    "designControl": ("size", "replicates", "retries"),
-    "modelControl": ("ntree", "mtry", "min_node_size", "folds", "budget"),
-    "optimizerControl": ("funEvals",),
+    "designControl": {"size": None, "replicates": None, "retries": None},
+    "modelControl": {"ntree": 1, "mtry": 1, "min_node_size": 1, "folds": 2, "budget": 1},
+    "optimizerControl": {"funEvals": 1},
 }
 
 
@@ -102,16 +104,12 @@ class SpotConfig:
                 raise ValueError(
                     f"{name} seed must be an integer or none, got {seed!r}"
                 )
-            for key in keys:
-                if key in section and not _is_int(section[key]):
-                    raise ValueError(
-                        f"{name} {key} must be an integer, got {section[key]!r}"
-                    )
-        # the fit's and the search's budgets, checked before any evaluation
-        for name, key in (("modelControl", "budget"), ("optimizerControl", "funEvals")):
-            value = getattr(self, name).get(key, 1)
-            if value < 1:
-                raise ValueError(f"{name} {key} must be at least 1, got {value!r}")
+            for key, least in keys.items():
+                value = section.get(key)
+                if key in section and not _is_int(value):
+                    raise ValueError(f"{name} {key} must be an integer, got {value!r}")
+                if least is not None and value is not None and value < least:
+                    raise ValueError(f"{name} {key} must be at least {least}, got {value!r}")
         if self.funEvals < 1:
             raise ValueError("funEvals must be at least 1")
         if self.replicates < 1:

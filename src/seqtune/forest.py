@@ -6,26 +6,41 @@ targets, so forest predictions always stay within the observed target range.
 Each tree draws from its own pre-assigned seed, which keeps fits
 reproducible no matter how the trees are scheduled.
 
-All trees of a fit grow in lockstep.  Each tree keeps its own depth-first
-stack (left child first) and its own generator; every step pops the next
-node of every unfinished tree, buckets those nodes by sample count (at
-most 64 to a bucket), and searches each bucket's splits in one vectorized
-pass over the drawn feature slots.  The result is bit-identical to growing
-each tree recursively on its own: the bootstrap draws and the one
-`rng.choice` per splittable node keep their per-tree order, row-wise means,
-stable argsorts and cumulative sums over equal-length rows give the bits of
-the one-node calls (zero-padded rows would not, hence the buckets), the
-batched parent error is the same BLAS dot as `yc @ yc`, and a child's rows
-keep the parent's row order, on which the stable sort of tied values
-depends.  A split must reduce the node's squared error by more than 1e-12
-of it, at the midpoint between neighbouring sorted values (the lower value
-where that midpoint rounds up to the upper one).  `tests/test_forest.py`
-keeps the recursive grower as the bit-for-bit reference.
+A fit's trees live in node arrays of shape (ntree, nodes): the split
+feature, the threshold, the left child (the right child is the next node)
+and the node's mean target.  A leaf is its own left child with an infinite
+threshold, so prediction walks every (tree, row) pair at once for as many
+steps as the deepest tree has levels, and sums each row's leaf values in
+tree order from 0.0.
+
+All trees grow in lockstep.  Each tree's rows sit in one row of a
+permutation array, where a node is a segment, and each tree keeps its own
+depth-first stack (left child first) of such segments.  Every step pops the
+top node of every unfinished tree and searches their splits in one padded
+pass per drawn feature slot: the nodes' rows, gathered to the longest
+node's length, with features padded by +inf and centred targets by 0.
+Stable argsorts and cumulative sums keep the bits of the one-node calls
+under that padding; row means and the parent's squared error (the same BLAS
+dot as `yc @ yc`) do not, so they are computed per group of nodes with
+equal sample count.  A split node's segment is partitioned in place, each
+side keeping the parent's row order, on which the stable sort of tied
+values depends.  A split must reduce the node's squared error by more than
+1e-12 of it, at the midpoint between neighbouring sorted values (the lower
+value where that midpoint rounds up to the upper one).
+
+Each tree draws its bootstrap sample, then its node features, from its own
+generator.  When one feature is drawn per node, the tree takes all its
+draws in one `integers(0, d)` call after the bootstrap: numpy's Floyd path
+in `choice(d, 1, replace=False)` draws one bounded integer the same way,
+so the stream is that of a `choice` call per node.  With more features per
+node, each node still calls `choice`.  `tests/test_forest.py` keeps the
+recursive grower as the bit-for-bit reference and pins the draw stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -40,14 +55,46 @@ class _Node:
     value: float = 0.0
 
 
+# Cells (nodes by padded rows in a fit, trees by rows in a prediction) per
+# vectorized pass; bounds the pass's temporaries and so the peak memory.
+_PASS_CELLS = 2**12
+
+
 @dataclass
 class ForestFit:
-    trees: list
+    """A fitted forest; the node arrays are (ntree, nodes), node 0 the root."""
+
+    feature: np.ndarray  # int32 split feature, 0 at leaves
+    threshold: np.ndarray  # split threshold, +inf at leaves
+    left: np.ndarray  # int32 left child, right child left + 1; a leaf's is itself
+    value: np.ndarray  # the node's mean training target
+    depth: int  # levels below the root of the deepest tree
     ntree: int
     mtry: int
     min_node_size: int
     seeds: np.ndarray
     n_features: int
+
+    @cached_property
+    def trees(self) -> list:
+        """The trees as linked `_Node` roots, built on first read."""
+        roots = []
+        for feature, threshold, left, value in zip(
+            self.feature.tolist(), self.threshold.tolist(), self.left.tolist(),
+            self.value.tolist(),
+        ):
+            roots.append(_Node())
+            todo = [(roots[-1], 0)]
+            while todo:
+                node, i = todo.pop()
+                j = left[i]
+                if j == i:
+                    node.value = value[i]
+                else:
+                    node.feature, node.threshold = feature[i], threshold[i]
+                    node.left, node.right = _Node(), _Node()
+                    todo += [(node.left, j), (node.right, j + 1)]
+        return roots
 
     def predict(self, xnew: np.ndarray) -> np.ndarray:
         """Mean over tree predictions, one column."""
@@ -57,126 +104,200 @@ class ForestFit:
                 f"prediction input has {xnew.shape[1]} columns, model was fit on "
                 f"{self.n_features}"
             )
-        means = []
-        for row in xnew.tolist():
-            total = 0.0
-            for node in self.trees:
-                while node.left is not None:
-                    node = node.left if row[node.feature] <= node.threshold else node.right
-                total += node.value
-            means.append(total / len(self.trees))
-        return np.array(means).reshape(-1, 1)
+        rows = xnew.shape[0]
+        # a NaN coordinate goes right at every split, as +inf does, and +inf
+        # stays at a leaf
+        xnew = np.fmin(xnew, np.inf).ravel()
+        ntree, width = self.left.shape
+        roots = np.arange(0, ntree * width, width)[:, None]
+        left = (self.left + roots).ravel()
+        feature, threshold = self.feature.ravel(), self.threshold.ravel()
+        value = self.value.ravel()
+        out = np.empty(rows)
+        chunk = max(1, _PASS_CELLS // ntree)
+        for a in range(0, rows, chunk):
+            cols = np.arange(a, min(a + chunk, rows)) * self.n_features
+            node = roots + np.zeros_like(cols)
+            for _ in range(self.depth):
+                x = xnew.take(cols + feature.take(node))
+                node = left.take(node) + (x > threshold.take(node))
+            # each row's sum in tree order from 0.0, as a running sum
+            total = np.zeros((ntree + 1, cols.shape[0]))
+            total[1:] = value.take(node)
+            out[a:a + cols.shape[0]] = np.cumsum(total, axis=0)[-1] / ntree
+        return out.reshape(-1, 1)
 
 
-# Nodes per vectorized pass.  All roots, and often many other nodes, share a
-# sample count; splitting such buckets bounds the pass's (nodes, rows)
-# temporaries and so the fit's peak memory.
-_PASS_NODES = 64
+def _settle(perm, start, m, X, y, min_leaf, features, trees):
+    """Means and best splits of the nodes whose rows are perm[start:start + m].
 
-
-def _settle(popped, stacks, X, y, rngs, n_draw, min_leaf):
-    """Grow every node popped in one step that holds the same number of rows.
-
-    `popped` lists (tree, node, rows) with equal-length `rows`.  A node is a
-    leaf unless the best midpoint threshold over its drawn features reduces
-    its centred squared error by more than 1e-12 of that error; a split node
-    pushes its right child, then its left, onto its tree's stack, each child
-    keeping the parent's row order.
+    `m` is sorted in decreasing order and `trees` names each node's tree.
+    A node is a leaf unless the best midpoint threshold over its features,
+    drawn by `features(trees of the nodes that can split)`, reduces its
+    centred squared error by more than 1e-12 of that error.  A split node's
+    segment of `perm` is partitioned in place, the rows going left first,
+    each side in the parent's row order.  Returns the means, the indices of
+    the split nodes, their features, thresholds and left row counts.
     """
-    m = popped[0][2].shape[0]
-    rows = np.array([r for _, _, r in popped])
-    targets = y[rows]
-    means = targets.mean(axis=1)
-    splittable = (targets != targets[:, :1]).any(axis=1) & (m >= max(2, 2 * min_leaf))
-    cand = np.flatnonzero(splittable)
-    rows, yc = rows[cand], targets[cand]
+    k, width, d = m.shape[0], int(m[0]), X.shape[1]
+    cols = np.arange(width)
+    pad = cols >= m[:, None]
+    # rows past a node's end repeat its last row
+    rows = perm.take(start[:, None] + np.minimum(cols, m[:, None] - 1))
+    targets = y.take(rows)
+    means, parent, yc = np.empty(k), np.empty(k), np.zeros((k, width))
+    min_split = max(2, 2 * min_leaf)
+    edges = (np.flatnonzero(m[1:] != m[:-1]) + 1).tolist()
+    for a, b in zip([0, *edges], [*edges, k]):
+        size = int(m[a])
+        group = targets[a:b, :size]
+        means[a:b] = mu = group.mean(axis=1)
+        if size >= min_split:
+            c = group - mu[:, None]
+            yc[a:b, :size] = c
+            # a batch of 1 x m by m x 1 products: the same BLAS dot as yc @ yc
+            parent[a:b] = np.matmul(c[:, None], c[:, :, None]).reshape(-1)
+    cand = np.flatnonzero((targets != targets[:, :1]).any(axis=1) & (m >= min_split))
     k = cand.shape[0]
+    if not k:
+        return means, cand, cand, parent[cand], cand
+    rows, yc, parent, pad, m = rows[cand], yc[cand], parent[cand], pad[cand], m[cand]
+    feats = features(trees[cand])
     best_f = np.full(k, -1)
     best_thr = np.zeros(k)
-    if k:
-        d = X.shape[1]
-        feats = np.array([rngs[popped[i][0]].choice(d, size=n_draw, replace=False)
-                          for i in cand.tolist()])
-        yc -= means[cand, None]
-        # a batch of 1 x m by m x 1 products: the same BLAS dot as yc @ yc
-        parent = np.matmul(yc.reshape(k, 1, m), yc.reshape(k, m, 1)).reshape(k)
-        best_gain = 1e-12 * parent
-        # a split after sorted position i puts i + 1 rows on the left; only
-        # positions lo..hi-1 leave min_leaf rows on each side
-        lo, hi = min_leaf - 1, m - min_leaf
-        sizes = np.arange(lo + 1.0, hi + 1.0)
-        right_n = m - sizes
-        base = np.arange(0, k * m, m)[:, None]
-        at = np.arange(k)
-        for f in feats.T:
-            xs = X[rows, f[:, None]]
-            order = np.argsort(xs, axis=1, kind="stable")
-            order += base
-            xs, ys = xs.take(order), yc.take(order)
-            s1, s2 = np.cumsum(ys, axis=1), np.cumsum(ys**2, axis=1)
-            head1, head2 = s1[:, lo:hi], s2[:, lo:hi]
-            left_sse = head2 - head1**2 / sizes
-            right_sse = (s2[:, -1:] - head2) - (s1[:, -1:] - head1) ** 2 / right_n
-            gain = parent[:, None] - (left_sse + right_sse)
-            gain[xs[:, lo + 1:hi + 1] <= xs[:, lo:hi]] = -np.inf
-            i = gain.argmax(axis=1)
-            g = gain[at, i]
-            i += lo
-            better = g > best_gain
-            best_gain[better] = g[better]
-            best_f[better] = f[better]
-            a, b = xs[at, i], xs[at, i + 1]
-            mid = (a + b) / 2.0
-            # the midpoint of neighbouring doubles can round up to b, and a + b
-            # can overflow; either would send every row to one side
-            best_thr[better] = np.where((a <= mid) & (mid < b), mid, a)[better]
-    leaf = np.ones(len(popped), dtype=bool)
+    best_gain = 1e-12 * parent
+    # a split after sorted position i puts i + 1 rows on the left; only
+    # positions lo..m-min_leaf-1 leave min_leaf rows on each side
+    lo, hi = min_leaf - 1, width - min_leaf
+    size = np.arange(lo + 1.0, hi + 1.0)
+    right_n = np.maximum(m[:, None] - size, 1.0)
+    short = pad[:, lo + min_leaf:]
+    base = np.arange(0, k * width, width)[:, None]
+    at, last = np.arange(k), m - 1
+    for f in feats.T:
+        xs = X.take(rows * d + f[:, None])
+        np.putmask(xs, pad, np.inf)
+        order = np.argsort(xs, axis=1, kind="stable")
+        order += base
+        xs, ys = xs.take(order), yc.take(order)
+        s1, s2 = np.cumsum(ys, axis=1), np.cumsum(ys**2, axis=1)
+        head1, head2 = s1[:, lo:hi], s2[:, lo:hi]
+        tot1, tot2 = s1[at, last][:, None], s2[at, last][:, None]
+        left_sse = head2 - head1**2 / size
+        right_sse = (tot2 - head2) - (tot1 - head1) ** 2 / right_n
+        gain = parent[:, None] - (left_sse + right_sse)
+        gain[(xs[:, lo + 1:hi + 1] <= xs[:, lo:hi]) | short] = -np.inf
+        i = gain.argmax(axis=1)
+        g = gain[at, i]
+        i += lo
+        better = g > best_gain
+        best_gain[better] = g[better]
+        best_f[better] = f[better]
+        a, b = xs[at, i], xs[at, i + 1]
+        mid = (a + b) / 2.0
+        # the midpoint of neighbouring doubles can round up to b, and a + b
+        # can overflow; either would send every row to one side
+        best_thr[better] = np.where((a <= mid) & (mid < b), mid, a)[better]
     chosen = best_f >= 0
-    split, best_f, best_thr = cand[chosen], best_f[chosen], best_thr[chosen]
-    leaf[split] = False
-    means = means.tolist()
-    for i in np.flatnonzero(leaf).tolist():
-        popped[i][1].value = means[i]
-    # each split node's rows, those going left first, each side in row order
-    rows = rows[chosen]
-    goes_left = X[rows, best_f[:, None]] <= best_thr[:, None]
-    order = np.argsort(~goes_left, axis=1, kind="stable")
-    order += np.arange(0, order.size, m)[:, None]
-    parted = rows.take(order)
-    n_left = goes_left.sum(axis=1).tolist()
-    for i, f, thr, r, n in zip(split.tolist(), best_f.tolist(), best_thr.tolist(),
-                               parted, n_left):
-        t, node, _ = popped[i]
-        node.feature, node.threshold = f, thr
-        node.left, node.right = _Node(), _Node()
-        stacks[t].append((node.right, r[n:]))
-        stacks[t].append((node.left, r[:n]))
+    best_f, best_thr = best_f[chosen], best_thr[chosen]
+    rows, pad = rows[chosen], pad[chosen]
+    # padding sorts after the rows going right
+    right = (X.take(rows * d + best_f[:, None]) > best_thr[:, None]) | pad
+    order = np.argsort(right, axis=1, kind="stable")
+    order += np.arange(0, order.size, width)[:, None]
+    keep = ~pad
+    perm[(start[cand[chosen], None] + cols)[keep]] = rows.take(order)[keep]
+    n_left = width - right.sum(axis=1)
+    return means, cand[chosen], best_f, best_thr, n_left
 
 
-def grow_trees(X, y, samples, mtry, min_node_size, rngs) -> list:
-    """Grow one regression tree per sample of rows of (X, y); returns the roots.
+def _leaves(ntree, first, end):
+    """Node arrays (feature, threshold, left, value) of leaves first..end-1."""
+    shape = (ntree, end - first)
+    return (np.zeros(shape, dtype=np.int32), np.full(shape, np.inf),
+            np.tile(np.arange(first, end, dtype=np.int32), (ntree, 1)), np.zeros(shape))
 
-    Tree t is grown on the rows `samples[t]`, an integer array of indices
-    into X and y (repeats allowed), and draws its per-node features from
-    `rngs[t]` alone.  All trees grow in lockstep: each keeps a depth-first
-    stack, left child first, and every step pops the next node of every
-    unfinished tree.
+
+def grow_trees(X, y, samples, mtry, min_node_size, rngs):
+    """Grow one regression tree per sample of rows of (X, y).
+
+    Tree t is grown on the rows `samples[t]`, indices into X and y (repeats
+    allowed, one count for all trees), and draws its node features from
+    `rngs[t]` alone.  Returns the node arrays feature, threshold, left and
+    value, trimmed to the largest tree, and the deepest tree's depth.
     """
-    n_draw = min(mtry, X.shape[1])
-    roots = [_Node() for _ in samples]
-    stacks = [[(root, rows)] for root, rows in zip(roots, samples)]
-    live = range(len(roots))
-    while live:
-        buckets = {}
-        for t in live:
-            node, rows = stacks[t].pop()
-            buckets.setdefault(rows.shape[0], []).append((t, node, rows))
-        for popped in buckets.values():
-            for i in range(0, len(popped), _PASS_NODES):
-                _settle(popped[i:i + _PASS_NODES], stacks, X, y, rngs, n_draw,
-                        min_node_size)
-        live = [t for t in live if stacks[t]]
-    return roots
+    # a copy: each node's segment is partitioned in place
+    perm = np.array(samples, dtype=np.int32)
+    ntree, n = perm.shape
+    perm = perm.reshape(-1)
+    d = X.shape[1]
+    n_draw = min(mtry, d)
+    if n_draw == 1:
+        # a node draws once if it splits or if, holding 2 * min_node_size rows
+        # or more, it could have; with a leaves that drew and b that did not,
+        # a tree makes (a + b - 1) + a draws and n >= (2a + b) * min_node_size
+        draws = max(n // min_node_size - 1, 0)
+        buffer = np.array([rng.integers(0, d, size=draws) for rng in rngs],
+                          dtype=np.int32)
+        used = np.zeros(ntree, dtype=np.intp)
+
+        def features(trees):
+            f = buffer[trees, used[trees]]
+            used[trees] += 1
+            return f[:, None]
+    else:
+        def features(trees):
+            return np.array([rngs[t].choice(d, size=n_draw, replace=False)
+                             for t in trees.tolist()])
+    # a node, its segment of perm and its depth; splitting a node at depth k
+    # leaves at most k + 2 nodes on its tree's stack, and that node holds
+    # 2 * min_node_size to n - k * min_node_size rows, so k + 2 <= n // min_node_size
+    stack = np.zeros((ntree, max(n // min_node_size, 1), 4), dtype=np.int32)
+    stack[:, 0, 1] = np.arange(0, ntree * n, n)
+    stack[:, 0, 2] = stack[:, 0, 1] + n
+    height = np.ones(ntree, dtype=np.intp)
+    capacity = 8
+    feature, threshold, left, value = _leaves(ntree, 0, capacity)
+    count = np.ones(ntree, dtype=np.intp)
+    depth = 0
+    live = np.arange(ntree)
+    while live.shape[0]:
+        if count.max() + 2 > capacity:
+            feature, threshold, left, value = (
+                np.hstack(pair) for pair in zip((feature, threshold, left, value),
+                                                _leaves(ntree, capacity, 2 * capacity)))
+            capacity *= 2
+        height[live] -= 1
+        popped = stack[live, height[live]]
+        order = np.argsort(popped[:, 1] - popped[:, 2], kind="stable")
+        live, popped = live[order], popped[order]
+        node, start, end, level = popped.T
+        m = end - start
+        depth = max(depth, int(level.max()))
+        sizes = m.tolist()
+        a = 0
+        while a < len(sizes):
+            b = min(len(sizes), a + max(1, _PASS_CELLS // sizes[a]))
+            t, nd = live[a:b], node[a:b]
+            means, split, f, thr, n_left = _settle(
+                perm, start[a:b], m[a:b], X, y, min_node_size, features, t)
+            value[t, nd] = means
+            t, nd = t[split], nd[split]
+            child = count[t].astype(np.int32)
+            count[t] += 2
+            feature[t, nd], threshold[t, nd], left[t, nd] = f, thr, child
+            lo, hi = start[a:b][split], end[a:b][split]
+            mid = lo + n_left.astype(np.int32)
+            below = level[a:b][split] + 1
+            h = height[t]
+            stack[t, h] = np.column_stack([child + 1, mid, hi, below])
+            stack[t, h + 1] = np.column_stack([child, lo, mid, below])
+            height[t] += 2
+            a = b
+        live = np.flatnonzero(height)
+    width = int(count.max())
+    return (feature[:, :width].copy(), threshold[:, :width].copy(),
+            left[:, :width].copy(), value[:, :width].copy(), depth)
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> ForestFit:
@@ -199,10 +320,15 @@ def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> 
     root_rng = np.random.default_rng(control.get("seed"))
     seeds = root_rng.integers(0, 2**63 - 1, size=ntree)
     rngs = [np.random.default_rng(int(s)) for s in seeds]
-    # int32 rows halve what every pending node holds
-    samples = [rng.integers(0, n, size=n).astype(np.int32) for rng in rngs]
+    samples = np.array([rng.integers(0, n, size=n) for rng in rngs], dtype=np.int32)
+    feature, threshold, left, value, depth = grow_trees(
+        X, y, samples, mtry, min_node_size, rngs)
     return ForestFit(
-        trees=grow_trees(X, y, samples, mtry, min_node_size, rngs),
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        value=value,
+        depth=depth,
         ntree=ntree,
         mtry=min(mtry, d),
         min_node_size=min_node_size,

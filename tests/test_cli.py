@@ -429,16 +429,22 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
         assert main([command, "--config", fractional, "--out", target]) == 2
         assert key in capsys.readouterr().err
 
-    # a zero budget used to evaluate the whole design, then fail naming the
-    # search's funEvals
-    for text, key in (
-        ("[modelControl]\nbudget = 0\n", "modelControl budget"),
-        ("[optimizerControl]\nfunEvals = 0\n", "optimizerControl funEvals"),
+    # a zero budget, tree count or fold count used to evaluate the whole
+    # design, then fail with a message that named no section
+    for model, text, key, least in (
+        ("kriging", "[modelControl]\nbudget = 0\n", "modelControl budget", 1),
+        ("kriging", "[optimizerControl]\nfunEvals = 0\n", "optimizerControl funEvals", 1),
+        ("forest", "[modelControl]\nntree = 0\n", "modelControl ntree", 1),
+        ("forest", "[modelControl]\nmtry = 0\n", "modelControl mtry", 1),
+        ("forest", "[modelControl]\nmin_node_size = 0\n", "modelControl min_node_size", 1),
+        ("stack", "[modelControl]\nfolds = 1\n", "modelControl folds", 2),
     ):
-        zero_budget = _cfg(tmp_path, sphere + "[spot]\nfunEvals = 12\n" + text)
+        zero_count = _cfg(
+            tmp_path, sphere + f"[spot]\nfunEvals = 12\nmodel = {model}\n" + text
+        )
         fresh = str(tmp_path / key.replace(" ", "_"))
-        assert main(["tune", "--config", zero_budget, "--out", fresh]) == 2
-        assert f"{key} must be at least 1" in capsys.readouterr().err
+        assert main(["tune", "--config", zero_count, "--out", fresh]) == 2
+        assert f"{key} must be at least {least}" in capsys.readouterr().err
         assert not os.path.exists(fresh)
 
     # unusable stack settings used to end in a TypeError or AttributeError

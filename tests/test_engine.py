@@ -476,13 +476,20 @@ def test_config_rejects_bad_values():
             with pytest.raises(ValueError, match=f"{name} {key}"):
                 SpotConfig(**{name: {key: value}})
         SpotConfig(**{name: {key: 3}})
-    # a zero budget used to fail after the design was evaluated, naming the
-    # search's funEvals
-    for name, key in (("modelControl", "budget"), ("optimizerControl", "funEvals")):
-        for value in (0, -2):
-            with pytest.raises(ValueError, match=f"{name} {key} must be at least 1"):
+    # a zero budget, tree count or fold count used to fail after the design
+    # was evaluated, with a message that named no section
+    for name, key, least in (
+        ("modelControl", "ntree", 1),
+        ("modelControl", "mtry", 1),
+        ("modelControl", "min_node_size", 1),
+        ("modelControl", "folds", 2),
+        ("modelControl", "budget", 1),
+        ("optimizerControl", "funEvals", 1),
+    ):
+        for value in (least - 1, -2):
+            with pytest.raises(ValueError, match=f"{name} {key} must be at least {least}"):
                 SpotConfig(**{name: {key: value}})
-        SpotConfig(**{name: {key: 1}})
+        SpotConfig(**{name: {key: least}})
 
 
 def test_config_defaults():

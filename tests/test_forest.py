@@ -4,14 +4,18 @@ The split oracle below enumerates every (feature, threshold) pair by brute
 force and compares achieved error reduction, so it is independent of the
 cumulative-sum implementation inside the package.  The growth oracle is the
 recursive grower that the package used before its trees grew in lockstep:
-one `_best_split` and one `grow_tree` call per node, on the node's own rows.
-Every tree of a fit must equal it bit for bit.  (The two differ only where
-the midpoint of two neighbouring doubles rounds up to the upper one: there
-the oracle recurses forever, and the property test's grids never make such
-pairs.)  The prediction oracle sends
-whole batches down each tree by recursive boolean-mask partitions and sums
-the trees with numpy adds; the package walks one row at a time, so the two
-must agree bit for bit.
+one `_best_split` and one `grow_tree` call per node, on the node's own rows,
+and one `rng.choice` per node that can split.  Every tree of a fit, read as
+linked nodes through `ForestFit.trees`, must equal it bit for bit.  (The two
+differ only where the midpoint of two neighbouring doubles rounds up to the
+upper one: there the oracle recurses forever, and the property test's grids
+never make such pairs.)  The package draws all of a tree's features in one
+`integers` call when it draws one per node; a test pins that this is the
+stream of one `choice` call per node.  The prediction oracle sends whole
+batches down each linked tree by recursive boolean-mask partitions and adds
+the trees' values in tree order from 0.0; the package walks every (tree,
+row) pair through its node arrays at once, so the two must agree bit for
+bit.
 """
 
 import tracemalloc
@@ -87,8 +91,10 @@ def grow_tree(
 
 
 def _grow_one(x, y, mtry, min_node_size, rng):
-    """The package's grower on all rows of (x, y), as a single tree."""
-    return grow_trees(x, y, [np.arange(len(y))], mtry, min_node_size, [rng])[0]
+    """The package's grower on all rows of (x, y), as a single linked tree."""
+    arrays = grow_trees(x, y, [np.arange(len(y))], mtry, min_node_size, [rng])
+    return ForestFit(*arrays, ntree=1, mtry=mtry, min_node_size=min_node_size,
+                     seeds=np.array([0]), n_features=x.shape[1]).trees[0]
 
 
 def _shape(node):
@@ -148,9 +154,29 @@ def _splits(node):
     return [(node.feature, node.threshold), *_splits(node.left), *_splits(node.right)]
 
 
+def _depth(node):
+    return 0 if node.left is None else 1 + max(_depth(node.left), _depth(node.right))
+
+
 def _single_tree_fit(tree, n_features):
+    """A one-tree fit holding the linked tree `tree` as node arrays."""
+    nodes, feature, threshold, left = [tree], [], [], []
+    for i, node in enumerate(nodes):  # breadth first, siblings side by side
+        if node.left is None:  # a leaf is its own child and sends every row left
+            feature.append(0)
+            threshold.append(np.inf)
+            left.append(i)
+        else:
+            feature.append(node.feature)
+            threshold.append(node.threshold)
+            left.append(len(nodes))
+            nodes += [node.left, node.right]
     return ForestFit(
-        trees=[tree], ntree=1, mtry=n_features, min_node_size=1,
+        feature=np.array([feature], dtype=np.int32),
+        threshold=np.array([threshold]),
+        left=np.array([left], dtype=np.int32),
+        value=np.array([[node.value for node in nodes]]),
+        depth=_depth(tree), ntree=1, mtry=n_features, min_node_size=1,
         seeds=np.array([0]), n_features=n_features,
     )
 
@@ -219,6 +245,41 @@ def test_neighbouring_doubles_split_between_them():
     assert (tree.left.value, tree.right.value) == (0.0, 1.0)
 
 
+class _CountingRng:
+    """A generator that counts its `choice` calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def choice(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.choice(*args, **kwargs)
+
+
+@pytest.mark.parametrize("min_node_size", [1, 2, 3])
+@pytest.mark.parametrize("leaves_draw", [False, True])
+def test_a_chain_of_splits_reaches_the_growers_bounds(leaves_draw, min_node_size):
+    # y grows so fast that every split cuts off the highest x level, so the
+    # depth-first stack holds one pending right child per level.  With
+    # min_node_size rows per level the deepest split leaves n // min_node_size
+    # nodes on the stack; with twice that many rows of two targets, every
+    # leaf draws a feature and fails to split, so the tree makes
+    # n // min_node_size - 1 draws.  The grower's buffers have those sizes.
+    levels = 16
+    per_level = min_node_size * (2 if leaves_draw else 1)
+    x = np.repeat(np.arange(levels, dtype=float), per_level)
+    y = 4.0**x + (np.arange(x.size) % 2 if leaves_draw else 0)
+    x = x.reshape(-1, 1)
+    oracle_rng = _CountingRng(0)
+    oracle = grow_tree(x, y, 1, min_node_size, oracle_rng)
+    tree = _grow_one(x, y, mtry=1, min_node_size=min_node_size,
+                     rng=np.random.default_rng(0))
+    assert _shape(tree) == _shape(oracle)
+    assert _depth(tree) == levels - 1
+    if leaves_draw:
+        assert oracle_rng.calls == x.shape[0] // min_node_size - 1
+
+
 @settings(max_examples=150)
 @given(
     n=st.integers(1, 60),
@@ -247,6 +308,25 @@ def test_every_tree_equals_the_recursive_oracle_bit_for_bit(
         idx = tree_rng.integers(0, n, size=n)
         oracle = grow_tree(X[idx], y[idx], mtry, min_node_size, tree_rng)
         assert _shape(tree) == _shape(oracle)
+
+
+@pytest.mark.parametrize("d", range(1, 65))
+def test_one_integers_call_is_the_stream_of_one_choice_per_node(d):
+    # the grower draws a tree's one-per-node features in one int64 integers
+    # call after its bootstrap; the oracle calls choice at every node
+    n = 37
+    draws = 2 * n - 1
+    for seed in range(5):
+        per_node = np.random.default_rng([seed, d])
+        batched = np.random.default_rng([seed, d])
+        assert np.array_equal(per_node.integers(0, n, size=n),
+                              batched.integers(0, n, size=n))
+        expected = [per_node.choice(d, 1, replace=False)[0] for _ in range(draws)]
+        assert batched.integers(0, d, size=draws).tolist() == expected, (
+            f"numpy {np.__version__}: choice(d, 1, replace=False) no longer draws "
+            f"like integers(0, d) at d = {d}; forest.grow_trees relies on it"
+        )
+        assert per_node.random() == batched.random()
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +383,7 @@ def test_forest_averages_its_trees():
     assert fit.predict(xq)[:, 0] == pytest.approx(per_tree.mean(axis=1))
 
 
-@pytest.mark.parametrize("rows", [0, 1, 100, 1000])
+@pytest.mark.parametrize("rows", [0, 1, 100, 1000, 1681])
 def test_predict_matches_the_partition_reference_bit_for_bit(rows):
     rng = np.random.default_rng(9)
     X = rng.uniform(-2, 3, size=(30, 3))
@@ -318,6 +398,43 @@ def test_predict_matches_the_partition_reference_bit_for_bit(rows):
     pred = fit.predict(xq)
     assert pred.shape == (rows, 1)
     assert pred.tobytes() == _reference_predict(fit, xq).tobytes()
+    # a row alone is summed over the trees in the same order
+    for i in range(min(rows, 20)):
+        assert fit.predict(xq[i:i + 1]).tobytes() == pred[i:i + 1].tobytes()
+
+
+def test_negative_zero_targets_predict_positive_zero():
+    # leaves holding -0.0: the reference sums from 0.0, which gives +0.0
+    tree = _Node(feature=0, threshold=0.5, left=_Node(value=-0.0),
+                 right=_Node(value=-0.0))
+    xq = np.array([[0.2], [0.7], [0.5]])
+    for rows in (1, 3):
+        pred = _single_tree_fit(tree, 1).predict(xq[:rows])
+        assert pred.tobytes() == np.zeros((rows, 1)).tobytes()
+        assert pred.tobytes() == _reference_predict(
+            _single_tree_fit(tree, 1), xq[:rows]).tobytes()
+    X = np.random.default_rng(2).uniform(size=(12, 2))
+    fit = fit_forest(X, np.full(12, -0.0), {"ntree": 9, "seed": 3})
+    assert fit.predict(X[:1]).tobytes() == np.zeros((1, 1)).tobytes()
+
+
+def test_a_default_forest_predicts_a_surface_grid_below_four_megabytes():
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0, 1, size=(50, 2))
+    y = np.sin(6 * X[:, 0]) + X[:, 1] ** 2 + rng.normal(0, 0.1, 50)
+    fit = fit_forest(X, y, {"seed": 1})
+    # the rows of `seqtune surface --grid 41`
+    grid = np.stack(np.meshgrid(np.linspace(0, 1, 41), np.linspace(0, 1, 41)),
+                    axis=-1).reshape(-1, 2)
+    fit.predict(grid[:2])  # load lazily imported code
+    tracemalloc.start()
+    try:
+        pred = fit.predict(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pred.shape == (1681, 1)
+    assert peak <= 4 * 2**20
 
 
 def test_forest_learns_a_signal():

@@ -9,8 +9,9 @@ between two runs in one process.  The stacked run and the Branin Kriging run
 are also repeated in a fresh interpreter with OpenBLAS held to one thread,
 so their archives cannot depend on the BLAS thread count.  The two
 forest-only runs (the shipped SANN forest config and the OCBA run) are
-repeated under OpenBLAS's Haswell and Prescott kernels, so their archives
-cannot depend on the CPU's BLAS kernel either.
+repeated under OpenBLAS's Haswell and Prescott kernels, and with numpy's
+AVX-512 loops disabled, so their archives cannot depend on the CPU's BLAS
+kernel or on numpy's SIMD dispatch either.
 
 The `*_rsm_path.csv` files are the `rsm-path` output on the bundles of the
 three shipped configs.  Their header is compared byte for byte and their
@@ -99,14 +100,18 @@ def test_rsm_path_matches_the_golden_file(produced, name):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
 
 
-def _tune_in_subprocess(config: Path, out: Path, **env_vars) -> str:
-    """Run `seqtune tune` on `config` in a fresh interpreter; returns stderr."""
+def _tune_in_subprocess(config: Path, out: Path, check: str = "", **env_vars) -> str:
+    """Run `seqtune tune` on `config` in a fresh interpreter; returns stderr.
+
+    `check` is Python code that the interpreter runs first.
+    """
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    tune = f"{check}\nimport sys\nfrom seqtune.cli import main\nsys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(
-        [sys.executable, "-m", "seqtune.cli", "tune",
+        [sys.executable, "-c", tune, "tune",
          "--config", str(config), "--out", str(out)],
         capture_output=True,
         text=True,
@@ -146,6 +151,29 @@ def test_forest_runs_do_not_depend_on_the_blas_kernel(tmp_path, config, coretype
              if line.startswith("Core:")]
     assert cores, "OpenBLAS printed no kernel name"
     assert all(core in KERNEL_NAMES[coretype] for core in cores), cores
+    assert (out / "archive.csv").read_bytes() == (
+        GOLDEN / f"{config.stem}.csv").read_bytes()
+
+
+# numpy's dispatched exp, log and power give other last bits on their AVX2
+# loops than on their AVX-512 ones; this setting takes the AVX2 loops
+NO_AVX512 = "X86_V4,AVX512_ICL,AVX512_SPR"
+EXP_NOT_ON_AVX512 = """
+import numpy as np
+info = np.lib.introspect.opt_func_info(func_name="^exp$", signature="float64")
+current = [loop["current"] for loops in info.values() for loop in loops.values()]
+assert current and "X86_V4" not in current, info
+"""
+
+
+@pytest.mark.parametrize("config", [
+    ROOT / "configs" / "sann_forest.cfg",
+    GOLDEN / "sann_ocba.cfg",
+], ids=lambda path: path.stem)
+def test_forest_runs_do_not_depend_on_numpy_simd_dispatch(tmp_path, config):
+    out = tmp_path / config.stem
+    _tune_in_subprocess(config, out, check=EXP_NOT_ON_AVX512,
+                        NPY_DISABLE_CPU_FEATURES=NO_AVX512)
     assert (out / "archive.csv").read_bytes() == (
         GOLDEN / f"{config.stem}.csv").read_bytes()
 
