@@ -24,7 +24,7 @@ from .kriging import fit_kriging
 from .ocba import ocba_allocate
 from .optimizers import optim_lhd, optim_local_bounded
 from .rsm import fit_rsm
-from .stack import fit_stack
+from .stack import DEFAULT_FOLDS, fit_stack
 
 
 class InfeasibleBudgetError(ValueError):
@@ -430,6 +430,17 @@ def spot(
             f"initial design needs {initial.shape[0]} evaluations, "
             f"budget is {cfg.funEvals}"
         )
+    if initial.shape[0] < cfg.funEvals:
+        # the first model fit takes the whole design: check that it is big
+        # enough before evaluating any of it
+        need, what = 2, "the first model fit"
+        if cfg.model == "stack":
+            need = cfg.modelControl.get("folds", DEFAULT_FOLDS)
+            what = f"modelControl folds = {need}"
+        if initial.shape[0] < need:
+            raise ValueError(
+                f"{what} needs at least {need} initial design rows, got {initial.shape[0]}"
+            )
     return _run(fun, cfg, space, rng, SpotResult.empty(space.dim), initial)
 
 

@@ -29,12 +29,19 @@ values depends.  A split must reduce the node's squared error by more than
 value where that midpoint rounds up to the upper one).
 
 Each tree draws its bootstrap sample, then its node features, from its own
-generator.  When one feature is drawn per node, the tree takes all its
-draws in one `integers(0, d)` call after the bootstrap: numpy's Floyd path
-in `choice(d, 1, replace=False)` draws one bounded integer the same way,
-so the stream is that of a `choice` call per node.  With more features per
-node, each node still calls `choice`.  `tests/test_forest.py` keeps the
-recursive grower as the bit-for-bit reference and pins the draw stream.
+seed's stream: what `np.random.default_rng(seed)` would give from
+`integers(0, n, size=n)` and then, when one feature is drawn per node,
+`integers(0, d)` for all of the tree's nodes at once (numpy's Floyd path in
+`choice(d, 1, replace=False)` draws one bounded integer the same way).  All
+trees' streams are computed together: SeedSequence's hashing in uint32
+arrays, PCG64 (O'Neill, 2014) stepped in 128-bit arithmetic held as uint64
+pairs with its XSL-RR output, each output split into 32-bit words low half
+first, and each word bounded by Lemire's multiply-shift (TOMACS 2019).  A
+tree that one of the rare rejections of that method would hit is redrawn by
+its own generator, so every draw equals numpy's.  With more features per
+node, each tree builds its generator, moves it past the bootstrap and calls
+`choice` at every node.  `tests/test_forest.py` keeps the recursive grower
+as the bit-for-bit reference and pins the streams.
 """
 
 from __future__ import annotations
@@ -218,37 +225,122 @@ def _leaves(ntree, first, end):
             np.tile(np.arange(first, end, dtype=np.int32), (ntree, 1)), np.zeros(shape))
 
 
-def grow_trees(X, y, samples, mtry, min_node_size, rngs):
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+# PCG64's 128-bit multiplier, its high and low words and the low word's halves
+_MUL = 0x2360ED051FC65DA44385DF649FCCF645
+_MUL_HI, _MUL_LO = np.uint64(_MUL >> 64), np.uint64(_MUL & 2**64 - 1)
+_MUL_LO0, _MUL_LO1 = np.uint64(_MUL & 2**32 - 1), np.uint64(_MUL >> 32 & 2**32 - 1)
+
+
+def _seed_words(seeds):
+    """`SeedSequence(int(s)).generate_state(4, np.uint64)` for each seed below 2**64.
+
+    The seed enters as its low and high 32-bit words (a seed below 2**32
+    hashes like one whose high word is 0); returns the four words as arrays.
+    """
+    mask, u32 = 2**32 - 1, np.uint32
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ u32(const)
+        const = const * 0x931E8875 & mask
+        value = value * u32(const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        value = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
+        return value ^ (value >> u32(16))
+
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    pool = [hashmix(w) for w in ((seeds & _LOW).astype(np.uint32),
+                                 (seeds >> _HALF).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ u32(const)
+        const = const * 0x58F38DED & mask
+        value = value * u32(const)
+        words.append((value ^ (value >> u32(16))).astype(np.uint64))
+    return [words[k] | (words[k + 1] << _HALF) for k in range(0, 8, 2)]
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """The 128-bit PCG step state * multiplier + inc, on (high, low) words."""
+    a0, a1 = lo & _LOW, lo >> _HALF
+    low_low, high_low = a0 * _MUL_LO0, a1 * _MUL_LO0
+    cross = (low_low >> _HALF) + (high_low & _LOW) + a0 * _MUL_LO1
+    carry = (high_low >> _HALF) + (cross >> _HALF) + a1 * _MUL_LO1
+    hi = carry + lo * _MUL_HI + hi * _MUL_LO + inc_hi
+    lo = lo * _MUL_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _pcg_words(seeds, words):
+    """The first `words` 32-bit words of each seed's PCG64 stream, as uint64.
+
+    Each 64-bit output is split low half first, as numpy's `next_uint32`
+    buffers it.
+    """
+    w0, w1, w2, w3 = _seed_words(seeds)
+    inc_hi = (w2 << np.uint64(1)) | (w3 >> np.uint64(63))
+    inc_lo = (w3 << np.uint64(1)) | np.uint64(1)
+    # seeding: state 0, step (to inc), add the seed (w0 high, w1 low), step
+    lo = inc_lo + w1
+    hi, lo = _pcg_step(inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo)
+    out = np.empty((seeds.shape[0], (words + 1) // 2), dtype=np.uint64)
+    for k in range(out.shape[1]):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> np.uint64(58)  # XSL-RR output
+        out[:, k] = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return np.stack([out & _LOW, out >> _HALF], axis=2).reshape(seeds.shape[0], -1)
+
+
+def seeded_integers(seeds, calls):
+    """Each seed's draws from `rng = np.random.default_rng(int(seed))`.
+
+    `calls` lists (high, size) pairs, 1 <= high <= 2**32, of the calls
+    `rng.integers(0, high, size=size)` made in order; returns one int64
+    (len(seeds), size) array per call.  Seeds must lie below 2**64.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    # a bound of 1 consumes no words, as numpy's zero-range path does
+    stream = _pcg_words(seeds, sum(size for high, size in calls if high > 1))
+    out, at = [], 0
+    redraw = np.zeros(seeds.shape[0], dtype=bool)
+    for high, size in calls:
+        if high == 1:
+            out.append(np.zeros((seeds.shape[0], size), dtype=np.int64))
+            continue
+        scaled = stream[:, at:at + size] * np.uint64(high)
+        at += size
+        # Lemire's rejection: numpy would replace such a word with the next
+        redraw |= ((scaled & _LOW) < np.uint64((2**32 - high) % high)).any(axis=1)
+        out.append((scaled >> _HALF).astype(np.int64))
+    for t in np.flatnonzero(redraw).tolist():
+        rng = np.random.default_rng(int(seeds[t]))
+        for draws, (high, size) in zip(out, calls):
+            draws[t] = rng.integers(0, high, size=size)
+    return out
+
+
+def grow_trees(X, y, samples, min_node_size, features):
     """Grow one regression tree per sample of rows of (X, y).
 
     Tree t is grown on the rows `samples[t]`, indices into X and y (repeats
-    allowed, one count for all trees), and draws its node features from
-    `rngs[t]` alone.  Returns the node arrays feature, threshold, left and
-    value, trimmed to the largest tree, and the deepest tree's depth.
+    allowed, one count for all trees).  `features(trees)` returns one row of
+    candidate features per named tree, for that tree's next node that can
+    split; each tree's nodes ask in depth-first order, left child first.
+    Returns the node arrays feature, threshold, left and value, trimmed to
+    the largest tree, and the deepest tree's depth.
     """
     # a copy: each node's segment is partitioned in place
     perm = np.array(samples, dtype=np.int32)
     ntree, n = perm.shape
     perm = perm.reshape(-1)
-    d = X.shape[1]
-    n_draw = min(mtry, d)
-    if n_draw == 1:
-        # a node draws once if it splits or if, holding 2 * min_node_size rows
-        # or more, it could have; with a leaves that drew and b that did not,
-        # a tree makes (a + b - 1) + a draws and n >= (2a + b) * min_node_size
-        draws = max(n // min_node_size - 1, 0)
-        buffer = np.array([rng.integers(0, d, size=draws) for rng in rngs],
-                          dtype=np.int32)
-        used = np.zeros(ntree, dtype=np.intp)
-
-        def features(trees):
-            f = buffer[trees, used[trees]]
-            used[trees] += 1
-            return f[:, None]
-    else:
-        def features(trees):
-            return np.array([rngs[t].choice(d, size=n_draw, replace=False)
-                             for t in trees.tolist()])
     # a node, its segment of perm and its depth; splitting a node at depth k
     # leaves at most k + 2 nodes on its tree's stack, and that node holds
     # 2 * min_node_size to n - k * min_node_size rows, so k + 2 <= n // min_node_size
@@ -319,10 +411,29 @@ def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> 
         raise ValueError("ntree, mtry and min_node_size must be positive")
     root_rng = np.random.default_rng(control.get("seed"))
     seeds = root_rng.integers(0, 2**63 - 1, size=ntree)
-    rngs = [np.random.default_rng(int(s)) for s in seeds]
-    samples = np.array([rng.integers(0, n, size=n) for rng in rngs], dtype=np.int32)
+    n_draw = min(mtry, d)
+    # a node draws once if it splits or if, holding 2 * min_node_size rows
+    # or more, it could have; with a leaves that drew and b that did not,
+    # a tree makes (a + b - 1) + a draws and n >= (2a + b) * min_node_size
+    draws = max(n // min_node_size - 1, 0) if n_draw == 1 else 0
+    samples, drawn = seeded_integers(seeds, [(n, n), (d, draws)])
+    if n_draw == 1:
+        used = np.zeros(ntree, dtype=np.intp)
+
+        def features(trees):
+            f = drawn[trees, used[trees]]
+            used[trees] += 1
+            return f[:, None]
+    else:
+        rngs = [np.random.default_rng(int(s)) for s in seeds]
+        for rng in rngs:
+            rng.integers(0, n, size=n)  # past the bootstrap in `samples`
+
+        def features(trees):
+            return np.array([rngs[t].choice(d, size=n_draw, replace=False)
+                             for t in trees.tolist()])
     feature, threshold, left, value, depth = grow_trees(
-        X, y, samples, mtry, min_node_size, rngs)
+        X, y, samples, min_node_size, features)
     return ForestFit(
         feature=feature,
         threshold=threshold,

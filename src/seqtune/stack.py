@@ -19,6 +19,7 @@ from .kriging import fit_kriging
 from .rsm import fit_rsm
 
 DEFAULT_MEMBERS = ("kriging", "forest", "rsm")
+DEFAULT_FOLDS = 5
 
 _FITTERS = {
     "kriging": fit_kriging,
@@ -76,7 +77,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     n = X.shape[0]
-    folds = int(control.get("folds", 5))
+    folds = int(control.get("folds", DEFAULT_FOLDS))
     if folds < 2:
         raise ValueError("folds must be at least 2")
     if n < folds:

@@ -460,6 +460,31 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_a_design_too_small_for_the_first_fit_exits_2_unevaluated(
+    tmp_path, capsys, monkeypatch
+):
+    # these used to evaluate the whole design, then exit 2 without a bundle
+    calls = []
+
+    def objective(name):
+        fun = get_objective(name)
+        return lambda x: calls.append(x) or fun(x)
+
+    monkeypatch.setattr("seqtune.cli.get_objective", objective)
+    sphere = "[run]\nfun = sphere\nlower = 0, 0\nupper = 1, 1\n[spot]\nfunEvals = 12\n"
+    for text, key in (
+        ("model = stack\n[modelControl]\nfolds = 20\n", "modelControl folds = 20"),
+        ("[designControl]\nsize = 1\n", "the first model fit"),
+    ):
+        small = _cfg(tmp_path, sphere + text)
+        out = str(tmp_path / "b")
+        assert main(["tune", "--config", small, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert calls == []
+        assert not os.path.exists(out)
+
+
 def test_a_lone_stack_member_in_a_config_is_one_member(tmp_path, capsys):
     cfg = _cfg(
         tmp_path,

@@ -142,6 +142,29 @@ def test_supplied_rows_count_against_the_budget():
         )
 
 
+@pytest.mark.parametrize("control", [
+    {"model": "stack", "modelControl": {"folds": 20}},
+    {"model": "stack", "designControl": {"size": 3}},  # five folds by default
+    {"designControl": {"size": 1}},
+    {"designControl": {"size": 1}, "model": "forest"},
+])
+def test_a_design_too_small_for_the_first_fit_stops_before_evaluating(control):
+    # these used to evaluate the whole design and then fail in the first fit
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return _sphere(x)
+
+    with pytest.raises(ValueError, match="needs at least .* initial design rows, got"):
+        spot(None, fun, [-1, -1], [1, 1], {"funEvals": 12, **control})
+    assert calls == []
+    # with no room for an iteration no model is fit, so the design runs
+    rows = control.get("designControl", {}).get("size", 10)
+    res = spot(None, fun, [-1, -1], [1, 1], {"funEvals": rows, **control})
+    assert res.count == rows and res.modelFit is None
+
+
 def test_hard_budget_and_archive_consistency():
     cfg = {
         "funEvals": 13,

@@ -10,8 +10,12 @@ linked nodes through `ForestFit.trees`, must equal it bit for bit.  (The two
 differ only where the midpoint of two neighbouring doubles rounds up to the
 upper one: there the oracle recurses forever, and the property test's grids
 never make such pairs.)  The package draws all of a tree's features in one
-`integers` call when it draws one per node; a test pins that this is the
-stream of one `choice` call per node.  The prediction oracle sends whole
+`integers` call's worth of draws when it draws one per node; a test pins
+that this is the stream of one `choice` call per node.  It computes every
+tree's bootstrap and feature draws at once from the tree seeds, without a
+generator per tree; tests pin those draws against `np.random.default_rng`
+across seeds, sizes and bounds, including bounds whose words numpy rejects.
+The prediction oracle sends whole
 batches down each linked tree by recursive boolean-mask partitions and adds
 the trees' values in tree order from 0.0; the package walks every (tree,
 row) pair through its node arrays at once, so the two must agree bit for
@@ -25,7 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtune.forest import ForestFit, _Node, fit_forest, grow_trees
+from seqtune import forest
+from seqtune.forest import ForestFit, _Node, fit_forest, grow_trees, seeded_integers
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray, min_leaf: int):
@@ -91,8 +96,16 @@ def grow_tree(
 
 
 def _grow_one(x, y, mtry, min_node_size, rng):
-    """The package's grower on all rows of (x, y), as a single linked tree."""
-    arrays = grow_trees(x, y, [np.arange(len(y))], mtry, min_node_size, [rng])
+    """The package's grower on all rows of (x, y), as a single linked tree.
+
+    Like the oracle, it draws one `choice` per node that can split from `rng`.
+    """
+    d = x.shape[1]
+
+    def features(trees):
+        return rng.choice(d, size=min(mtry, d), replace=False)[None]
+
+    arrays = grow_trees(x, y, [np.arange(len(y))], min_node_size, features)
     return ForestFit(*arrays, ntree=1, mtry=mtry, min_node_size=min_node_size,
                      seeds=np.array([0]), n_features=x.shape[1]).trees[0]
 
@@ -329,6 +342,63 @@ def test_one_integers_call_is_the_stream_of_one_choice_per_node(d):
         assert per_node.random() == batched.random()
 
 
+@pytest.fixture
+def generators(monkeypatch):
+    """The seeds of the generators that `np.random.default_rng` makes."""
+    made, real = [], np.random.default_rng
+
+    def counting(seed=None):
+        made.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(forest.np.random, "default_rng", counting)
+    return made
+
+
+# the ends of each 32-bit seed word; 2**63 - 2 is the largest tree seed
+_PINNED_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
+
+
+def _assert_numpy_draws(seeds, calls, got):
+    """`got` holds each seed's `default_rng(seed).integers(0, high, size)` calls."""
+    for i, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(int(seed)))  # default_rng(seed)
+        for (high, size), draws in zip(calls, got):
+            assert draws[i].tolist() == rng.integers(0, high, size=size).tolist(), (
+                f"numpy {np.__version__}: default_rng({seed}) no longer draws "
+                f"integers(0, {high}, size={size}) in the calls {calls} as "
+                f"forest.seeded_integers computes them"
+            )
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_vectorized_draws_are_the_stream_of_default_rng(n, generators):
+    # a tree's bootstrap integers(0, n, size=n), then its feature draws
+    # integers(0, d, size=k): an odd n leaves the high half of its last
+    # 64-bit output to the first feature draw, and n = 1 or d = 1 take no words
+    spread = np.random.SeedSequence(n).generate_state(8, np.uint64) >> np.uint64(1)
+    seeds = _PINNED_SEEDS + spread.tolist()
+    for d in range(1, 9):
+        for k in (0, 1, n // d + 2):
+            calls = [(n, n), (d, k)]
+            _assert_numpy_draws(seeds, calls, seeded_integers(seeds, calls))
+    assert generators == []  # no word of these bounds is rejected
+
+
+@pytest.mark.parametrize("high", [2**31 + 1, 2**32 - 1, 2**32])
+def test_rejected_words_are_redrawn_by_the_trees_own_generator(high, generators):
+    # Lemire's method rejects a word when (word * high) mod 2**32 falls below
+    # (2**32 - high) % high: about half the words at 2**31 + 1, none at 2**32
+    seeds = _PINNED_SEEDS + list(range(2, 40))
+    calls = [(7, 7), (high, 9), (3, 4)]
+    got = seeded_integers(seeds, calls)
+    if high == 2**31 + 1:
+        assert len(generators) > len(seeds) // 2
+    if high == 2**32:
+        assert generators == []
+    _assert_numpy_draws(seeds, calls, got)
+
+
 # ---------------------------------------------------------------------------
 # forest fitting
 
@@ -484,6 +554,18 @@ def test_a_default_fit_on_fifty_rows_peaks_below_three_megabytes():
         tracemalloc.stop()
     assert fit.ntree == 500
     assert peak <= 3 * 2**20
+
+
+def test_a_default_fit_makes_no_generator_per_tree(generators):
+    # building 500 generators was most of a small fit; with one feature per
+    # node every tree's draws come from its seed without one
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0, 1, size=(50, 2))
+    y = np.sin(6 * X[:, 0]) + X[:, 1] ** 2 + rng.normal(0, 0.1, 50)
+    generators.clear()
+    fit = fit_forest(X, y, {"seed": 1})
+    assert (fit.ntree, fit.mtry) == (500, 1)
+    assert generators in ([], [1])  # at most the root generator
 
 
 def test_fit_validates_input():
