@@ -24,7 +24,9 @@ from .kriging import fit_kriging
 from .ocba import ocba_allocate
 from .optimizers import optim_lhd, optim_local_bounded
 from .rsm import fit_rsm
-from .stack import DEFAULT_FOLDS, fit_stack
+from .rsm import min_rows as rsm_min_rows
+from .stack import fit_stack
+from .stack import min_rows as stack_min_rows
 
 
 class InfeasibleBudgetError(ValueError):
@@ -36,6 +38,12 @@ _MODELS: dict[str, Callable] = {
     "forest": fit_forest,
     "stack": fit_stack,
     "rsm": fit_rsm,
+}
+
+# the rows a model's fit needs beyond fit_surrogate's two, from the rows' spread
+_MIN_ROWS: dict[str, Callable] = {
+    "stack": stack_min_rows,
+    "rsm": rsm_min_rows,
 }
 
 _OPTIMIZERS: dict[str, Callable] = {
@@ -245,6 +253,12 @@ def _resolve(table: dict, value, kind: str) -> Callable:
         raise ValueError(f"unknown {kind} {value!r} (known: {known})") from None
 
 
+def _min_rows(cfg: SpotConfig, x: np.ndarray) -> int:
+    """The fewest rows like x that `fit_surrogate` fits the configured model to."""
+    rule = _MIN_ROWS.get(cfg.model) if isinstance(cfg.model, str) else None
+    return max(2, rule(x, cfg.modelControl)) if rule else 2
+
+
 def fit_surrogate(x: np.ndarray, y: np.ndarray, control=None, seed=None):
     """Fit the configured surrogate to the finite rows of an archive.
 
@@ -253,8 +267,11 @@ def fit_surrogate(x: np.ndarray, y: np.ndarray, control=None, seed=None):
     """
     cfg = _normalize_config(control)
     finite = np.isfinite(np.asarray(y, dtype=float).reshape(-1))
-    if finite.sum() < 2:
-        raise ValueError("not enough finite evaluations to fit a model")
+    need = _min_rows(cfg, x[finite])
+    if finite.sum() < need:
+        raise ValueError(
+            f"{finite.sum()} finite evaluations cannot fit the model, it needs {need}"
+        )
     ctl = dict(cfg.modelControl)
     ctl.setdefault("types", cfg.types or None)
     ctl.setdefault("seed", seed)
@@ -430,17 +447,14 @@ def spot(
             f"initial design needs {initial.shape[0]} evaluations, "
             f"budget is {cfg.funEvals}"
         )
-    if initial.shape[0] < cfg.funEvals:
-        # the first model fit takes the whole design: check that it is big
-        # enough before evaluating any of it
-        need, what = 2, "the first model fit"
-        if cfg.model == "stack":
-            need = cfg.modelControl.get("folds", DEFAULT_FOLDS)
-            what = f"modelControl folds = {need}"
-        if initial.shape[0] < need:
-            raise ValueError(
-                f"{what} needs at least {need} initial design rows, got {initial.shape[0]}"
-            )
+    # unless the design spends the budget, the first model fit takes all of
+    # it: check that it is big enough before evaluating any of it
+    need = _min_rows(cfg, initial)
+    if initial.shape[0] < min(need, cfg.funEvals):
+        raise ValueError(
+            f"the first model fit needs at least {need} initial design rows, "
+            f"got {initial.shape[0]}"
+        )
     return _run(fun, cfg, space, rng, SpotResult.empty(space.dim), initial)
 
 

@@ -327,6 +327,25 @@ def seeded_integers(seeds, calls):
     return out
 
 
+def feature_draws(n, min_node_size):
+    """The most features a tree of n rows draws at one per node."""
+    # a node draws once if it splits or if, holding 2 * min_node_size rows
+    # or more, it could have; with a leaves that drew and b that did not,
+    # a tree makes (a + b - 1) + a draws and n >= (2a + b) * min_node_size
+    return max(n // min_node_size - 1, 0)
+
+
+def one_per_node(drawn):
+    """`grow_trees`'s `features` reading tree t's draws from `drawn[t]` in order."""
+    used = np.zeros(drawn.shape[0], dtype=np.intp)
+
+    def features(trees):
+        f = drawn[trees, used[trees]]
+        used[trees] += 1
+        return f[:, None]
+    return features
+
+
 def grow_trees(X, y, samples, min_node_size, features):
     """Grow one regression tree per sample of rows of (X, y).
 
@@ -412,18 +431,10 @@ def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> 
     root_rng = np.random.default_rng(control.get("seed"))
     seeds = root_rng.integers(0, 2**63 - 1, size=ntree)
     n_draw = min(mtry, d)
-    # a node draws once if it splits or if, holding 2 * min_node_size rows
-    # or more, it could have; with a leaves that drew and b that did not,
-    # a tree makes (a + b - 1) + a draws and n >= (2a + b) * min_node_size
-    draws = max(n // min_node_size - 1, 0) if n_draw == 1 else 0
+    draws = feature_draws(n, min_node_size) if n_draw == 1 else 0
     samples, drawn = seeded_integers(seeds, [(n, n), (d, draws)])
     if n_draw == 1:
-        used = np.zeros(ntree, dtype=np.intp)
-
-        def features(trees):
-            f = drawn[trees, used[trees]]
-            used[trees] += 1
-            return f[:, None]
+        features = one_per_node(drawn)
     else:
         rngs = [np.random.default_rng(int(s)) for s in seeds]
         for rng in rngs:

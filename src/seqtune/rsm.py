@@ -74,6 +74,15 @@ def _basis(z: np.ndarray, active: np.ndarray, main_effects_only: bool):
     return np.column_stack(cols), names, pairs
 
 
+def min_rows(X: np.ndarray, control: Optional[dict] = None) -> int:
+    """The fewest rows `fit_rsm` fits where X's columns vary: one per term."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    k = int(np.count_nonzero((X != X[:1]).any(axis=0)))
+    if dict(control or {}).get("mainEffectsOnly", False):
+        return 1 + k
+    return 1 + k + k * (k + 1) // 2
+
+
 def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSMFit:
     """Least-squares fit of the full second-order model in coded units.
 

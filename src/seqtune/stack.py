@@ -19,7 +19,6 @@ from .kriging import fit_kriging
 from .rsm import fit_rsm
 
 DEFAULT_MEMBERS = ("kriging", "forest", "rsm")
-DEFAULT_FOLDS = 5
 
 _FITTERS = {
     "kriging": fit_kriging,
@@ -63,6 +62,11 @@ def _member_settings(control: dict) -> tuple[list, dict]:
     return list(names), per_member
 
 
+def min_rows(X: np.ndarray, control: Optional[dict] = None) -> int:
+    """The fewest rows `fit_stack` fits: one per fold (control key folds)."""
+    return int(dict(control or {}).get("folds", 5))
+
+
 def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> StackFit:
     """Fit members and their out-of-fold blend weights.
 
@@ -77,7 +81,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     n = X.shape[0]
-    folds = int(control.get("folds", DEFAULT_FOLDS))
+    folds = min_rows(X, control)
     if folds < 2:
         raise ValueError("folds must be at least 2")
     if n < folds:

@@ -472,15 +472,17 @@ def test_a_design_too_small_for_the_first_fit_exits_2_unevaluated(
 
     monkeypatch.setattr("seqtune.cli.get_objective", objective)
     sphere = "[run]\nfun = sphere\nlower = 0, 0\nupper = 1, 1\n[spot]\nfunEvals = 12\n"
-    for text, key in (
-        ("model = stack\n[modelControl]\nfolds = 20\n", "modelControl folds = 20"),
-        ("[designControl]\nsize = 1\n", "the first model fit"),
+    for text, need in (
+        ("model = stack\n[modelControl]\nfolds = 20\n", 20),
+        ("[designControl]\nsize = 1\n", 2),
+        ("model = rsm\n[designControl]\nsize = 5\n", 6),
     ):
         small = _cfg(tmp_path, sphere + text)
         out = str(tmp_path / "b")
         assert main(["tune", "--config", small, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and key in err
+        assert "config error" in err
+        assert f"the first model fit needs at least {need} initial design rows" in err
         assert calls == []
         assert not os.path.exists(out)
 

@@ -147,6 +147,7 @@ def test_supplied_rows_count_against_the_budget():
     {"model": "stack", "designControl": {"size": 3}},  # five folds by default
     {"designControl": {"size": 1}},
     {"designControl": {"size": 1}, "model": "forest"},
+    {"model": "rsm", "designControl": {"size": 5}},  # six terms in two dimensions
 ])
 def test_a_design_too_small_for_the_first_fit_stops_before_evaluating(control):
     # these used to evaluate the whole design and then fail in the first fit

@@ -98,13 +98,17 @@ def grow_tree(
 def _grow_one(x, y, mtry, min_node_size, rng):
     """The package's grower on all rows of (x, y), as a single linked tree.
 
-    Like the oracle, it draws one `choice` per node that can split from `rng`.
+    It draws its node features from `rng` as `fit_forest` draws them after a
+    tree's bootstrap: one `integers(0, d)` call, `forest.feature_draws` long,
+    with one feature per node, else one `choice` per node that can split.
     """
     d = x.shape[1]
-
-    def features(trees):
-        return rng.choice(d, size=min(mtry, d), replace=False)[None]
-
+    if min(mtry, d) == 1:
+        draws = forest.feature_draws(x.shape[0], min_node_size)
+        features = forest.one_per_node(rng.integers(0, d, size=(1, draws)))
+    else:
+        def features(trees):
+            return rng.choice(d, size=min(mtry, d), replace=False)[None]
     arrays = grow_trees(x, y, [np.arange(len(y))], min_node_size, features)
     return ForestFit(*arrays, ntree=1, mtry=mtry, min_node_size=min_node_size,
                      seeds=np.array([0]), n_features=x.shape[1]).trees[0]
@@ -277,7 +281,8 @@ def test_a_chain_of_splits_reaches_the_growers_bounds(leaves_draw, min_node_size
     # min_node_size rows per level the deepest split leaves n // min_node_size
     # nodes on the stack; with twice that many rows of two targets, every
     # leaf draws a feature and fails to split, so the tree makes
-    # n // min_node_size - 1 draws.  The grower's buffers have those sizes.
+    # n // min_node_size - 1 draws.  The grower's stack and fit_forest's
+    # feature buffer have those sizes.
     levels = 16
     per_level = min_node_size * (2 if leaves_draw else 1)
     x = np.repeat(np.arange(levels, dtype=float), per_level)
@@ -291,6 +296,7 @@ def test_a_chain_of_splits_reaches_the_growers_bounds(leaves_draw, min_node_size
     assert _depth(tree) == levels - 1
     if leaves_draw:
         assert oracle_rng.calls == x.shape[0] // min_node_size - 1
+        assert forest.feature_draws(x.shape[0], min_node_size) == oracle_rng.calls
 
 
 @settings(max_examples=150)

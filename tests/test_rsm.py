@@ -17,6 +17,7 @@ from seqtune.rsm import (
     RankDeficiencyError,
     descent_path,
     fit_rsm,
+    min_rows,
 )
 
 
@@ -128,6 +129,18 @@ def test_too_few_rows_raise_rank_error():
     X = np.random.default_rng(9).uniform(0, 1, size=(5, 2))
     with pytest.raises(RankDeficiencyError, match="5 rows cannot identify 6 terms"):
         fit_rsm(X, X[:, 0])
+
+
+@pytest.mark.parametrize("control", [{}, {"mainEffectsOnly": True}])
+def test_min_rows_is_the_term_count_of_the_varying_columns(control):
+    # the third column is constant, so it adds no term
+    rng = np.random.default_rng(11)
+    X = np.column_stack([rng.uniform(0, 1, size=(12, 2)), np.full(12, 0.5)])
+    need = min_rows(X, control)
+    assert need == (3 if control else 6)
+    fit_rsm(X[:need], X[:need, 0], control)
+    with pytest.raises(RankDeficiencyError, match=f"cannot identify {need} terms"):
+        fit_rsm(X[:need - 1], X[:need - 1, 0], control)
 
 
 def test_collinear_columns_raise_rank_error_naming_terms():
