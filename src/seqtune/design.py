@@ -36,6 +36,8 @@ class ParamSpace:
             raise ValueError("lower and upper must be 1-d and the same length")
         if self.lower.size < 1:
             raise ValueError("empty parameter space")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError(f"bounds must be finite: lower {self.lower}, upper {self.upper}")
         if not self.types:
             self.types = ("numeric",) * self.lower.size
         self.types = tuple(self.types)

@@ -6,6 +6,12 @@ the unequality indicator for factor dimensions.  Hyperparameters are found
 by maximum likelihood on log10 scales, with the concentrated form giving the
 process mean and variance in closed form.
 
+Every likelihood value, in the search and in the final fit, comes from one
+computation: the Cholesky factor of the bordered matrix
+[[K + lam I, 1, y], [1', C, 0], [y', 0, C]], whose last two rows hold
+L^-1 1 and L^-1 y.  The targets enter it divided by the smallest power of
+two above max|y|, so y and 2^k y give it the same bits.
+
 Inputs are scaled to the unit box internally (factor columns excepted), so
 the fitted activity parameters live on that scale.
 """
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrs
 
 from . import optimizers
 from .design import cross_dist
@@ -30,13 +36,9 @@ _PENALTY = 1e10
 _STACK_DOUBLES = 2**15
 
 # trailing diagonal of the bordered matrices: far above 1' K^-1 1 and
-# y' K^-1 y of any factor that the search keeps, so the last two pivots
-# stay positive
+# y' K^-1 y (|y| < 1) of any factor that the search keeps, so the last two
+# pivots stay positive
 _BORDER = 1e300
-
-# larger targets skip the bordered factor: there the per-row path's own
-# overflow, not the border, decides which rows are penalized
-_MAX_BORDERED_Y = 1e100
 
 DEFAULT_THETA_BOUNDS = (-6.0, 2.0)
 DEFAULT_LAMBDA_BOUNDS = (-6.0, 0.0)
@@ -68,14 +70,6 @@ class KrigingFit:
         return mean.reshape(-1, 1)
 
 
-def _factor(k: np.ndarray) -> Optional[np.ndarray]:
-    """Lower Cholesky factor of k, or None when k is not positive definite."""
-    lower, info = dpotrf(k, lower=1, clean=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return None if info > 0 else lower
-
-
 def _solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve k x = b given the lower Cholesky factor of k."""
     x, info = dpotrs(lower, b, lower=1)
@@ -84,124 +78,49 @@ def _solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _correlation(theta: np.ndarray, flat: np.ndarray, shape: tuple) -> np.ndarray:
-    """Correlations exp(-theta . d) of the given shape from (d, m*n) distances."""
-    return np.exp(-np.dot(theta.reshape(1, -1), flat)).reshape(shape)
+def _likelihood_values(lower: np.ndarray):
+    """Concentrated -ln-likelihoods from a stack of bordered factors.
 
-
-def _usable_factor(ldiag: np.ndarray) -> np.ndarray:
-    """Whether each row of Cholesky pivots (B, n) gives a usable factor.
-
-    Every pivot must be positive and finite, and the factor must not be
-    effectively singular (squared pivot ratio above 1e12): that would be
-    useless for prediction, so it is penalized like a failure.
+    `lower` is (B, n+2, n+2): rows n and n+1 of each factor are L^-1 1 and
+    L^-1 y, and its first n pivots are those of K + lam I.  Returns
+    (values, usable, mu, sigma2).  A row is usable, and its value not
+    _PENALTY, when every pivot is positive and finite, K + lam I is not
+    effectively singular (a lower bound on its condition number above
+    1e12: useless for prediction, so penalized like a failure) and sigma2
+    is finite.
     """
-    lo, hi = ldiag.min(axis=1), ldiag.max(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # a NaN pivot makes lo and hi NaN, which fails every comparison
-        return (lo > 0) & (hi < np.inf) & ((hi / lo) ** 2 <= 1e12)
-
-
-def _likelihood_values(ldiag: np.ndarray, sigma2: np.ndarray):
-    """Concentrated -ln-likelihoods from pivots (B, n) and variances (B,).
-
-    Returns (values, usable).  A row is usable, and its value not _PENALTY,
-    when its factor is usable and its sigma2 finite.
-    """
-    n = ldiag.shape[1]
-    usable = _usable_factor(ldiag) & np.isfinite(sigma2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        half_log_det = np.log(ldiag).sum(axis=1)
-        value = 0.5 * n * np.log(np.maximum(sigma2, 1e-300)) + half_log_det
-    return np.where(usable, value, _PENALTY), usable
-
-
-def _neg_log_likelihood(
-    theta: np.ndarray,
-    lam: float,
-    flat: np.ndarray,
-    diag: np.ndarray,
-    one: np.ndarray,
-    y: np.ndarray,
-):
-    """Concentrated -ln-likelihood of one row; returns (value, parts or None).
-
-    `flat` is the (d, n*n) distance tensor, `diag` indexes the diagonal of a
-    raveled n-by-n matrix and `one` is the (n, 1) ones column, all built
-    once per fit.
-    """
-    n = y.shape[0]
-    k = _correlation(theta, flat, (n, n))
-    # off-diagonal correlations are >= 0, so adding the nugget on the
-    # diagonal alone equals adding lam * identity
-    k.reshape(-1)[diag] += lam
-    lower = _factor(k)
-    if lower is None or not _usable_factor(np.diag(lower)[None])[0]:
-        return _PENALTY, None
-    kinv_y = _solve(lower, y)
-    kinv_one = _solve(lower, one)
-    # huge targets can overflow here; the rule below penalizes that
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = ((one.T @ kinv_y) / (one.T @ kinv_one)).item()
-        resid = y - mu
-        kinv_resid = kinv_y - mu * kinv_one
-        sigma2 = (resid.T @ kinv_resid).item() / n
-    value, usable = _likelihood_values(np.diag(lower)[None], np.array([sigma2]))
-    if not usable[0]:
-        return _PENALTY, None
-    return float(value[0]), (k, lower, mu, sigma2, kinv_resid)
-
-
-def _bordered_values(m: np.ndarray) -> Optional[np.ndarray]:
-    """Likelihood values from a stack of bordered matrices (B, n+2, n+2).
-
-    None when any matrix of the stack does not factor.
-    """
-    n = m.shape[1] - 2
-    try:
-        lower = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return None
-    kinv_one = lower[:, n, :n]
-    kinv_y = lower[:, n + 1, :n]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mu = (kinv_one * kinv_y).sum(axis=1) / (kinv_one * kinv_one).sum(axis=1)
-        resid = kinv_y - mu[:, None] * kinv_one
-        sigma2 = (resid * resid).sum(axis=1) / n
+    n = lower.shape[1] - 2
+    l_one = lower[:, n, :n]
+    l_y = lower[:, n + 1, :n]
     # the first n entries of each factor's diagonal
-    pivots = lower.reshape(m.shape[0], -1)[:, : n * (n + 3) : n + 3]
-    return _likelihood_values(pivots, sigma2)[0]
+    pivots = lower.reshape(lower.shape[0], -1)[:, : n * (n + 3) : n + 3]
+    lo, hi = pivots.min(axis=1), pivots.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        one_q, one_y = (l_one * l_one).sum(axis=1), (l_one * l_y).sum(axis=1)
+        mu = one_y / one_q
+        resid = l_y - mu[:, None] * l_one
+        sigma2 = (resid * resid).sum(axis=1) / n
+        # lower bounds on the condition number, as lambda_max >= 1: the
+        # squared pivot ratio, and 1'K^-1 1 / n and y'K^-1 y / n (|y| < 1),
+        # which is sigma2 + mu 1'K^-1 y / n
+        kappa = np.maximum((hi / lo) ** 2, np.maximum(one_q / n, sigma2 + mu * one_y / n))
+        # a NaN pivot makes lo, hi and kappa NaN, which fail every comparison
+        usable = (lo > 0) & (hi < np.inf) & (kappa <= 1e12)
+        usable &= np.isfinite(sigma2)
+        half_log_det = np.log(pivots).sum(axis=1)
+        value = 0.5 * n * np.log(np.maximum(sigma2, 1e-300)) + half_log_det
+    return np.where(usable, value, _PENALTY), usable, mu, sigma2
 
 
-def _stacked_neg_log_likelihood(
-    theta: np.ndarray,
-    lam: np.ndarray,
-    flat: np.ndarray,
-    diag: np.ndarray,
-    one: np.ndarray,
-    y: np.ndarray,
-) -> np.ndarray:
-    """Concentrated -ln-likelihoods of the rows of theta (B, d) and lam (B,).
+def _bordered_stacks(theta: np.ndarray, lam: np.ndarray, flat: np.ndarray, y: np.ndarray):
+    """Yield the bordered matrices of the rows of theta (B, d) and lam (B,).
 
-    The rows go in stacks of about _STACK_DOUBLES doubles, and one
-    np.linalg.cholesky call factors a stack's bordered matrices
-    [[K + lam I, 1, y], [1', C, 0], [y', 0, C]].  Rows n and n+1 of each
-    factor are then L^-1 1 and L^-1 y, and its leading n pivots are those of
-    K + lam I, so no solve is needed.  The values agree with
-    _neg_log_likelihood to rounding, not bit for bit.  A stack with a matrix
-    that does not factor, or every row when y is too large for the border,
-    is evaluated by _neg_log_likelihood instead.
+    Each stack is (b, n+2, n+2) and holds [[K + lam I, 1, y], [1', C, 0],
+    [y', 0, C]] for b consecutive rows, where `flat` is the (d, n*n)
+    distance tensor.  A stack holds about _STACK_DOUBLES doubles, which
+    keeps memory flat in the row count; the next stack overwrites it.
     """
-
-    def per_row(lo: int, hi: int) -> list:
-        return [
-            _neg_log_likelihood(t, lam_t, flat, diag, one, y)[0]
-            for t, lam_t in zip(theta[lo:hi], lam[lo:hi])
-        ]
-
     rows, n = theta.shape[0], y.shape[0]
-    if np.max(np.abs(y)) > _MAX_BORDERED_Y:
-        return np.array(per_row(0, rows))
     block = max(1, min(rows, _STACK_DOUBLES // (n + 2) ** 2))
     # buffers shared by the stacks, so that each stack allocates only its
     # factor; the border is written once
@@ -210,19 +129,36 @@ def _stacked_neg_log_likelihood(
     m[:, n, :n] = m[:, :n, n] = 1.0
     m[:, n + 1, :n] = m[:, :n, n + 1] = y.ravel()
     m[:, n:, n:] = [[_BORDER, 0.0], [0.0, _BORDER]]
-    values = np.empty(rows)
     for lo in range(0, rows, block):
         hi = min(rows, lo + block)
         b = hi - lo
-        c = np.matmul(theta[lo:hi], flat, out=corr[:b])
+        # einsum sums theta . d in numpy's own loops, one row at a time, so
+        # that a row's bits do not depend on the stack's row count, as a
+        # BLAS product's would
+        c = np.einsum("bj,jk->bk", theta[lo:hi], flat, out=corr[:b])
         np.negative(c, out=c)
         np.exp(c, out=c)
         m[:b, :n, :n] = c.reshape(b, n, n)
         # the diagonal of a raveled (n+2)-square matrix has stride n+3
         m[:b].reshape(b, -1)[:, : n * (n + 3) : n + 3] += lam[lo:hi, None]
-        stacked = _bordered_values(m[:b])
-        values[lo:hi] = per_row(lo, hi) if stacked is None else stacked
-    return values
+        yield m[:b]
+
+
+def _bordered_values(m: np.ndarray) -> np.ndarray:
+    """Likelihood values of a stack of bordered matrices (B, n+2, n+2).
+
+    np.linalg.cholesky raises for the whole stack when one of its matrices
+    does not factor, so such a stack is factored again one matrix at a
+    time (one more factorization each; halving was slower where many rows
+    fail), and a matrix that does not factor gets _PENALTY.
+    """
+    try:
+        lower = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        if m.shape[0] == 1:
+            return np.array([_PENALTY])
+        return np.concatenate([_bordered_values(m[i : i + 1]) for i in range(m.shape[0])])
+    return _likelihood_values(lower)[0]
 
 
 def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> KrigingFit:
@@ -234,12 +170,15 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     any other key is ignored.  Hyperparameters are searched on the log10
     ranges DEFAULT_THETA_BOUNDS and DEFAULT_LAMBDA_BOUNDS.
 
-    The search evaluates its rows in stacks of about _STACK_DOUBLES
-    doubles, one bordered Cholesky factorization per stack
-    (_stacked_neg_log_likelihood).  The fit at the chosen hyperparameters
-    takes the per-row LAPACK path (_neg_log_likelihood), so the stored
-    factor, weights and variances, and every prediction from them, do not
-    depend on how the search grouped its rows.
+    The search and the fit at the chosen hyperparameters take their
+    likelihood values, mu and sigma2 from the same bordered Cholesky factor
+    (_bordered_stacks, _likelihood_values), with y divided by 2**e, the
+    smallest power of two above max|y|.  The weights are solved and refined
+    on that scale too, so the fit on 2**k y is the fit on y with mu and
+    alpha times 2**k and the variances times 4**k, bit for bit.  Raises
+    ValueError when the chosen hyperparameters give a correlation matrix
+    that the search penalizes, and when the scaled-back mean, variances or
+    weights overflow (max|y| beyond about 1e150).
     """
     control = dict(control or {})
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -270,8 +209,9 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
             x_offset[i], x_scale[i] = 0.0, 1.0
     z = (X - x_offset) / x_scale
     flat = cross_dist(z, z, types).reshape(d, n * n)
-    diag = np.arange(n) * (n + 1)
-    one = np.ones((n, 1))
+    # np.ldexp, as 2.0 ** e overflows for max|y| near the largest double
+    e = int(np.frexp(np.max(np.abs(y)))[1])
+    y_unit = np.ldexp(y, -e)
 
     n_par = d + (1 if use_lambda else 0)
     budget = int(control.get("budget", 200 * n_par))
@@ -284,8 +224,8 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         v = np.atleast_2d(v)
         theta = 10.0 ** v[:, :d]
         lam = 10.0 ** v[:, d] if use_lambda else np.zeros(v.shape[0])
-        values = _stacked_neg_log_likelihood(theta, lam, flat, diag, one, y)
-        return values.reshape(-1, 1)
+        stacks = _bordered_stacks(theta, lam, flat, y_unit)
+        return np.concatenate([_bordered_values(m) for m in stacks]).reshape(-1, 1)
 
     alg = control.get("algTheta", "lhd")
     seed = control.get("seed")
@@ -313,17 +253,26 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
 
     theta = 10.0 ** xbest[:d]
     lam = 10.0 ** xbest[d] if use_lambda else 0.0
-    value, parts = _neg_log_likelihood(theta, lam, flat, diag, one, y)
-    if parts is None:
-        raise ValueError(
-            "correlation matrix is singular at the selected hyperparameters"
-        )
-    k_mat, lower_chol, mu, sigma2, alpha = parts
+    # the chosen row's bordered matrix, built and factored as in the search
+    m = next(_bordered_stacks(theta[None], np.array([lam]), flat, y_unit))
+    singular = "correlation matrix is singular at the selected hyperparameters"
+    try:
+        factor = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise ValueError(singular) from None
+    _, usable, mu, sigma2 = _likelihood_values(factor)
+    if not usable[0]:
+        raise ValueError(singular)
+    mu, sigma2 = mu[0], sigma2[0]
+    lower_chol = factor[0, :n, :n]
+    # cholesky leaves m intact, so its leading block is K + lam I
+    k_mat = m[0, :n, :n]
 
     # polish the prediction weights by iterative refinement: the plain solve
     # is fine for the likelihood but loses digits when the kernel is nearly
     # flat, and predictions at the training points inherit that error
-    resid = y - mu
+    resid = y_unit - mu
+    alpha = _solve(lower_chol, resid)
     scale_r = max(1.0, float(np.max(np.abs(resid))))
     for _ in range(3):
         gap = resid - k_mat @ alpha
@@ -335,17 +284,26 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     lower_re = None
     uniq_idx = None
     if lam > 0.0:
-        # nugget-free correlation, for error estimates that vanish at the
-        # data; built over the distinct training sites because replicated
-        # rows would make it exactly singular
-        psi_pure = _correlation(theta, flat, (n, n))
+        # nugget-free correlation, K with its unit diagonal, for error
+        # estimates that vanish at the data; factored over the distinct
+        # training sites because replicated rows would make it singular
+        psi_pure = np.where(np.eye(n, dtype=bool), 1.0, k_mat)
         sigma2_re = (alpha.T @ psi_pure @ alpha).item() / n
         uniq_idx = np.sort(np.unique(z, axis=0, return_index=True)[1])
         psi_u = psi_pure[np.ix_(uniq_idx, uniq_idx)]
         for jitter in (0.0, 1e-12, 1e-10, 1e-8):
-            lower_re = _factor(psi_u + jitter * np.eye(uniq_idx.size))
-            if lower_re is not None:
-                break
+            try:
+                lower_re = np.linalg.cholesky(psi_u + jitter * np.eye(uniq_idx.size))
+            except np.linalg.LinAlgError:
+                continue
+            break
+
+    # back to the units of y, exactly, since the scale is a power of two
+    with np.errstate(over="ignore"):
+        mu, sigma2, sigma2_re = np.ldexp([mu, sigma2, sigma2_re], [e, 2 * e, 2 * e]).tolist()
+        alpha = np.ldexp(alpha, e)
+    if not (np.isfinite([mu, sigma2, sigma2_re]).all() and np.isfinite(alpha).all()):
+        raise ValueError("the targets are too large: the process variance overflows")
 
     return KrigingFit(
         X=X,
@@ -374,7 +332,8 @@ def _cross_correlation(fit: KrigingFit, xnew: np.ndarray) -> np.ndarray:
     znew = (xnew - fit.x_offset) / fit.x_scale
     ztrain = (fit.X - fit.x_offset) / fit.x_scale
     cross = cross_dist(znew, ztrain, fit.types)
-    return _correlation(fit.theta, cross.reshape(cross.shape[0], -1), cross.shape[1:])
+    psi = np.exp(-np.dot(fit.theta.reshape(1, -1), cross.reshape(cross.shape[0], -1)))
+    return psi.reshape(cross.shape[1:])
 
 
 def predict_kriging(fit: KrigingFit, xnew: np.ndarray) -> dict:

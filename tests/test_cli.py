@@ -375,6 +375,18 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
     mismatched = _cfg(tmp_path, "[run]\nfun = sphere\nlower = 0, 0\nupper = 1\n")
     assert main(["design", "--config", mismatched, "--out", "/dev/null"]) == 2
 
+    # a NaN bound used to pass the lower <= upper check: the uniform design
+    # then crashed, and the LHD failed with a message about its column count
+    for bound in ("nan", "-inf"):
+        for design in ("lhd", "uniform"):
+            non_finite = _cfg(
+                tmp_path,
+                f"[run]\nfun = sphere\nlower = {bound}, 0\nupper = 1, 1\n"
+                f"[spot]\ndesign = {design}\n",
+            )
+            assert main(["design", "--config", non_finite, "--out", "/dev/null"]) == 2
+            assert "bounds must be finite" in capsys.readouterr().err
+
     unknown_fun = _cfg(tmp_path, "[run]\nfun = mystery\nlower = 0\nupper = 1\n")
     out = str(tmp_path / "b")
     assert main(["tune", "--config", unknown_fun, "--out", out]) == 2

@@ -6,13 +6,15 @@ so it shares no code path with the Cholesky-based implementation.  The
 kernel oracle `kernel_value` sums the correlation exponent one term at a
 time, independent of the vectorized distance kernel in the package.
 
-The package factors and solves through LAPACK's dpotrf/dpotrs directly.
-`_reference_neg_log_likelihood` and `_reference_predict` keep the same
-computations written with scipy's `cholesky`/`cho_solve` wrappers and
-`np.tensordot`, and the results must agree with them bit for bit.  The
-likelihood search factors stacks of bordered matrices instead; its values
-are checked against the per-row `_neg_log_likelihood` to a tolerance that
-grows with the conditioning.
+The package takes every likelihood value, in the search and in the final
+fit, from one bordered Cholesky factor per hyperparameter row, which
+np.linalg.cholesky computes for a stack of rows at a time.
+`_reference_neg_log_likelihood` computes the likelihood one row at a time
+through scipy's `cholesky`/`cho_solve` wrappers and names the branch of
+each penalty; the search's values are checked against it to a tolerance
+that grows with the conditioning.  Prediction solves through LAPACK's
+dpotrs directly, and `_reference_predict`, the same computation written
+with scipy's wrappers and `np.tensordot`, must agree with it bit for bit.
 """
 
 import math
@@ -32,9 +34,8 @@ from seqtune.kriging import (
     DEFAULT_LAMBDA_BOUNDS,
     DEFAULT_THETA_BOUNDS,
     KrigingFit,
-    _correlation,
-    _neg_log_likelihood,
-    _stacked_neg_log_likelihood,
+    _bordered_stacks,
+    _bordered_values,
     fit_kriging,
     predict_kriging,
 )
@@ -309,36 +310,45 @@ def test_theta_search_range_reaches_tiny_activity():
 
 
 # ---------------------------------------------------------------------------
-# bit-for-bit references for the direct LAPACK calls
+# references through scipy's wrappers
 
 
 def _reference_neg_log_likelihood(theta, lam, dists, y):
-    """The likelihood through scipy's wrappers; a penalty names its branch."""
+    """The likelihood through scipy's wrappers, for |y| < 1.
+
+    Returns (value, parts or the name of the penalty's branch, bound), where
+    bound is the lower bound on the condition number of K + lam I that the
+    penalty rule reads, NaN when there is no factor to read it from.
+    """
     n = y.shape[0]
     psi = np.exp(-np.tensordot(theta, dists, axes=1))
     k = psi + lam * np.eye(n)
     try:
         lower = cholesky(k, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
-        return _PENALTY, "factor"
+        return _PENALTY, "factor", np.nan
     diag = np.diag(lower)
     if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-        return _PENALTY, "diagonal"
-    if (diag.max() / diag.min()) ** 2 > 1e12:
-        return _PENALTY, "conditioning"
+        return _PENALTY, "diagonal", np.nan
     one = np.ones((n, 1))
     kinv_y = cho_solve((lower, True), y, check_finite=False)
     kinv_one = cho_solve((lower, True), one, check_finite=False)
+    # the squared pivot ratio, and the Rayleigh quotients of K^-1 at 1 and
+    # y over n, which are at most 1 / lambda_min while lambda_max >= 1
+    quotients = (one.T @ kinv_one).item() / n, (y.T @ kinv_y).item() / n
+    bound = max((diag.max() / diag.min()) ** 2, *quotients)
+    if bound > 1e12:
+        return _PENALTY, "conditioning", bound
     mu = ((one.T @ kinv_y) / (one.T @ kinv_one)).item()
     resid = y - mu
     kinv_resid = kinv_y - mu * kinv_one
     sigma2 = (resid.T @ kinv_resid).item() / n
     if not np.isfinite(sigma2):
-        return _PENALTY, "sigma2"
+        return _PENALTY, "sigma2", bound
     value = 0.5 * n * np.log(max(sigma2, 1e-300)) + np.sum(np.log(diag))
     if not np.isfinite(value):
-        return _PENALTY, "value"
-    return float(value), (psi, k, lower, mu, sigma2, kinv_resid)
+        return _PENALTY, "value", bound
+    return float(value), (psi, k, lower, mu, sigma2, kinv_resid), bound
 
 
 def _reference_predict(fit: KrigingFit, xnew: np.ndarray) -> dict:
@@ -366,43 +376,6 @@ def _bits(a) -> bytes:
     return np.asarray(a).tobytes()
 
 
-@pytest.mark.parametrize("nugget", [True, False])
-@pytest.mark.parametrize("n", [12, 30, 60])
-def test_likelihood_matches_the_wrapper_reference_bit_for_bit(n, nugget):
-    rng = np.random.default_rng(n)
-    d = 2
-    z = rng.uniform(0.0, 1.0, size=(n, d))
-    y = (np.sin(6.0 * z[:, 0]) + z[:, 1] ** 2).reshape(-1, 1)
-    dists = cross_dist(z, z, ("numeric",) * d)
-    flat = dists.reshape(d, n * n)
-    diag = np.arange(n) * (n + 1)
-    one = np.ones((n, 1))
-    rows = rng.uniform(DEFAULT_THETA_BOUNDS[0], DEFAULT_THETA_BOUNDS[1], (200, d))
-    lams = 10.0 ** rng.uniform(*DEFAULT_LAMBDA_BOUNDS, 200) if nugget else np.zeros(200)
-    branches = set()
-    for row, lam in zip(rows, lams):
-        theta = 10.0 ** row
-        want, ref = _reference_neg_log_likelihood(theta, lam, dists, y)
-        got, parts = _neg_log_likelihood(theta, lam, flat, diag, one, y)
-        assert _bits(got) == _bits(want)
-        if isinstance(ref, str):
-            branches.add(ref)
-            assert parts is None
-            continue
-        branches.add("value")
-        psi, *ref_parts = ref
-        assert _bits(_correlation(theta, flat, (n, n))) == _bits(psi)
-        assert len(parts) == len(ref_parts)
-        for part, ref_part in zip(parts, ref_parts):
-            assert _bits(part) == _bits(ref_part)
-    # the rows must reach a finite value, and without a nugget both ways a
-    # correlation matrix is penalized: a failed factorization and a factor
-    # that is too badly conditioned to use
-    assert "value" in branches
-    if not nugget:
-        assert {"factor", "conditioning"} <= branches
-
-
 @pytest.mark.parametrize("rows", [1, 100])
 @pytest.mark.parametrize("use_lambda", [True, False])
 def test_prediction_matches_the_wrapper_reference_bit_for_bit(use_lambda, rows):
@@ -425,42 +398,95 @@ def test_prediction_matches_the_wrapper_reference_bit_for_bit(use_lambda, rows):
 
 
 # ---------------------------------------------------------------------------
-# the stacked likelihood search against the per-row likelihood
+# the stacked likelihood search against the per-row reference
+
+
+class _Captured(Exception):
+    """Carries the objective, lower and upper that fit_kriging hands its search."""
 
 
 def _search_objective(X, y, types, use_lambda):
     """The objective that fit_kriging hands its hyperparameter search."""
-    captured = []
 
     def capture(start, fun, lower, upper, control):
-        captured.append((fun, lower, upper))
-        return optim_lhd(start, fun, lower, upper, control)
+        raise _Captured(fun, lower, upper)
 
     control = {"types": types, "useLambda": use_lambda, "algTheta": capture}
-    try:
-        fit_kriging(X, y, dict(control, budget=1, seed=0))
-    except ValueError as err:  # the one drawn row can be penalized
-        assert "singular" in str(err)
-    return captured[0]
+    with pytest.raises(_Captured) as captured:
+        fit_kriging(X, y, control)
+    return captured.value.args
 
 
-def _per_row_oracle(X, y, types, rows, use_lambda):
-    """Per-row values and squared pivot ratios on the fit's own scale.
+def _reference_values(X, y, types, rows, use_lambda):
+    """Reference values, squared pivot ratios, condition bounds and numbers.
 
     The numeric columns of X span [0, 1] exactly, so the fit's unit-box
-    scaling leaves them unchanged and the distances here are the fit's.
+    scaling leaves them unchanged and the distances here are the fit's.  y
+    is divided by the smallest power of two above max|y|, as in the fit.
+    The squared pivot ratio is that of the reference's factor, and 1 where
+    the reference penalizes the row; the bound is the one its penalty rule
+    reads.  The condition number of K + lam I comes from its singular
+    values, a computation that shares nothing with either factorization.
+    Also returns the branches that the rows reached.
     """
     n, d = X.shape
-    flat = cross_dist(X, X, types).reshape(d, n * n)
-    diag, one = np.arange(n) * (n + 1), np.ones((n, 1))
-    values, ratio2 = [], []
+    dists = cross_dist(X, X, types)
+    y_unit = np.ldexp(y, -np.frexp(np.max(np.abs(y)))[1])
+    values, ratio2, bounds, kappa, branches = [], [], [], [], set()
     for row in rows:
-        lam = 10.0 ** row[d] if use_lambda else 0.0
-        value, parts = _neg_log_likelihood(10.0**row[:d], lam, flat, diag, one, y)
+        theta, lam = 10.0 ** row[:d], 10.0 ** row[d] if use_lambda else 0.0
+        value, ref, bound = _reference_neg_log_likelihood(theta, lam, dists, y_unit)
         values.append(value)
-        pivots = np.diag(parts[1]) if parts else np.ones(1)
-        ratio2.append((pivots.max() / pivots.min()) ** 2)
-    return np.array(values), np.array(ratio2)
+        bounds.append(bound)
+        if isinstance(ref, str):
+            branches.add(ref)
+            ratio2.append(1.0)
+        else:
+            branches.add("value")
+            pivots = np.diag(ref[2])
+            ratio2.append((pivots.max() / pivots.min()) ** 2)
+        kappa.append(np.linalg.cond(np.exp(-np.tensordot(theta, dists, axes=1)) + lam * np.eye(n)))
+    return tuple(map(np.array, (values, ratio2, bounds, kappa))) + (branches,)
+
+
+def _check_search_against_reference(X, y, types, use_lambda, rng):
+    """300 random rows through the search's objective against the reference.
+
+    Returns the reference's branches that the rows reached.
+    """
+    objective, lower, upper = _search_objective(X, y, types, use_lambda)
+    rows = rng.uniform(lower, upper, size=(300, lower.size))
+    got = objective(rows)[:, 0]
+    want, ratio2, bound, kappa, branches = _reference_values(X, y, types, rows, use_lambda)
+    n, eps = y.shape[0], np.finfo(float).eps
+    # beyond a condition number of 1/eps, reached only without a nugget, K
+    # is singular to working precision: whether it factors, and the pivots
+    # that the penalty rule reads, depend on the rounding of the LAPACK
+    # build.  Below it the bound that the rule reads still carries a
+    # relative error of up to about n eps kappa, so a row whose bound is
+    # that close to 1e12 can fall on either side.
+    near = np.abs(np.log(bound / 1e12)) <= np.log1p(n * eps * kappa)
+    determined = (kappa < 1.0 / eps) & ~near
+    assert determined.all() or not use_lambda
+    assert np.array_equal((got == _PENALTY)[determined], (want == _PENALTY)[determined])
+    # both paths round like a backward-stable solve, so beyond a squared
+    # pivot ratio of 1e4 the gap grows with the conditioning
+    tol = 1e-9 * np.maximum(1.0, ratio2 / 1e4) * np.maximum(1.0, np.abs(want))
+    if not use_lambda:
+        # without a nugget the squared pivot ratio can understate the
+        # condition number a hundred million times; beyond 1e8 a scored
+        # row's gap is bounded by n eps kappa instead (the largest seen on
+        # 600 fuzzed examples was a tenth of that)
+        wide = (want < _PENALTY) & (kappa > 1e8)
+        tol = np.where(wide, np.maximum(tol, n * eps * kappa), tol)
+    agree = (got == _PENALTY) == (want == _PENALTY)
+    assert np.all((np.abs(got - want) <= tol)[agree])
+    # a row that the reference penalizes keeps ratio 1, so the search's best
+    # row must be one that the reference scores
+    best, want_best = int(np.argmin(got)), int(np.argmin(want))
+    tie = want[best] - want[want_best] <= tol[best] + tol[want_best]
+    assert best == want_best or tie
+    return branches
 
 
 @settings(max_examples=80, deadline=None)
@@ -485,72 +511,86 @@ def test_stacked_search_matches_the_per_row_likelihood(
         X = np.unique(X, axis=0)  # without a nugget the fit rejects duplicates
         assume(X.shape[0] >= 2)
     y = 10.0**magnitude * rng.normal(size=(X.shape[0], 1))
-    objective, lower, upper = _search_objective(X, y, types, use_lambda)
-    rows = rng.uniform(lower, upper, size=(300, lower.size))
-    got = objective(rows)[:, 0]
-    want, ratio2 = _per_row_oracle(X, y, types, rows, use_lambda)
-    assert np.array_equal(got == _PENALTY, want == _PENALTY)
-    # both paths round like a backward-stable solve, so beyond a squared
-    # pivot ratio of 1e4 the gap grows with the conditioning (near 1e12 the
-    # per-row value can be 4e-4 off the exact likelihood of the same matrix)
-    tol = 1e-9 * np.maximum(1.0, ratio2 / 1e4) * np.maximum(1.0, np.abs(want))
-    assert np.all(np.abs(got - want) <= tol)
-    best, want_best = int(np.argmin(got)), int(np.argmin(want))
-    tie = want[best] - want[want_best] <= tol[best] + tol[want_best]
-    assert best == want_best or tie
+    _check_search_against_reference(X, y, types, use_lambda, rng)
+
+
+@pytest.mark.parametrize("n", [12, 30, 60])
+def test_the_search_without_a_nugget_reaches_both_penalties(n):
+    # near-zero activity makes K all but a matrix of ones, which does not
+    # factor, and moderate activity leaves factors too badly conditioned to
+    # use; both must be penalized as the reference penalizes them
+    rng = np.random.default_rng(n)
+    X = rng.uniform(0.0, 1.0, size=(n, 2))
+    X[:2] = [[0.0, 0.0], [1.0, 1.0]]
+    y = (np.sin(6.0 * X[:, 0]) + X[:, 1] ** 2).reshape(-1, 1)
+    branches = _check_search_against_reference(X, y, ("numeric",) * 2, False, rng)
+    assert {"value", "factor", "conditioning"} <= branches
 
 
 def test_a_stack_that_does_not_factor_is_evaluated_row_by_row(monkeypatch):
     # without a nugget, near-zero activity makes K + lam I all but a matrix
-    # of ones, which does not factor; the stack then falls back to the
-    # per-row path, whose values are bit-equal to the oracle's
+    # of ones, which does not factor; np.linalg.cholesky then raises for the
+    # whole stack, which is factored again one matrix at a time
     rng = np.random.default_rng(43)
     n, d = 12, 2
     z = rng.uniform(0.0, 1.0, size=(n, d))
     y = (np.sin(6.0 * z[:, 0]) + z[:, 1] ** 2).reshape(-1, 1)
     flat = cross_dist(z, z, ("numeric",) * d).reshape(d, n * n)
-    diag, one = np.arange(n) * (n + 1), np.ones((n, 1))
     theta = 10.0 ** np.array([[1.0, 1.0], [-6.0, -6.0], [0.5, 1.5]])
     lam = np.zeros(3)
-    raised = []
+    shapes, raised = [], []
     cholesky = np.linalg.cholesky
 
     def spy(a):
+        shapes.append(a.shape[0])
         try:
             return cholesky(a)
         except np.linalg.LinAlgError:
-            raised.append(a.shape)
+            raised.append(a.shape[0])
             raise
 
     monkeypatch.setattr(np.linalg, "cholesky", spy)
-    got = _stacked_neg_log_likelihood(theta, lam, flat, diag, one, y)
-    assert raised == [(3, n + 2, n + 2)]
-    want = [_neg_log_likelihood(t, 0.0, flat, diag, one, y)[0] for t in theta]
-    assert _bits(got) == _bits(np.array(want))
-    assert got[1] == _PENALTY and np.all(got[[0, 2]] < _PENALTY)
+    m = next(_bordered_stacks(theta, lam, flat, y))
+    assert m.shape == (3, n + 2, n + 2)
+    got = _bordered_values(m)
+    assert shapes == [3, 1, 1, 1]
+    assert raised == [3, 1]
+    assert got[1] == _PENALTY
+    # each other matrix of the stack gets the value it gets alone
+    for i in (0, 2):
+        alone = _bordered_values(m[i : i + 1])
+        assert _bits(got[i]) == _bits(alone) and alone[0] < _PENALTY
 
 
-def test_targets_beyond_1e100_take_the_per_row_path():
-    # near |y| = 1e149 the per-row products overflow and penalize rows that
-    # the bordered factor would score, so such targets skip the border and
-    # the per-row path makes every decision
+@pytest.mark.parametrize("use_lambda", [True, False])
+def test_targets_scaled_by_a_power_of_two_give_the_same_fit(use_lambda):
+    # the search sees y divided by the smallest power of two above max|y|,
+    # so y and 2**k y give it the same bits, and the fit scales back exactly
     rng = np.random.default_rng(59)
-    n, d = 12, 2
-    z = rng.uniform(0.0, 1.0, size=(n, d))
-    y = 1e120 * (np.sin(6.0 * z[:, 0]) + z[:, 1] ** 2).reshape(-1, 1)
-    flat = cross_dist(z, z, ("numeric",) * d).reshape(d, n * n)
-    diag, one = np.arange(n) * (n + 1), np.ones((n, 1))
-    theta = 10.0 ** rng.uniform(-2.0, 2.0, size=(20, d))
-    lam = np.full(20, 1e-3)
-    got = _stacked_neg_log_likelihood(theta, lam, flat, diag, one, y)
-    want = [_neg_log_likelihood(t, 1e-3, flat, diag, one, y)[0] for t in theta]
-    assert _bits(got) == _bits(np.array(want))
-    assert np.all(got < _PENALTY)
+    X = rng.uniform(0.0, 1.0, size=(12, 2))
+    y = np.sin(6.0 * X[:, 0]) + X[:, 1] ** 2
+    xq = rng.uniform(0.0, 1.0, size=(5, 2))
+    control = {"seed": 3, "useLambda": use_lambda}
+    base = fit_kriging(X, y, control)
+    base_pred = predict_kriging(base, xq)
+    for k in (-400, 400):
+        fit = fit_kriging(X, np.ldexp(y, k), control)
+        assert _bits(fit.theta) == _bits(base.theta)
+        assert fit.lambda_ == base.lambda_
+        pred = predict_kriging(fit, xq)
+        assert np.all(np.isfinite(pred["mean"])) and np.all(pred["sd"] > 0)
+        assert _bits(pred["mean"]) == _bits(np.ldexp(base_pred["mean"], k))
+        assert _bits(pred["sd"]) == _bits(np.ldexp(base_pred["sd"], k))
+    # at 2**1000 y the process variance, 4**1000 times the fit's, is no double
+    with pytest.raises(ValueError, match="overflows"):
+        fit_kriging(X, np.ldexp(y, 1000), control)
 
 
 def test_the_search_factors_each_stack_of_rows_in_one_call(monkeypatch):
     # 2**15 doubles hold 167 bordered 14-by-14 matrices; with a nugget
-    # every stack factors, so the 400 rows take three calls
+    # every stack factors, so the 400 rows take three calls; the final fit
+    # then factors the chosen row's bordered matrix and the nugget-free
+    # correlation
     shapes = []
     cholesky = np.linalg.cholesky
 
@@ -564,7 +604,40 @@ def test_the_search_factors_each_stack_of_rows_in_one_call(monkeypatch):
     X = rng.uniform(-1.0, 1.0, size=(12, 1))
     fit = fit_kriging(X, np.cos(3.0 * X[:, 0]), {"seed": 2})
     assert fit.likelihood_evals == 400
-    assert shapes == [(167, 14, 14), (167, 14, 14), (66, 14, 14)]
+    assert shapes == [(167, 14, 14), (167, 14, 14), (66, 14, 14), (1, 14, 14), (12, 12)]
+
+
+@pytest.mark.parametrize("use_lambda", [True, False])
+def test_the_final_fit_factors_the_matrix_that_the_search_scored(monkeypatch, use_lambda):
+    # with six columns a BLAS product rounds a row's correlations by the
+    # number of rows it is computed with; the chosen row's bordered matrix
+    # and factor in the final fit's one-row stack must still be the ones
+    # the search scored in a stack of many rows
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        lower = cholesky(a)
+        calls.append((a.copy(), lower))
+        return lower
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    rng = np.random.default_rng(61)
+    X = rng.uniform(0.0, 1.0, size=(20, 6))
+    y = np.sin(4.0 * X[:, 0]) + X[:, 1:].sum(axis=1) ** 2
+    fit = fit_kriging(X, y, {"seed": 5, "useLambda": use_lambda})
+    stacks = [(a, lower) for a, lower in calls if a.ndim == 3]
+    (final, final_lower), searched = stacks[-1], stacks[:-1]
+    assert final.shape == (1, 22, 22)
+    matches = [
+        (a.shape[0], lower[i])
+        for a, lower in searched
+        for i in np.flatnonzero((a == final).all(axis=(1, 2)))
+    ]
+    assert matches and all(size > 1 for size, _ in matches)
+    for _, lower in matches:
+        assert _bits(lower) == _bits(final_lower[0])
+    assert _bits(fit.corr_factorization) == _bits(final_lower[0, :20, :20])
 
 
 def test_a_default_fit_on_thirty_rows_peaks_below_one_and_a_half_megabytes():
