@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from . import optimizers
 from .design import cross_dist
@@ -72,6 +71,7 @@ class KrigingFit:
 
 def _solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve k x = b given the lower Cholesky factor of k."""
+    from scipy.linalg.lapack import dpotrs
     x, info = dpotrs(lower, b, lower=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")

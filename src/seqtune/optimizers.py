@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .design import ParamSpace, sample_lhd
 
@@ -105,6 +104,7 @@ def optim_local_bounded(
         seen_y.append(val)
         return val
 
+    from scipy.optimize import minimize
     msg = "success"
     try:
         minimize(

@@ -18,8 +18,6 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.optimize import brentq
 
 PATH_STEPS = 10
 PATH_RADIUS = 2.5
@@ -116,6 +114,7 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
         raise RankDeficiencyError(
             f"{n} rows cannot identify {n_terms} terms ({', '.join(names)})"
         )
+    from scipy.linalg import qr
     _, r, piv = qr(basis, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(basis.shape) * np.finfo(float).eps
@@ -200,6 +199,7 @@ def _ridge_point(eigenvalues, vecs, c, r: float) -> np.ndarray:
     nz = np.linalg.norm(z)
     if nz < r:
         return z + np.sqrt(r**2 - nz**2) * _fix_sign(vecs[:, 0])
+    from scipy.optimize import brentq
     t_hi = 2.0 * np.linalg.norm(c) / r
     t = brentq(lambda t: np.linalg.norm(z_of(t)) - r, t_lo, t_hi,
                xtol=tiny, rtol=4 * eps)

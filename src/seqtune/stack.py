@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .forest import fit_forest
 from .kriging import fit_kriging
@@ -124,6 +123,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
 
     if not fitted:
         raise ValueError(f"every stack member failed to fit: {last_error}")
+    from scipy.optimize import nnls
     weights, _ = nnls(np.column_stack(oof_cols), y.reshape(-1))
     if weights.sum() <= 0:
         weights = np.full(len(fitted), 1.0 / len(fitted))

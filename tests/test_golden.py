@@ -92,7 +92,11 @@ def test_output_matches_the_golden_file(produced, name):
 
 @pytest.mark.parametrize("name", [f"{name}_rsm_path.csv" for name in SHIPPED])
 def test_rsm_path_matches_the_golden_file(produced, name):
-    got, want = produced[name], (GOLDEN / name).read_bytes()
+    _assert_rsm_path_matches(produced[name], (GOLDEN / name).read_bytes())
+
+
+def _assert_rsm_path_matches(got: bytes, want: bytes) -> None:
+    """Equal headers, and values equal to 1e-12 of each column's largest."""
     assert got.split(b"\n", 1)[0] == want.split(b"\n", 1)[0]
     got, want = (np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1)
                  for data in (got, want))
@@ -100,8 +104,8 @@ def test_rsm_path_matches_the_golden_file(produced, name):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
 
 
-def _tune_in_subprocess(config: Path, out: Path, check: str = "", **env_vars) -> str:
-    """Run `seqtune tune` on `config` in a fresh interpreter; returns stderr.
+def _seqtune_in_subprocess(*argv, check: str = "", **env_vars) -> str:
+    """Run `seqtune *argv` in a fresh interpreter; returns stderr.
 
     `check` is Python code that the interpreter runs first.
     """
@@ -109,10 +113,9 @@ def _tune_in_subprocess(config: Path, out: Path, check: str = "", **env_vars) ->
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    tune = f"{check}\nimport sys\nfrom seqtune.cli import main\nsys.exit(main(sys.argv[1:]))"
+    cli = f"{check}\nimport sys\nfrom seqtune.cli import main\nsys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(
-        [sys.executable, "-c", tune, "tune",
-         "--config", str(config), "--out", str(out)],
+        [sys.executable, "-c", cli, *map(str, argv)],
         capture_output=True,
         text=True,
         env=env,
@@ -120,6 +123,11 @@ def _tune_in_subprocess(config: Path, out: Path, check: str = "", **env_vars) ->
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stderr
+
+
+def _tune_in_subprocess(config: Path, out: Path, check: str = "", **env_vars) -> str:
+    return _seqtune_in_subprocess("tune", "--config", config, "--out", out,
+                                 check=check, **env_vars)
 
 
 @pytest.mark.parametrize("config", [
