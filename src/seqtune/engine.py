@@ -287,6 +287,19 @@ def _optimizer_control(cfg: SpotConfig, rng: np.random.Generator) -> dict:
     return ctl
 
 
+def _surrogate(model) -> Callable:
+    """The model's predict as an (m, d) -> (m, 1) search objective.
+
+    It carries the model's `mean_and_gradient` (None when the model has
+    none), which `optim_local_bounded` uses in place of differences.
+    """
+    def predict(xq: np.ndarray) -> np.ndarray:
+        return np.asarray(model.predict(xq)).reshape(-1, 1)
+
+    predict.mean_and_gradient = getattr(model, "mean_and_gradient", None)
+    return predict
+
+
 def _ocba_step(
     fun: Callable,
     cfg: SpotConfig,
@@ -339,7 +352,7 @@ def _run(
         # a continued archive may hold a best row outside the box
         search = run_search(
             np.clip(archive.xbest, space.lower, space.upper),
-            lambda xq: np.asarray(model.predict(xq)).reshape(-1, 1),
+            _surrogate(model),
             space.lower,
             space.upper,
             _optimizer_control(cfg, rng),

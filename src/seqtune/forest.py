@@ -134,6 +134,11 @@ class ForestFit:
             out[a:a + cols.shape[0]] = np.cumsum(total, axis=0)[-1] / ntree
         return out.reshape(-1, 1)
 
+    def mean_and_gradient(self, xnew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The prediction and its gradient, zero: the forest is piecewise constant."""
+        mean = self.predict(xnew)
+        return mean, np.zeros((mean.shape[0], self.n_features))
+
 
 def _settle(perm, start, m, X, y, min_leaf, features, trees):
     """Means and best splits of the nodes whose rows are perm[start:start + m].

@@ -58,6 +58,7 @@ class KrigingFit:
     likelihood_evals: int
     x_offset: np.ndarray
     x_scale: np.ndarray
+    z: np.ndarray  # X on the unit-box scale: (X - x_offset) / x_scale
     alpha: np.ndarray
     sigma2_re: float
     corr_factorization_re: Optional[np.ndarray]
@@ -65,8 +66,25 @@ class KrigingFit:
 
     def predict(self, xnew: np.ndarray) -> np.ndarray:
         """The predicted mean alone, bit-equal to predict_kriging's."""
-        mean = self.mu_hat + _cross_correlation(self, xnew) @ self.alpha
+        mean = self.mu_hat + _cross_correlation(self, _scaled(self, xnew)) @ self.alpha
         return mean.reshape(-1, 1)
+
+    def mean_and_gradient(self, xnew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, 1) mean, bit-equal to `predict`'s, and its (m, d) gradient.
+
+        On numeric and integer columns d mean / d x_k is
+        -(2 theta_k / s_k) sum_i alpha_i psi_i (z_k - z_ik), where s_k is
+        the column's input scale; on factor columns, whose kernel term is an
+        indicator, it is zero.
+        """
+        znew = _scaled(self, xnew)
+        psi = _cross_correlation(self, znew)
+        mean = self.mu_hat + psi @ self.alpha
+        numeric = np.array([t != "factor" for t in self.types])
+        slope = np.where(numeric, -2.0 * self.theta / self.x_scale, 0.0)
+        weighted = psi * self.alpha.T
+        diff = znew[:, None, :] - self.z[None, :, :]
+        return mean.reshape(-1, 1), np.einsum("mn,mnd->md", weighted, diff) * slope
 
 
 def _solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -317,6 +335,7 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         likelihood_evals=evals,
         x_offset=x_offset,
         x_scale=x_scale,
+        z=z,
         alpha=alpha,
         sigma2_re=sigma2_re,
         corr_factorization_re=lower_re,
@@ -324,14 +343,17 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     )
 
 
-def _cross_correlation(fit: KrigingFit, xnew: np.ndarray) -> np.ndarray:
-    """Correlations between new points (rows) and the training points."""
+def _scaled(fit: KrigingFit, xnew: np.ndarray) -> np.ndarray:
+    """New points (rows) on the training inputs' unit-box scale."""
     xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
     if xnew.shape[1] != fit.X.shape[1]:
         raise ValueError("prediction points have the wrong dimension")
-    znew = (xnew - fit.x_offset) / fit.x_scale
-    ztrain = (fit.X - fit.x_offset) / fit.x_scale
-    cross = cross_dist(znew, ztrain, fit.types)
+    return (xnew - fit.x_offset) / fit.x_scale
+
+
+def _cross_correlation(fit: KrigingFit, znew: np.ndarray) -> np.ndarray:
+    """Correlations between scaled new points (rows) and the training points."""
+    cross = cross_dist(znew, fit.z, fit.types)
     psi = np.exp(-np.dot(fit.theta.reshape(1, -1), cross.reshape(cross.shape[0], -1)))
     return psi.reshape(cross.shape[1:])
 
@@ -343,7 +365,7 @@ def predict_kriging(fit: KrigingFit, xnew: np.ndarray) -> dict:
     correlation, so it collapses to zero at the training points; at zero
     nugget, or if that correlation would not factorize, the fitted one.
     """
-    psi = _cross_correlation(fit, xnew)
+    psi = _cross_correlation(fit, _scaled(fit, xnew))
     mean = fit.mu_hat + psi @ fit.alpha
 
     if fit.corr_factorization_re is not None:

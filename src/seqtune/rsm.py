@@ -61,6 +61,16 @@ class RSMFit:
         out = self.b0 + z @ self.b + np.sum((z @ self.B) * z, axis=1)
         return out.reshape(-1, 1)
 
+    def mean_and_gradient(self, xnew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, 1) prediction, bit-equal to `predict`'s, and its (m, d) gradient.
+
+        The gradient is (b + (B + B') z) / halves; b and B are zero on a
+        constant column, so its entry is zero there.
+        """
+        z = self.code(xnew)
+        halves = np.where(self.halves > 0, self.halves, 1.0)
+        return self.predict(xnew), (self.b + z @ (self.B + self.B.T)) / halves
+
 
 def _basis(z: np.ndarray, active: np.ndarray, main_effects_only: bool):
     """Design matrix, column names and (i, j) pairs of the second-order columns."""

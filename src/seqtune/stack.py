@@ -32,12 +32,38 @@ class StackFit:
     member_names: list
     weights: np.ndarray
 
+    def _weighted(self) -> list:
+        """(weight, member) pairs of nonzero weight: adding 0.0 times a
+        member's finite prediction would change no bit of the blend."""
+        return [(w, m) for w, m in zip(self.weights, self.members) if w != 0.0]
+
     def predict(self, xnew: np.ndarray) -> np.ndarray:
         xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
         out = np.zeros((xnew.shape[0], 1))
-        for w, member in zip(self.weights, self.members):
+        for w, member in self._weighted():
             out += w * np.asarray(member.predict(xnew), dtype=float).reshape(-1, 1)
         return out
+
+    @property
+    def mean_and_gradient(self):
+        """The blend's mean-and-gradient callable, or None when a member
+        of nonzero weight has no `mean_and_gradient` (a callable member's
+        fit, say)."""
+        if any(getattr(m, "mean_and_gradient", None) is None for _, m in self._weighted()):
+            return None
+        return self._mean_and_gradient
+
+    def _mean_and_gradient(self, xnew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, 1) blend, bit-equal to `predict`'s, and the weighted sum
+        of the members' (m, d) gradients."""
+        xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
+        out = np.zeros((xnew.shape[0], 1))
+        grad = np.zeros(xnew.shape)
+        for w, member in self._weighted():
+            mean, member_grad = member.mean_and_gradient(xnew)
+            out += w * np.asarray(mean, dtype=float).reshape(-1, 1)
+            grad += w * np.asarray(member_grad, dtype=float)
+        return out, grad
 
 
 def _member_settings(control: dict) -> tuple[list, dict]:

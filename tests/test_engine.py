@@ -637,3 +637,32 @@ def test_continuation_validates_shapes():
     with pytest.raises(ValueError, match="seeds"):
         spot_loop(np.zeros((3, 2)), np.zeros(3), _sphere, [-1, -1], [1, 1], None,
                   seeds=[1, 2])
+
+
+class _RecordingBowl:
+    """A bowl model that logs how the search calls it."""
+
+    def __init__(self, log, gradient):
+        self.log = log
+        if gradient:
+            self.mean_and_gradient = self._mean_and_gradient
+
+    def predict(self, q):
+        self.log.append(("predict", np.atleast_2d(q).shape[0]))
+        return np.sum((q - 2.0) ** 2, axis=1)
+
+    def _mean_and_gradient(self, q):
+        self.log.append(("mean_and_gradient", q.shape[0]))
+        return np.sum((q - 2.0) ** 2, axis=1, keepdims=True), 2.0 * (q - 2.0)
+
+
+@pytest.mark.parametrize("gradient", [True, False])
+def test_local_search_uses_the_models_gradient_when_it_has_one(gradient):
+    log = []
+    cfg = {"funEvals": 7, "designControl": {"size": 6, "seed": 3}, "optimizer": "local",
+           "model": lambda X, y, control: _RecordingBowl(log, gradient),
+           "optimizerControl": {"funEvals": 40}}
+    res = spot(None, _sphere, [-3, -3], [3, 3], cfg)
+    assert res.x[6] == pytest.approx([2.0, 2.0], abs=1e-4)
+    # one row per iterate from the gradient, else 2d + 1 rows per predict
+    assert set(log) == ({("mean_and_gradient", 1)} if gradient else {("predict", 5)})

@@ -397,6 +397,25 @@ def test_prediction_matches_the_wrapper_reference_bit_for_bit(use_lambda, rows):
     assert _bits(fit.predict(xq)) == _bits(want["mean"])
 
 
+def test_predict_reads_the_scaled_inputs_stored_at_fit_time():
+    # fit.z is the unit-box scaling of X that predict used to recompute on
+    # every call; the stored copy gives the same bits, and its kernel values
+    # are the scalar oracle's
+    rng = np.random.default_rng(41)
+    types = ("numeric", "integer", "factor")
+    X = np.column_stack([rng.uniform(-5.0, 10.0, 12), rng.integers(0, 8, 12),
+                         rng.integers(0, 3, 12)]).astype(float)
+    y = np.sin(X[:, 0]) + 0.2 * X[:, 1] + X[:, 2] + rng.normal(0.0, 0.1, 12)
+    fit = fit_kriging(X, y, {"types": types, "budget": 80, "seed": 3})
+    assert _bits(fit.z) == _bits((fit.X - fit.x_offset) / fit.x_scale)
+    xq = np.column_stack([rng.uniform(-5.0, 10.0, 7), rng.integers(0, 8, 7),
+                          rng.integers(0, 3, 7)]).astype(float)
+    assert _bits(fit.predict(xq)) == _bits(_reference_predict(fit, xq)["mean"])
+    zq = (xq - fit.x_offset) / fit.x_scale
+    psi = np.array([[kernel_value(a, b, fit.theta, types=types) for b in fit.z] for a in zq])
+    assert fit.predict(xq) == pytest.approx(fit.mu_hat + psi @ fit.alpha, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the stacked likelihood search against the per-row reference
 

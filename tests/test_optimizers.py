@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqtune import OptResult, fun_sphere, optim_lhd, optim_local_bounded
+from seqtune import OptResult, fit_kriging, fun_sphere, optim_lhd, optim_local_bounded
 from seqtune.design import ParamSpace, make_lhd
+from seqtune.optimizers import _difference_rows
 
 LOWER = np.array([-10.0, -20.0])
 UPPER = np.array([20.0, 8.0])
@@ -153,3 +154,126 @@ def test_result_shape_contract():
     assert isinstance(res, OptResult)
     assert res.x.shape[0] == res.count
     assert res.xbest.shape == (2,)
+
+
+# ---------------------------------------------------------------------------
+# the two gradient sources of the local descent: the objective's own
+# mean_and_gradient, one row per iterate, or differences from one batched
+# call of 2d + 1 rows
+
+
+def _rosenbrock(x):
+    x = np.atleast_2d(x)
+    return (100.0 * (x[:, 1] - x[:, 0] ** 2) ** 2 + (1.0 - x[:, 0]) ** 2).reshape(-1, 1)
+
+
+class _Counted:
+    """An objective that records every call's rows; with `gradient` set it
+    also carries the analytic mean_and_gradient of the Rosenbrock function."""
+
+    def __init__(self, gradient: bool):
+        self.calls = []
+        if gradient:
+            self.mean_and_gradient = self._mean_and_gradient
+
+    def __call__(self, x):
+        self.calls.append(np.array(x, copy=True))
+        return _rosenbrock(x)
+
+    def _mean_and_gradient(self, x):
+        self.calls.append(np.array(x, copy=True))
+        a, b = x[:, 0], x[:, 1]
+        grad = np.column_stack([-400.0 * a * (b - a**2) - 2.0 * (1.0 - a), 200.0 * (b - a**2)])
+        return _rosenbrock(x), grad
+
+
+BOX_LOWER = np.array([-1.5, -0.5])
+BOX_UPPER = np.array([1.25, 3.0])
+
+
+@pytest.fixture
+def no_scipy_differences(monkeypatch):
+    """Make scipy's finite-difference gradient raise wherever it is looked up."""
+    import scipy.optimize._differentiable_functions as functions
+    import scipy.optimize._numdiff as numdiff
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy's approx_derivative was called")
+
+    monkeypatch.setattr(numdiff, "approx_derivative", refuse)
+    monkeypatch.setattr(functions, "approx_derivative", refuse)
+
+
+@pytest.mark.parametrize("gradient", [True, False])
+@pytest.mark.parametrize("start", [None, [1.25, 3.0], [-1.5, -0.5], [1.25, -0.5], [0.0, 1.0]])
+@pytest.mark.parametrize("budget", [1, 4, 5, 6, 23, 200])
+def test_local_descent_stays_in_the_box_and_the_budget(no_scipy_differences, gradient, start, budget):
+    fun = _Counted(gradient)
+    start = None if start is None else np.array(start)
+    res = optim_local_bounded(start, fun, BOX_LOWER, BOX_UPPER, {"funEvals": budget})
+    assert np.all(res.x >= BOX_LOWER) and np.all(res.x <= BOX_UPPER)
+    assert res.count <= budget
+    assert np.array_equal(res.x, np.vstack(fun.calls))
+    assert res.ybest == float(_rosenbrock(res.xbest.reshape(1, -1))[0, 0])
+    assert res.ybest == res.y[:, 0].min()
+    rows_per_call = {len(c) for c in fun.calls}
+    if gradient:
+        assert rows_per_call == {1}
+    else:
+        # every batch is whole, but for a last one the budget cut short
+        assert {len(c) for c in fun.calls[:-1]} <= {5}
+        if len(fun.calls[-1]) < 5:
+            assert res.count == budget and res.msg == "budget exhausted"
+
+
+@pytest.mark.parametrize("gradient", [True, False])
+def test_local_descent_solves_rosenbrock_from_either_gradient(no_scipy_differences, gradient):
+    fun = _Counted(gradient)
+    res = optim_local_bounded(np.array([-1.2, 1.0]), fun, BOX_LOWER, BOX_UPPER, {"funEvals": 2000})
+    assert res.msg == "success"
+    assert np.abs(res.xbest - 1.0).max() <= 1e-4
+
+
+def test_the_gradient_branch_spends_one_row_per_iterate():
+    # far fewer evaluations reach the same minimum than the differences take
+    with_gradient, without = _Counted(True), _Counted(False)
+    a = optim_local_bounded(None, with_gradient, BOX_LOWER, BOX_UPPER, {"funEvals": 2000})
+    b = optim_local_bounded(None, without, BOX_LOWER, BOX_UPPER, {"funEvals": 2000})
+    assert a.count == len(with_gradient.calls)
+    assert b.count == 5 * len(without.calls)
+    assert a.count < b.count
+
+
+@given(x=st.tuples(st.floats(-1.5, 1.25), st.floats(-0.5, 3.0)))
+def test_difference_rows_stay_in_the_box(x):
+    rows, _ = _difference_rows(np.array(x), BOX_LOWER, BOX_UPPER)
+    assert rows.shape == (5, 2)
+    assert np.all(rows >= BOX_LOWER) and np.all(rows <= BOX_UPPER)
+    assert np.array_equal(rows[0], np.array(x))
+
+
+@pytest.mark.parametrize("x", [[0.3, 1.7], [-1.5, -0.5], [1.25, 3.0], [1.25 - 1e-7, -0.5 + 1e-7]])
+def test_difference_gradient_is_second_order_at_and_off_the_bounds(x):
+    # central inside, one-sided three-point at a bound: both exact on a quadratic
+    def quad(v):
+        return (3.0 * v[:, 0] ** 2 - v[:, 0] * v[:, 1] + 0.5 * v[:, 1] ** 2).reshape(-1, 1)
+
+    x = np.array(x)
+    rows, gradient = _difference_rows(x, BOX_LOWER, BOX_UPPER)
+    want = [6.0 * x[0] - x[1], -x[0] + x[1]]
+    assert gradient(quad(rows)[:, 0]) == pytest.approx(want, rel=1e-6, abs=1e-6)
+
+
+def test_a_zero_width_axis_gets_a_zero_difference_gradient():
+    lower, upper = np.array([0.0, 2.0]), np.array([1.0, 2.0])
+    rows, gradient = _difference_rows(np.array([0.5, 2.0]), lower, upper)
+    assert np.all(rows[:, 1] == 2.0)
+    assert gradient(_rosenbrock(rows)[:, 0])[1] == 0.0
+
+
+@pytest.mark.parametrize("budget", [20, 31, 60])
+def test_a_local_likelihood_search_spends_exactly_its_budget(no_scipy_differences, budget):
+    rng = np.random.default_rng(19)
+    X = rng.uniform(-1, 1, size=(7, 2))
+    fit = fit_kriging(X, (X**2).sum(axis=1), {"budget": budget, "seed": 1, "algTheta": "local"})
+    assert fit.likelihood_evals == budget
