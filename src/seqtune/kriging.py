@@ -88,12 +88,40 @@ class KrigingFit:
 
 
 def _solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve k x = b given the lower Cholesky factor of k."""
-    from scipy.linalg.lapack import dpotrs
-    x, info = dpotrs(lower, b, lower=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return x
+    """Solve k x = b, b (n,) or (n, m), given the lower Cholesky factor of k.
+
+    Forward substitution on L z = b, then back substitution on L' x = z,
+    one column of the factor at a time: each step divides one row of the
+    solution by its pivot and subtracts that row times the column from the
+    rows still to come.  Every operation is elementwise, so no BLAS call
+    and no summation order depends on the machine or the thread count.
+    One right-hand side, as in the fit's weight refinement, runs in Python
+    floats: at a fit's sizes that is several times faster than one numpy
+    call per step, which several right-hand sides share.  Both do the same
+    operations in the same order, so they give the same bits.
+    """
+    n = lower.shape[0]
+    x = np.array(b, dtype=float).reshape(n, -1)
+    if x.shape[1] == 1:
+        z = x[:, 0].tolist()
+        for k, col in enumerate(lower.T.tolist()):
+            zk = z[k] = z[k] / col[k]
+            for i in range(k + 1, n):
+                z[i] -= col[i] * zk
+        for k, row in reversed(list(enumerate(lower.tolist()))):
+            zk = z[k] = z[k] / row[k]
+            for i in range(k):
+                z[i] -= row[i] * zk
+        return np.array(z).reshape(np.shape(b))
+    cols = lower.T.copy()  # row k holds column k of the factor
+    pivots = cols.diagonal().tolist()
+    for k in range(n):
+        x[k] /= pivots[k]
+        x[k + 1 :] -= cols[k, k + 1 :, None] * x[k]
+    for k in range(n - 1, -1, -1):
+        x[k] /= pivots[k]
+        x[:k] -= lower[k, :k, None] * x[k]
+    return x.reshape(np.shape(b))
 
 
 def _likelihood_values(lower: np.ndarray):

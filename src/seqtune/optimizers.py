@@ -108,7 +108,7 @@ def optim_local_bounded(
     upper: np.ndarray,
     control: Optional[dict] = None,
 ) -> OptResult:
-    """Projected quasi-Newton descent (L-BFGS-B) on the box.
+    """Projected quasi-Newton descent on the box (`_projected_bfgs`).
 
     Starts from `start` (or the box center) and stops once
     control["funEvals"] rows (default 100) have been evaluated.  When `fun`
@@ -135,21 +135,24 @@ def optim_local_bounded(
 
     seen_x: list[np.ndarray] = []
     seen_y: list[np.ndarray] = []
+    count = 0
 
     def record(rows: np.ndarray, vals) -> np.ndarray:
+        nonlocal count
         vals = np.asarray(vals, dtype=float).reshape(-1)
         if vals.size != rows.shape[0]:
             raise ValueError("objective returned the wrong number of values")
-        if not seen_y and not np.isfinite(vals[0]):
+        if not count and not np.isfinite(vals[0]):
             raise ValueError("objective not finite at the start point")
         seen_x.append(rows)
         seen_y.append(vals)
+        count += vals.size
         return vals
 
     mean_and_gradient = getattr(fun, "mean_and_gradient", None)
 
     def value_and_gradient(v: np.ndarray):
-        left = fun_evals - sum(vals.size for vals in seen_y)
+        left = fun_evals - count
         if left <= 0:
             raise _BudgetExhausted()
         if mean_and_gradient is not None:
@@ -162,17 +165,88 @@ def optim_local_bounded(
             raise _BudgetExhausted()
         return vals[0], gradient(vals)
 
-    from scipy.optimize import minimize
     msg = "success"
     try:
-        minimize(
-            value_and_gradient,
-            x0,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=list(zip(lower, upper)),
-            options={"maxfun": fun_evals, "ftol": 1e-14, "gtol": 1e-10},
-        )
+        _projected_bfgs(value_and_gradient, x0, lower, upper)
     except _BudgetExhausted:
         msg = "budget exhausted"
     return _finish(np.vstack(seen_x), np.concatenate(seen_y), msg)
+
+
+# stopping rules: a relative reduction of f below _FTOL, or a projected
+# gradient below _GTOL in every coordinate
+_FTOL = 1e-14
+_GTOL = 1e-10
+# sufficient-decrease constant of the Armijo backtrack
+_ARMIJO = 1e-4
+
+
+def _projected_bfgs(value_and_gradient, x: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Minimize over the box by quasi-Newton steps on the free variables.
+
+    A variable is held when it sits on a bound and its gradient points out
+    of the box; the others are free (Byrd, Lu, Nocedal & Zhu, 1995, for the
+    idea).  The step p solves B_FF p_F = -g_F, with B the dense BFGS
+    estimate of the Hessian: its free block, rather than a block of the
+    inverse, keeps the step a Newton step when the free set changes.  The
+    trial points x(alpha) are the projections of x + alpha p onto the box.
+    alpha starts at 1, or at the last value that still moves a variable,
+    and a safeguarded quadratic fit cuts it until the Armijo condition
+    holds.  B is the identity until the first curvature pair, which scales
+    it by y'y / s'y; a pair with s'y <= eps |g's| is skipped.  The search
+    stops when the projected gradient is below _GTOL, when a step reduces
+    f by at most _FTOL relative, or when the decrease that the step
+    promises, -alpha g'p, is that small (before the first curvature pair
+    only once backtracking has cut alpha).
+    """
+    f, g = value_and_gradient(x)
+    hess = None  # the identity until the first curvature pair
+    while True:
+        if np.max(np.abs(np.clip(x - g, lower, upper) - x)) <= _GTOL:
+            return
+        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+        step = np.where(free, -g, 0.0)
+        if hess is not None:
+            step[free] = np.linalg.solve(hess[np.ix_(free, free)], step[free])
+        promised = -(g @ step)
+        tol = _FTOL * max(abs(f), 1.0)
+        # -g'g of the identity's step says nothing of f's scale; it only
+        # has to be a descent
+        if not promised > (0.0 if hess is None else tol):
+            return
+        # beyond the largest of these alphas every moving variable is clipped
+        room = np.divide(np.where(step > 0.0, upper, lower) - x, step,
+                         out=np.zeros_like(x), where=step != 0.0)
+        alpha = min(1.0, room.max())
+        if not alpha > 0.0:
+            # the quasi-Newton step only pushes against the box
+            hess = None
+            continue
+        while True:
+            x_new = np.clip(x + alpha * step, lower, upper)
+            s = x_new - x
+            slope = g @ s
+            if slope < 0.0:
+                f_new, g_new = value_and_gradient(x_new)
+                if f_new <= f + _ARMIJO * slope:
+                    break
+                # the minimizer of the quadratic through f, slope and f_new
+                curv = f_new - f - slope
+                cut = -slope / (2.0 * curv) if np.isfinite(curv) else 0.1
+                alpha *= min(max(cut, 0.1), 0.5)
+            else:
+                alpha *= 0.5
+            if alpha * promised <= tol:
+                return
+        y = g_new - g
+        sy = s @ y
+        # skip a pair whose curvature is rounding next to the step's slope
+        if sy > -np.finfo(float).eps * slope:
+            if hess is None:
+                hess = np.eye(x.size) * ((y @ y) / sy)
+            hs = hess @ s
+            hess = hess - np.outer(hs, hs) / (s @ hs) + np.outer(y, y) / sy
+        done = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if done:
+            return

@@ -7,12 +7,14 @@ given radius around the coded origin) at a ladder of radii.
 
 Each ridge step solves the secular equation ||z(t)|| = r in the shift t > 0
 below the smallest eigenvalue (More & Sorensen, Computing a trust region
-step, 1983) on a closed-form bracket; in the hard case, where -b/2 has no
-component along the lowest eigenspace, the step is padded along it.
+step, 1983) by the Illinois method on a closed-form bracket; in the hard
+case, where -b/2 has no component along the lowest eigenspace, the step is
+padded along it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
@@ -82,6 +84,37 @@ def _basis(z: np.ndarray, active: np.ndarray, main_effects_only: bool):
     return np.column_stack(cols), names, pairs
 
 
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|diag(R)| and the column order of a Householder QR with column pivoting.
+
+    Each step brings forward the remaining column of largest norm over the
+    rows still to reduce (the first of equal ones), then reflects the rows
+    below onto it (Businger & Golub, 1965).  |diag(R)| falls along the
+    order, so the columns past the numerical rank are those that the
+    earlier ones span.
+    """
+    r = np.array(a, dtype=float)
+    piv = np.arange(r.shape[1])
+    diag = np.zeros(min(r.shape))
+    for k in range(diag.size):
+        rest = r[k:, k:]
+        j = k + int(np.argmax((rest * rest).sum(axis=0)))
+        if j != k:
+            r[:, [k, j]] = r[:, [j, k]]
+            piv[[k, j]] = piv[[j, k]]
+        v = rest[:, 0].copy()
+        diag[k] = norm = math.sqrt(v @ v)
+        if norm == 0.0:
+            continue
+        v[0] += math.copysign(norm, v[0])
+        # column sums rather than a BLAS product, whose rounding may differ
+        # between equal columns and so break the tie between them
+        w = (v[:, None] * rest).sum(axis=0)
+        w *= 2.0 / (v @ v)
+        rest -= v[:, None] * w
+    return diag, piv
+
+
 def min_rows(X: np.ndarray, control: Optional[dict] = None) -> int:
     """The fewest rows `fit_rsm` fits where X's columns vary: one per term."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -124,9 +157,7 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
         raise RankDeficiencyError(
             f"{n} rows cannot identify {n_terms} terms ({', '.join(names)})"
         )
-    from scipy.linalg import qr
-    _, r, piv = qr(basis, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+    diag, piv = _pivoted_qr(basis)
     tol = diag.max() * max(basis.shape) * np.finfo(float).eps
     rank = int(np.sum(diag > tol))
     if rank < n_terms:
@@ -209,11 +240,43 @@ def _ridge_point(eigenvalues, vecs, c, r: float) -> np.ndarray:
     nz = np.linalg.norm(z)
     if nz < r:
         return z + np.sqrt(r**2 - nz**2) * _fix_sign(vecs[:, 0])
-    from scipy.optimize import brentq
     t_hi = 2.0 * np.linalg.norm(c) / r
-    t = brentq(lambda t: np.linalg.norm(z_of(t)) - r, t_lo, t_hi,
-               xtol=tiny, rtol=4 * eps)
-    return z_of(t)
+    return z_of(_illinois_root(lambda t: 1.0 / r - 1.0 / np.linalg.norm(z_of(t)), t_lo, t_hi))
+
+
+def _illinois_root(fun, lo: float, hi: float) -> float:
+    """The root of a decreasing `fun` on [lo, hi], fun(lo) >= 0 > fun(hi).
+
+    The Illinois method: each step takes the secant point of the bracket
+    and keeps the end of the other sign; when the same end is kept twice
+    running, its value is halved, so both ends close in.  It stops when
+    the bracket is within 4 ulps of the point or a value is exactly zero.
+    `_ridge_point` hands it 1/r - 1/||z(t)||, nearly linear in t.
+    """
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    f_lo, f_hi = fun(lo), fun(hi)
+    if f_lo == 0.0:
+        return lo
+    kept = 0  # +1 after keeping hi, -1 after keeping lo
+    while True:
+        t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < t < hi:
+            t = lo + (hi - lo) / 2.0
+        if hi - lo <= 4.0 * eps * t + tiny:
+            return t
+        f_t = fun(t)
+        if f_t == 0.0:
+            return t
+        if f_t > 0.0:
+            lo, f_lo = t, f_t
+            if kept == 1:
+                f_hi /= 2.0
+            kept = 1
+        else:
+            hi, f_hi = t, f_t
+            if kept == -1:
+                f_lo /= 2.0
+            kept = -1
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

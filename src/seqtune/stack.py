@@ -149,10 +149,55 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
 
     if not fitted:
         raise ValueError(f"every stack member failed to fit: {last_error}")
-    from scipy.optimize import nnls
-    weights, _ = nnls(np.column_stack(oof_cols), y.reshape(-1))
+    weights = _nnls(np.column_stack(oof_cols), y.reshape(-1))
     if weights.sum() <= 0:
         weights = np.full(len(fitted), 1.0 / len(fitted))
     else:
         weights = weights / weights.sum()
     return StackFit(members=fitted, member_names=kept_names, weights=weights)
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||a x - b|| over x >= 0 (Lawson & Hanson, 1974, ch. 23).
+
+    The active-set method: a column joins the passive set P while the
+    gradient a'(b - a x) is above a rounding tolerance at some column
+    outside P (the largest joins), and x becomes the least-squares solution
+    on P's columns.  Where that solution is not positive, x moves from the
+    last feasible point toward it until one more entry reaches zero, that
+    column leaves P and the solve repeats.  A column whose own entry comes
+    out nonpositive the moment it joins ends the search, as rounding would
+    otherwise let it join and leave forever.
+    """
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10.0 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * max(a.shape)
+
+    def least_squares() -> np.ndarray:
+        z = np.zeros(n)
+        if passive.any():
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        return z
+
+    while not passive.all():
+        w = np.where(passive, -np.inf, a.T @ (b - a @ x))
+        j = int(np.argmax(w))
+        if not w[j] > tol:
+            break
+        passive[j] = True
+        z = least_squares()
+        if not z[j] > 0.0:
+            passive[j] = False
+            break
+        while not np.all(z[passive] > 0.0):
+            bad = passive & (z <= 0.0)
+            ratio = np.where(bad, x / np.where(bad, x - z, 1.0), np.inf)
+            k = int(np.argmin(ratio))
+            x = x + ratio[k] * (z - x)
+            x[k] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+            z = least_squares()
+        x = z
+    return x

@@ -2,7 +2,7 @@
 
 Every built-in fit offers `mean_and_gradient(x)`: the (m, 1) prediction,
 bit-equal to `predict(x)`, and its (m, d) gradient in the raw coordinates.
-The local search feeds that gradient to L-BFGS-B, so it is checked here
+The local search feeds that gradient to its quasi-Newton steps, so it is checked here
 against central differences of `predict` itself, on Hypothesis inputs.
 """
 

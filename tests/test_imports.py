@@ -1,25 +1,22 @@
-"""scipy stays off the import path.
+"""seqtune runs without scipy.
 
-seqtune imports each scipy routine it calls (dpotrs, minimize, qr, brentq,
-nnls) inside the function that calls it, so start-up loads numpy and no
-scipy, and a forest run with LHD search never loads scipy at all.  The
-checks run in fresh interpreters: this pytest process has imported scipy
-already, through the reference computations of other test modules.
-
-The archives must not depend on when scipy is first imported either.  The
-rsm-path run below is the first thing in its interpreter to load scipy, part
-way through, and the Kriging and stack runs of
-test_run_does_not_depend_on_the_blas_thread_count in test_golden.py import
-dpotrs, minimize, qr and nnls part way through theirs.
+seqtune's runtime needs numpy alone: the triangular solves, the local
+search, the pivoted QR, the ridge step's root and the stack's NNLS are its
+own code.  The checks run in fresh interpreters: this pytest process has
+imported scipy already, through the oracle computations of other test
+modules.  The first two checks report the scipy modules loaded when the
+interpreter exits; the others block every scipy import and run each CLI
+command that the golden files pin.
 """
 
 import os
 import subprocess
 import sys
 
+import pytest
+
 from test_golden import (
-    GOLDEN, ROOT, _assert_rsm_path_matches, _run, _seqtune_in_subprocess,
-    _tune_in_subprocess,
+    GOLDEN, ROOT, SHIPPED, _seqtune_in_subprocess, _tune_in_subprocess, rsm_path_matches,
 )
 
 # prints the scipy modules loaded when the interpreter exits, as one line
@@ -28,6 +25,20 @@ SCIPY_AT_EXIT = """
 import atexit, sys
 atexit.register(lambda: print("scipy at exit:", *sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy.")), file=sys.stderr))
+"""
+
+# makes every import of scipy or of a scipy submodule raise ImportError
+NO_SCIPY = """
+import sys
+assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
 """
 
 
@@ -61,12 +72,29 @@ def test_forest_lhd_ocba_run_loads_no_scipy(tmp_path):
     assert (out / "archive.csv").read_bytes() == (GOLDEN / "sann_ocba.csv").read_bytes()
 
 
-def test_rsm_path_that_first_loads_scipy_matches_the_golden_file(tmp_path):
-    bundle, path = tmp_path / "sann_forest", tmp_path / "rsm_path.csv"
-    _run("tune", "--config", ROOT / "configs" / "sann_forest.cfg", "--out", bundle)
-    stderr = _seqtune_in_subprocess("rsm-path", "--bundle", bundle, "--out", path,
-                                    check=SCIPY_AT_EXIT)
-    # qr for the fit and brentq for the ridge steps were imported during the run
-    assert {"scipy.linalg", "scipy.optimize"} <= set(_scipy_at_exit(stderr))
-    _assert_rsm_path_matches(path.read_bytes(),
-                             (GOLDEN / "sann_forest_rsm_path.csv").read_bytes())
+def test_the_blocker_stops_a_scipy_import():
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY + "\nimport scipy.linalg\n"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "scipy is blocked: scipy" in proc.stderr
+
+
+@pytest.mark.parametrize("config", [
+    *(ROOT / "configs" / f"{name}.cfg" for name in SHIPPED),
+    GOLDEN / "branin_stack.cfg",
+], ids=lambda path: path.stem)
+def test_every_command_runs_without_scipy(tmp_path, config):
+    out = tmp_path / config.stem
+    _tune_in_subprocess(config, out, check=NO_SCIPY)
+    assert (out / "archive.csv").read_bytes() == (
+        GOLDEN / f"{config.stem}.csv").read_bytes()
+    if config.stem not in SHIPPED:
+        return
+    path = tmp_path / f"{config.stem}_rsm_path.csv"
+    _seqtune_in_subprocess("rsm-path", "--bundle", out, "--out", path, check=NO_SCIPY)
+    assert rsm_path_matches(path.read_bytes(), (GOLDEN / path.name).read_bytes())
+    if config.stem == "sphere_kriging":
+        path = tmp_path / "sphere_kriging_surface.csv"
+        _seqtune_in_subprocess("surface", "--bundle", out, "--grid", 11, "--out", path,
+                               check=NO_SCIPY)
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes()

@@ -12,9 +12,12 @@ np.linalg.cholesky computes for a stack of rows at a time.
 `_reference_neg_log_likelihood` computes the likelihood one row at a time
 through scipy's `cholesky`/`cho_solve` wrappers and names the branch of
 each penalty; the search's values are checked against it to a tolerance
-that grows with the conditioning.  Prediction solves through LAPACK's
-dpotrs directly, and `_reference_predict`, the same computation written
-with scipy's wrappers and `np.tensordot`, must agree with it bit for bit.
+that grows with the conditioning.  Prediction solves by forward and back
+substitution on the stored factor.  `_reference_predict` writes the same
+computation with `np.tensordot` and a solve passed in: with
+`_substitution_solve`, the same substitution one scalar at a time in
+plain Python floats, it must agree with the package bit for bit; with
+scipy's `cho_solve` (LAPACK's dpotrs) to 1e-12.
 """
 
 import math
@@ -36,6 +39,9 @@ from seqtune.kriging import (
     KrigingFit,
     _bordered_stacks,
     _bordered_values,
+    _cross_correlation,
+    _scaled,
+    _solve,
     fit_kriging,
     predict_kriging,
 )
@@ -310,7 +316,7 @@ def test_theta_search_range_reaches_tiny_activity():
 
 
 # ---------------------------------------------------------------------------
-# references through scipy's wrappers
+# references: scipy's wrappers and the scalar substitution
 
 
 def _reference_neg_log_likelihood(theta, lam, dists, y):
@@ -351,8 +357,35 @@ def _reference_neg_log_likelihood(theta, lam, dists, y):
     return float(value), (psi, k, lower, mu, sigma2, kinv_resid), bound
 
 
-def _reference_predict(fit: KrigingFit, xnew: np.ndarray) -> dict:
-    """`predict_kriging` through scipy's `cho_solve` and `np.tensordot`."""
+def _substitution_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """k x = b from the lower Cholesky factor of k, one scalar at a time.
+
+    Column-oriented forward and back substitution in Python floats, for
+    each column of b in turn: the package's order of operations, with no
+    numpy arithmetic.
+    """
+    rows = lower.tolist()
+    n = len(rows)
+    out = []
+    for z in np.asarray(b, dtype=float).reshape(n, -1).T.tolist():
+        for k in range(n):
+            z[k] /= rows[k][k]
+            for i in range(k + 1, n):
+                z[i] -= rows[i][k] * z[k]
+        for k in range(n - 1, -1, -1):
+            z[k] /= rows[k][k]
+            for i in range(k):
+                z[i] -= rows[k][i] * z[k]
+        out.append(z)
+    return np.array(out).T.reshape(np.shape(b))
+
+
+def _cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return cho_solve((lower, True), b, check_finite=False)
+
+
+def _reference_predict(fit: KrigingFit, xnew: np.ndarray, solve=_substitution_solve) -> dict:
+    """`predict_kriging` through `np.tensordot` and `solve`."""
     xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
     znew = (xnew - fit.x_offset) / fit.x_scale
     ztrain = (fit.X - fit.x_offset) / fit.x_scale
@@ -361,12 +394,10 @@ def _reference_predict(fit: KrigingFit, xnew: np.ndarray) -> dict:
     mean = fit.mu_hat + psi @ fit.alpha
     if fit.corr_factorization_re is not None:
         psi_u = psi[:, fit.reinterp_idx]
-        solved = cho_solve(
-            (fit.corr_factorization_re, True), psi_u.T, check_finite=False
-        )
+        solved = solve(fit.corr_factorization_re, psi_u.T)
         s2 = fit.sigma2_re * (1.0 - np.sum(psi_u.T * solved, axis=0))
     else:
-        solved = cho_solve((fit.corr_factorization, True), psi.T, check_finite=False)
+        solved = solve(fit.corr_factorization, psi.T)
         s2 = fit.sigma2_hat * (1.0 + fit.lambda_ - np.sum(psi.T * solved, axis=0))
     sd = np.sqrt(np.clip(s2, 0.0, None)).reshape(-1, 1)
     return {"mean": mean.reshape(-1, 1), "sd": sd}
@@ -395,6 +426,12 @@ def test_prediction_matches_the_wrapper_reference_bit_for_bit(use_lambda, rows):
     assert _bits(got["mean"]) == _bits(want["mean"])
     assert _bits(got["sd"]) == _bits(want["sd"])
     assert _bits(fit.predict(xq)) == _bits(want["mean"])
+    # the solves that sd reads agree with LAPACK's dpotrs to 1e-12
+    lower = fit.corr_factorization_re if use_lambda else fit.corr_factorization
+    psi = _cross_correlation(fit, _scaled(fit, xq))
+    psi = psi[:, fit.reinterp_idx] if use_lambda else psi
+    ours, lapack = _solve(lower, psi.T), _cho_solve(lower, psi.T)
+    assert np.abs(ours - lapack).max() <= 1e-12 * np.abs(lapack).max()
 
 
 def test_predict_reads_the_scaled_inputs_stored_at_fit_time():

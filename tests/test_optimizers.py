@@ -1,5 +1,7 @@
 """Tests for the bounded searchers (space-filling sample and local descent)."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -191,23 +193,25 @@ BOX_LOWER = np.array([-1.5, -0.5])
 BOX_UPPER = np.array([1.25, 3.0])
 
 
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
 @pytest.fixture
-def no_scipy_differences(monkeypatch):
-    """Make scipy's finite-difference gradient raise wherever it is looked up."""
-    import scipy.optimize._differentiable_functions as functions
-    import scipy.optimize._numdiff as numdiff
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("scipy's approx_derivative was called")
-
-    monkeypatch.setattr(numdiff, "approx_derivative", refuse)
-    monkeypatch.setattr(functions, "approx_derivative", refuse)
+def no_scipy(monkeypatch):
+    """Make every import of scipy fail, also of modules loaded already."""
+    for name in [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]:
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.setattr(sys, "meta_path", [_NoScipy(), *sys.meta_path])
 
 
 @pytest.mark.parametrize("gradient", [True, False])
 @pytest.mark.parametrize("start", [None, [1.25, 3.0], [-1.5, -0.5], [1.25, -0.5], [0.0, 1.0]])
 @pytest.mark.parametrize("budget", [1, 4, 5, 6, 23, 200])
-def test_local_descent_stays_in_the_box_and_the_budget(no_scipy_differences, gradient, start, budget):
+def test_local_descent_stays_in_the_box_and_the_budget(no_scipy, gradient, start, budget):
     fun = _Counted(gradient)
     start = None if start is None else np.array(start)
     res = optim_local_bounded(start, fun, BOX_LOWER, BOX_UPPER, {"funEvals": budget})
@@ -227,7 +231,7 @@ def test_local_descent_stays_in_the_box_and_the_budget(no_scipy_differences, gra
 
 
 @pytest.mark.parametrize("gradient", [True, False])
-def test_local_descent_solves_rosenbrock_from_either_gradient(no_scipy_differences, gradient):
+def test_local_descent_solves_rosenbrock_from_either_gradient(no_scipy, gradient):
     fun = _Counted(gradient)
     res = optim_local_bounded(np.array([-1.2, 1.0]), fun, BOX_LOWER, BOX_UPPER, {"funEvals": 2000})
     assert res.msg == "success"
@@ -272,7 +276,7 @@ def test_a_zero_width_axis_gets_a_zero_difference_gradient():
 
 
 @pytest.mark.parametrize("budget", [20, 31, 60])
-def test_a_local_likelihood_search_spends_exactly_its_budget(no_scipy_differences, budget):
+def test_a_local_likelihood_search_spends_exactly_its_budget(no_scipy, budget):
     rng = np.random.default_rng(19)
     X = rng.uniform(-1, 1, size=(7, 2))
     fit = fit_kriging(X, (X**2).sum(axis=1), {"budget": budget, "seed": 1, "algTheta": "local"})
