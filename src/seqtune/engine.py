@@ -100,6 +100,8 @@ class SpotConfig:
                 raise bad(name, "an integer")
         if self.seedFun is not None and not _is_int(self.seedFun):
             raise bad("seedFun", "an integer or none")
+        if self.seedSPOT < 0:
+            raise bad("seedSPOT", "a nonnegative integer")
         for name in ("noise", "OCBA"):
             if not isinstance(getattr(self, name), bool):
                 raise bad(name, "true or false")
@@ -108,9 +110,9 @@ class SpotConfig:
             if not isinstance(section, dict):
                 raise bad(name, "a section of keys")
             seed = section.get("seed")
-            if seed is not None and not _is_int(seed):
+            if seed is not None and not (_is_int(seed) and seed >= 0):
                 raise ValueError(
-                    f"{name} seed must be an integer or none, got {seed!r}"
+                    f"{name} seed must be a nonnegative integer or none, got {seed!r}"
                 )
             for key, least in keys.items():
                 value = section.get(key)

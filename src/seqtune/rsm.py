@@ -179,7 +179,10 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
     eigenvectors = np.zeros((d, active.size))
     eigenvectors[active, :] = vecs
     stationary_coded = stationary = None
-    if np.linalg.cond(sub) < 1e12:
+    # the condition number of the symmetric `sub`, max|l| / min|l| < 1e12,
+    # without a division: min|l| may be 0
+    magnitudes = np.abs(eigenvalues)
+    if magnitudes.max() < 1e12 * magnitudes.min():
         stationary_coded = np.zeros(d)
         stationary_coded[active] = np.linalg.solve(sub, -0.5 * b[active])
         stationary = centers + stationary_coded * halves

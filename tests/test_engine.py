@@ -516,6 +516,27 @@ def test_config_rejects_bad_values():
         SpotConfig(**{name: {key: least}})
 
 
+@pytest.mark.parametrize("key, control", [
+    ("seedSPOT", {"seedSPOT": -2}),
+    ("designControl seed", {"designControl": {"seed": -1}}),
+    ("modelControl seed", {"modelControl": {"seed": -1}}),
+    ("optimizerControl seed", {"optimizerControl": {"seed": -1}}),
+], ids=["seedSPOT", "designControl", "modelControl", "optimizerControl"])
+def test_a_negative_seed_is_rejected_before_any_evaluation(key, control):
+    # numpy's generators take no negative seed; the model's used to fail
+    # after the whole design was evaluated, with a message naming no key
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return _sphere(x)
+
+    with pytest.raises(ValueError, match=f"^{key} must be a nonnegative integer"):
+        spot(None, counting, [-1, -1], [1, 1],
+             {"funEvals": 12, "designControl": {"size": 10}, **_FAST_FOREST, **control})
+    assert calls == []
+
+
 def test_config_defaults():
     cfg = SpotConfig()
     assert cfg.funEvals == 20

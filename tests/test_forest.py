@@ -5,21 +5,21 @@ force and compares achieved error reduction, so it is independent of the
 cumulative-sum implementation inside the package.  The growth oracle is the
 recursive grower that the package used before its trees grew in lockstep:
 one `_best_split` and one `grow_tree` call per node, on the node's own rows,
-and one `rng.choice` per node that can split.  Every tree of a fit, read as
-linked nodes through `ForestFit.trees`, must equal it bit for bit.  (The two
+and one row of candidate features per node that can split.  Every tree of a
+fit, read as linked nodes through `ForestFit.trees`, must equal it bit for
+bit when fed the draws that `fit_forest` documents, recomputed here with
+numpy's Generator: the bootstrap samples, then one block of uniform keys per
+tree, each row's features ordered by key in plain Python.  (The two growers
 differ only where the midpoint of two neighbouring doubles rounds up to the
 upper one: there the oracle recurses forever, and the property test's grids
-never make such pairs.)  The package draws all of a tree's features in one
-`integers` call's worth of draws when it draws one per node; a test pins
-that this is the stream of one `choice` call per node.  It computes every
-tree's bootstrap and feature draws at once from the tree seeds, without a
-generator per tree; tests pin those draws against `np.random.default_rng`
-across seeds, sizes and bounds, including bounds whose words numpy rejects.
-The prediction oracle sends whole
-batches down each linked tree by recursive boolean-mask partitions and adds
-the trees' values in tree order from 0.0; the package walks every (tree,
-row) pair through its node arrays at once, so the two must agree bit for
-bit.
+never make such pairs.)  Two tests read a fit's draws themselves and pin
+them against a fresh Generator across seeds, row counts and feature counts:
+the one block of keys is the stream of one `random(d)` call per node, and
+the fit makes one `default_rng(seed)` and no other.  The prediction oracle
+sends whole batches down each linked tree by recursive boolean-mask
+partitions and adds the trees' values in tree order from 0.0; the package
+walks every (tree, row) pair through its node arrays at once, so the two
+must agree bit for bit.
 """
 
 import tracemalloc
@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtune import forest
-from seqtune.forest import ForestFit, _Node, fit_forest, grow_trees, seeded_integers
+from seqtune.forest import ForestFit, _Node, fit_forest, grow_trees
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray, min_leaf: int):
@@ -70,19 +70,16 @@ def _best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray, min_leaf: in
     return best
 
 
-def grow_tree(
-    x: np.ndarray,
-    y: np.ndarray,
-    mtry: int,
-    min_node_size: int,
-    rng: np.random.Generator,
-) -> _Node:
-    """Recursively grow one regression tree on the given sample."""
+def grow_tree(x: np.ndarray, y: np.ndarray, min_node_size: int, draw) -> _Node:
+    """Recursively grow one regression tree on the given sample.
+
+    `draw()` gives the candidate features of each node that can split, in
+    depth-first order, left child first.
+    """
     n = y.shape[0]
     if n < 2 * min_node_size or n < 2 or np.all(y == y[0]):
         return _Node(value=float(y.mean()))
-    features = rng.choice(x.shape[1], size=min(mtry, x.shape[1]), replace=False)
-    split = _best_split(x, y, features, min_node_size)
+    split = _best_split(x, y, draw(), min_node_size)
     if split is None:
         return _Node(value=float(y.mean()))
     f, thr = split
@@ -90,28 +87,49 @@ def grow_tree(
     return _Node(
         feature=f,
         threshold=thr,
-        left=grow_tree(x[mask], y[mask], mtry, min_node_size, rng),
-        right=grow_tree(x[~mask], y[~mask], mtry, min_node_size, rng),
+        left=grow_tree(x[mask], y[mask], min_node_size, draw),
+        right=grow_tree(x[~mask], y[~mask], min_node_size, draw),
     )
+
+
+def _node_features(keys, k):
+    """Each key row's k columns of smallest key, in key order, ties by column."""
+    rows = [[sorted(range(len(row)), key=lambda j: (row[j], j))[:k] for row in block]
+            for block in keys.tolist()]
+    return np.array(rows, dtype=np.intp).reshape(*keys.shape[:2], k)
+
+
+def _documented_draws(seed, ntree, n, d, mtry, min_node_size):
+    """The bootstrap samples and node features that `fit_forest` draws."""
+    rng = np.random.default_rng(seed)
+    samples = rng.integers(0, n, size=(ntree, n))
+    keys = rng.random((ntree, forest.feature_draws(n, min_node_size), d))
+    return samples, _node_features(keys, min(mtry, d))
+
+
+class _Draws:
+    """The rows of one tree's node features, handed out in order and counted."""
+
+    def __init__(self, rows):
+        self.rows, self.calls = rows, 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.rows[self.calls - 1]
 
 
 def _grow_one(x, y, mtry, min_node_size, rng):
     """The package's grower on all rows of (x, y), as a single linked tree.
 
-    It draws its node features from `rng` as `fit_forest` draws them after a
-    tree's bootstrap: one `integers(0, d)` call, `forest.feature_draws` long,
-    with one feature per node, else one `choice` per node that can split.
+    Its node features are drawn from `rng` as `fit_forest` draws them after
+    the bootstrap: a block of `forest.feature_draws` rows of keys.
     """
     d = x.shape[1]
-    if min(mtry, d) == 1:
-        draws = forest.feature_draws(x.shape[0], min_node_size)
-        features = forest.one_per_node(rng.integers(0, d, size=(1, draws)))
-    else:
-        def features(trees):
-            return rng.choice(d, size=min(mtry, d), replace=False)[None]
+    keys = rng.random((1, forest.feature_draws(x.shape[0], min_node_size), d))
+    features = forest.row_per_node(_node_features(keys, min(mtry, d)))
     arrays = grow_trees(x, y, [np.arange(len(y))], min_node_size, features)
-    return ForestFit(*arrays, ntree=1, mtry=mtry, min_node_size=min_node_size,
-                     seeds=np.array([0]), n_features=x.shape[1]).trees[0]
+    return ForestFit(*arrays, ntree=1, mtry=min(mtry, d), min_node_size=min_node_size,
+                     n_features=d).trees[0]
 
 
 def _shape(node):
@@ -194,7 +212,7 @@ def _single_tree_fit(tree, n_features):
         left=np.array([left], dtype=np.int32),
         value=np.array([[node.value for node in nodes]]),
         depth=_depth(tree), ntree=1, mtry=n_features, min_node_size=1,
-        seeds=np.array([0]), n_features=n_features,
+        n_features=n_features,
     )
 
 
@@ -262,17 +280,6 @@ def test_neighbouring_doubles_split_between_them():
     assert (tree.left.value, tree.right.value) == (0.0, 1.0)
 
 
-class _CountingRng:
-    """A generator that counts its `choice` calls."""
-
-    def __init__(self, seed):
-        self.rng, self.calls = np.random.default_rng(seed), 0
-
-    def choice(self, *args, **kwargs):
-        self.calls += 1
-        return self.rng.choice(*args, **kwargs)
-
-
 @pytest.mark.parametrize("min_node_size", [1, 2, 3])
 @pytest.mark.parametrize("leaves_draw", [False, True])
 def test_a_chain_of_splits_reaches_the_growers_bounds(leaves_draw, min_node_size):
@@ -280,23 +287,27 @@ def test_a_chain_of_splits_reaches_the_growers_bounds(leaves_draw, min_node_size
     # depth-first stack holds one pending right child per level.  With
     # min_node_size rows per level the deepest split leaves n // min_node_size
     # nodes on the stack; with twice that many rows of two targets, every
-    # leaf draws a feature and fails to split, so the tree makes
+    # leaf draws features and fails to split, so the tree makes
     # n // min_node_size - 1 draws.  The grower's stack and fit_forest's
-    # feature buffer have those sizes.
+    # feature buffer have those sizes, with one feature drawn per node and,
+    # beside a constant second column, with two.
     levels = 16
     per_level = min_node_size * (2 if leaves_draw else 1)
     x = np.repeat(np.arange(levels, dtype=float), per_level)
     y = 4.0**x + (np.arange(x.size) % 2 if leaves_draw else 0)
-    x = x.reshape(-1, 1)
-    oracle_rng = _CountingRng(0)
-    oracle = grow_tree(x, y, 1, min_node_size, oracle_rng)
-    tree = _grow_one(x, y, mtry=1, min_node_size=min_node_size,
-                     rng=np.random.default_rng(0))
-    assert _shape(tree) == _shape(oracle)
-    assert _depth(tree) == levels - 1
-    if leaves_draw:
-        assert oracle_rng.calls == x.shape[0] // min_node_size - 1
-        assert forest.feature_draws(x.shape[0], min_node_size) == oracle_rng.calls
+    for x in (x.reshape(-1, 1), np.column_stack([x, np.zeros_like(x)])):
+        d = x.shape[1]
+        keys = np.random.default_rng(0).random(
+            (1, forest.feature_draws(x.shape[0], min_node_size), d))
+        draws = _Draws(_node_features(keys, d)[0])
+        oracle = grow_tree(x, y, min_node_size, draws)
+        tree = _grow_one(x, y, mtry=d, min_node_size=min_node_size,
+                         rng=np.random.default_rng(0))
+        assert _shape(tree) == _shape(oracle)
+        assert _depth(tree) == levels - 1
+        if leaves_draw:
+            assert draws.calls == x.shape[0] // min_node_size - 1
+            assert forest.feature_draws(x.shape[0], min_node_size) == draws.calls
 
 
 @settings(max_examples=150)
@@ -322,87 +333,76 @@ def test_every_tree_equals_the_recursive_oracle_bit_for_bit(
     fit = fit_forest(X, y, {"ntree": ntree, "mtry": mtry,
                             "min_node_size": min_node_size, "seed": seed})
     assert len(fit.trees) == ntree
-    for tree, s in zip(fit.trees, fit.seeds):
-        tree_rng = np.random.default_rng(int(s))
-        idx = tree_rng.integers(0, n, size=n)
-        oracle = grow_tree(X[idx], y[idx], mtry, min_node_size, tree_rng)
+    samples, drawn = _documented_draws(seed, ntree, n, d, mtry, min_node_size)
+    for tree, idx, rows in zip(fit.trees, samples, drawn):
+        oracle = grow_tree(X[idx], y[idx], min_node_size, _Draws(rows))
         assert _shape(tree) == _shape(oracle)
 
 
-@pytest.mark.parametrize("d", range(1, 65))
-def test_one_integers_call_is_the_stream_of_one_choice_per_node(d):
-    # the grower draws a tree's one-per-node features in one int64 integers
-    # call after its bootstrap; the oracle calls choice at every node
-    n = 37
-    draws = 2 * n - 1
-    for seed in range(5):
-        per_node = np.random.default_rng([seed, d])
-        batched = np.random.default_rng([seed, d])
-        assert np.array_equal(per_node.integers(0, n, size=n),
-                              batched.integers(0, n, size=n))
-        expected = [per_node.choice(d, 1, replace=False)[0] for _ in range(draws)]
-        assert batched.integers(0, d, size=draws).tolist() == expected, (
-            f"numpy {np.__version__}: choice(d, 1, replace=False) no longer draws "
-            f"like integers(0, d) at d = {d}; forest.grow_trees relies on it"
-        )
-        assert per_node.random() == batched.random()
-
-
 @pytest.fixture
-def generators(monkeypatch):
-    """The seeds of the generators that `np.random.default_rng` makes."""
-    made, real = [], np.random.default_rng
+def fit_draws(monkeypatch):
+    """The bootstrap samples and node features of each `fit_forest` call."""
+    made, grow, rows = [], forest.grow_trees, forest.row_per_node
 
-    def counting(seed=None):
-        made.append(seed)
-        return real(seed)
+    def reading(drawn):
+        made.append([None, drawn.copy()])
+        return rows(drawn)
 
-    monkeypatch.setattr(forest.np.random, "default_rng", counting)
+    def growing(X, y, samples, min_node_size, features):
+        made[-1][0] = np.array(samples)
+        return grow(X, y, samples, min_node_size, features)
+
+    monkeypatch.setattr(forest, "row_per_node", reading)
+    monkeypatch.setattr(forest, "grow_trees", growing)
     return made
 
 
-# the ends of each 32-bit seed word; 2**63 - 2 is the largest tree seed
+@pytest.mark.parametrize("d", range(1, 65))
+def test_one_integers_call_is_the_stream_of_one_choice_per_node(d, fit_draws):
+    # the fit draws every node's keys in one random call after the
+    # bootstrap; it is the stream of one random(d) call per node, each
+    # node choosing its k features of smallest key, ties by column
+    n, ntree = 37, 3
+    X = np.tile(np.arange(n, dtype=float)[:, None], (1, d))
+    for seed in range(3):
+        for k in sorted({1, min(d, 3)}):
+            fit_forest(X, X[:, 0], {"ntree": ntree, "mtry": k, "min_node_size": 1,
+                                    "seed": seed})
+            samples, drawn = fit_draws.pop()
+            per_node = np.random.Generator(np.random.PCG64(seed))
+            assert samples.tolist() == per_node.integers(0, n, size=(ntree, n)).tolist()
+            expected = [[sorted(range(d), key=lambda j: (keys[j], j))[:k]
+                         for keys in (per_node.random(d).tolist()
+                                      for _ in range(forest.feature_draws(n, 1)))]
+                        for _ in range(ntree)]
+            assert drawn.tolist() == expected
+            assert all(len(set(row)) == k for tree in expected for row in tree)
+
+
+# the ends of each 32-bit seed word, and the largest 63-bit seed
 _PINNED_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
 
 
-def _assert_numpy_draws(seeds, calls, got):
-    """`got` holds each seed's `default_rng(seed).integers(0, high, size)` calls."""
-    for i, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.PCG64(int(seed)))  # default_rng(seed)
-        for (high, size), draws in zip(calls, got):
-            assert draws[i].tolist() == rng.integers(0, high, size=size).tolist(), (
-                f"numpy {np.__version__}: default_rng({seed}) no longer draws "
-                f"integers(0, {high}, size={size}) in the calls {calls} as "
-                f"forest.seeded_integers computes them"
-            )
-
-
 @pytest.mark.parametrize("n", range(1, 65))
-def test_vectorized_draws_are_the_stream_of_default_rng(n, generators):
-    # a tree's bootstrap integers(0, n, size=n), then its feature draws
-    # integers(0, d, size=k): an odd n leaves the high half of its last
-    # 64-bit output to the first feature draw, and n = 1 or d = 1 take no words
-    spread = np.random.SeedSequence(n).generate_state(8, np.uint64) >> np.uint64(1)
-    seeds = _PINNED_SEEDS + spread.tolist()
-    for d in range(1, 9):
-        for k in (0, 1, n // d + 2):
-            calls = [(n, n), (d, k)]
-            _assert_numpy_draws(seeds, calls, seeded_integers(seeds, calls))
-    assert generators == []  # no word of these bounds is rejected
-
-
-@pytest.mark.parametrize("high", [2**31 + 1, 2**32 - 1, 2**32])
-def test_rejected_words_are_redrawn_by_the_trees_own_generator(high, generators):
-    # Lemire's method rejects a word when (word * high) mod 2**32 falls below
-    # (2**32 - high) % high: about half the words at 2**31 + 1, none at 2**32
-    seeds = _PINNED_SEEDS + list(range(2, 40))
-    calls = [(7, 7), (high, 9), (3, 4)]
-    got = seeded_integers(seeds, calls)
-    if high == 2**31 + 1:
-        assert len(generators) > len(seeds) // 2
-    if high == 2**32:
-        assert generators == []
-    _assert_numpy_draws(seeds, calls, got)
+def test_vectorized_draws_are_the_stream_of_default_rng(n, fit_draws, generators):
+    # every tree's bootstrap, then every tree's node keys, each in one call
+    # on the fit's one default_rng(seed); n = 1 draws no keys, and an odd n
+    # leaves half of the bootstrap's last 64-bit word unused
+    spread = np.random.SeedSequence(n).generate_state(3, np.uint64) >> np.uint64(1)
+    for seed in _PINNED_SEEDS + spread.tolist():
+        for d in (1, 3):
+            X = np.random.Generator(np.random.PCG64(n)).uniform(size=(n, d))
+            for mtry, min_node_size in ((1, 1), (d, 3)):
+                generators.clear()
+                fit_forest(X, X.sum(axis=1), {"ntree": 2, "mtry": mtry,
+                                              "min_node_size": min_node_size,
+                                              "seed": seed})
+                assert generators == [seed]
+                samples, drawn = fit_draws.pop()
+                rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed)
+                assert samples.tolist() == rng.integers(0, n, size=(2, n)).tolist()
+                keys = rng.random((2, forest.feature_draws(n, min_node_size), d))
+                assert drawn.tolist() == _node_features(keys, mtry).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -562,16 +562,30 @@ def test_a_default_fit_on_fifty_rows_peaks_below_three_megabytes():
     assert peak <= 3 * 2**20
 
 
+@pytest.fixture
+def generators(monkeypatch):
+    """The seeds of the generators that `np.random.default_rng` makes."""
+    made, real = [], np.random.default_rng
+
+    def counting(seed=None):
+        made.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(forest.np.random, "default_rng", counting)
+    return made
+
+
 def test_a_default_fit_makes_no_generator_per_tree(generators):
-    # building 500 generators was most of a small fit; with one feature per
-    # node every tree's draws come from its seed without one
+    # building 500 generators was most of a small fit; every tree's draws
+    # come from the fit's one generator, whatever the features per node
     rng = np.random.default_rng(4)
     X = rng.uniform(0, 1, size=(50, 2))
     y = np.sin(6 * X[:, 0]) + X[:, 1] ** 2 + rng.normal(0, 0.1, 50)
-    generators.clear()
-    fit = fit_forest(X, y, {"seed": 1})
-    assert (fit.ntree, fit.mtry) == (500, 1)
-    assert generators in ([], [1])  # at most the root generator
+    for mtry in (1, 2):
+        generators.clear()
+        fit = fit_forest(X, y, {"seed": 1, "mtry": mtry})
+        assert (fit.ntree, fit.mtry) == (500, mtry)
+        assert generators == [1]
 
 
 def test_fit_validates_input():
