@@ -32,9 +32,10 @@ One generator, `np.random.default_rng(seed)`, draws every random number of
 a fit: first all trees' bootstrap samples, `integers(0, n, size=(ntree, n))`,
 then the node features, the first min(mtry, d) columns of a stable argsort
 of `random((ntree, feature_draws(n, min_node_size), d))` along its last
-axis.  Tree t's nodes that can split take the rows of its block in the
-order they ask.  `tests/test_forest.py` keeps the recursive grower, fed the
-same draws, as the bit-for-bit reference.
+axis, drawn and sorted a block of trees at a time.  Tree t's nodes that
+can split take the rows of its block in the order they ask.
+`tests/test_forest.py` keeps the recursive grower, fed the same draws, as
+the bit-for-bit reference.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ class _Node:
 # Cells (nodes by padded rows in a fit, trees by rows in a prediction) per
 # vectorized pass; bounds the pass's temporaries and so the peak memory.
 _PASS_CELLS = 2**12
+
+# Uniform keys drawn at once for the node features; bounds their memory.
+_KEY_DOUBLES = 2**16
 
 
 @dataclass
@@ -325,9 +329,15 @@ def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> 
         raise ValueError("ntree, mtry and min_node_size must be positive")
     rng = np.random.default_rng(control.get("seed"))
     samples = rng.integers(0, n, size=(ntree, n))
-    shape = (ntree, feature_draws(n, min_node_size), d)
-    # a copy: the uniform keys and their whole argsort are freed before the trees grow
-    drawn = np.argsort(rng.random(shape), axis=2, kind="stable")[:, :, :mtry].copy()
+    draws = feature_draws(n, min_node_size)
+    # the keys a block of trees at a time: in C order that is the stream of
+    # one random((ntree, draws, d)) call, and only a block's keys and their
+    # argsort are held at once
+    block = max(1, _KEY_DOUBLES // max(draws * d, 1))
+    drawn = np.empty((ntree, draws, min(mtry, d)), dtype=np.int32)
+    for a in range(0, ntree, block):
+        keys = rng.random((min(block, ntree - a), draws, d))
+        drawn[a:a + block] = np.argsort(keys, axis=2, kind="stable")[:, :, :mtry]
     features = row_per_node(drawn)
     feature, threshold, left, value, depth = grow_trees(
         X, y, samples, min_node_size, features)

@@ -86,6 +86,30 @@ class KrigingFit:
         diff = znew[:, None, :] - self.z[None, :, :]
         return mean.reshape(-1, 1), np.einsum("mn,mnd->md", weighted, diff) * slope
 
+    def fold_predictions(self, fold_of: np.ndarray) -> np.ndarray:
+        """Each row's mean predicted from the rows outside its fold, (n,).
+
+        `fold_of[i]` is row i's fold, 0 to folds - 1.  The folds keep this
+        fit's theta, lambda and input scaling and re-estimate the constant
+        mean.  With R = K + lam I, u = R^-1 1 and s = 1'u, the data block
+        of the bordered matrix's inverse is C = R^-1 - u u' / s, and fold
+        I's held-out means are y_I - C_II^-1 alpha_I (Dubrule, 1983, on
+        blocks of rows).  Raises ValueError when a fold leaves fewer than 2
+        rows, as fit_kriging does.
+        """
+        n = self.y.shape[0]
+        r_inv = _solve(self.corr_factorization, np.eye(n))
+        u = r_inv.sum(axis=1)
+        c = r_inv - np.outer(u, u) / u.sum()
+        y, alpha = self.y.reshape(-1), self.alpha.reshape(-1)
+        out = np.empty(n)
+        for k in range(int(fold_of.max()) + 1):
+            test = fold_of == k
+            if n - np.count_nonzero(test) < 2:
+                raise ValueError("need at least 2 training points")
+            out[test] = y[test] - np.linalg.solve(c[np.ix_(test, test)], alpha[test])
+        return out
+
 
 def _solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve k x = b, b (n,) or (n, m), given the lower Cholesky factor of k.

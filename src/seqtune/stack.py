@@ -3,7 +3,11 @@
 Members are fit on the full data; their blend weights come from K-fold
 out-of-fold predictions solved by nonnegative least squares and normalized
 to sum to one, so the stack prediction is always a convex combination of
-member predictions.
+member predictions (Breiman, Stacked Regressions, 1996).  A member fit that
+has `fold_predictions(fold_of)` gives every fold's predictions in closed
+form from the full fit: Kriging at the full fit's hyperparameters and input
+scaling with the mean re-estimated per fold, RSM exactly as its refits.
+The forest and callable members are refit on each fold.
 """
 
 from __future__ import annotations
@@ -98,9 +102,13 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     Control keys: members (names from kriging/forest/rsm, or callables with
     the common fit signature; a single one is a one-member stack), folds
     (default 5), seed, types, and memberControls (a dict of per-member
-    control dicts).  Members that fail to fit on the full data or on any
-    fold, or that predict a non-finite value out of fold, are dropped; if
-    none survive, the error from the last failure is raised.
+    control dicts).  Out-of-fold predictions come from the full fit's
+    `fold_predictions(fold_of)` where it has one (Kriging and RSM; Kriging's
+    folds keep the full fit's theta, lambda and scaling), and otherwise
+    from one refit per fold (the forest and callables).  Members that fail
+    to fit on the full data or on any fold, or that predict a non-finite
+    value out of fold, are dropped; if none survive, the error from the
+    last failure is raised.
     """
     control = dict(control or {})
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -133,11 +141,14 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
         sub.setdefault("types", control.get("types"))
         try:
             full = fitter(X, y, sub)
-            oof = np.empty(n)
-            for k in range(folds):
-                test = fold_of == k
-                part = fitter(X[~test], y[~test], sub)
-                oof[test] = np.asarray(part.predict(X[test])).reshape(-1)
+            if hasattr(full, "fold_predictions"):
+                oof = full.fold_predictions(fold_of)
+            else:
+                oof = np.empty(n)
+                for k in range(folds):
+                    test = fold_of == k
+                    part = fitter(X[~test], y[~test], sub)
+                    oof[test] = np.asarray(part.predict(X[test])).reshape(-1)
             if not np.isfinite(oof).all():
                 raise ValueError(f"member {label!r} predicted non-finite values")
         except Exception as err:  # member dropped, others may still work

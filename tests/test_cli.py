@@ -499,6 +499,38 @@ def test_a_design_too_small_for_the_first_fit_exits_2_unevaluated(
         assert not os.path.exists(out)
 
 
+def test_a_negative_seedfun_for_a_seeded_objective_exits_2_unevaluated(
+    tmp_path, capsys, monkeypatch
+):
+    # sannSphere hands seedFun plus the row count to numpy's default_rng;
+    # seedFun = -5 used to fail at the first evaluation with numpy's bare
+    # "expected non-negative integer" and no bundle
+    calls = []
+
+    def counting(x, seed=None):
+        calls.append(seed)
+        return np.zeros((np.atleast_2d(x).shape[0], 1))
+
+    monkeypatch.setattr("seqtune.cli.get_objective", lambda name: counting)
+    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "sann_forest.cfg")
+    with open(shipped) as fh:
+        text = fh.read()
+    cfg = _cfg(tmp_path, text.replace("seedFun = 1\n", "seedFun = -5\nfunEvals = 12\n")
+               .replace("funEvals = 50\n", ""))
+    out = str(tmp_path / "b")
+    assert main(["tune", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "seedFun must be nonnegative for fun = sannSphere, got -5" in err
+    assert calls == []
+    assert not os.path.exists(out)
+
+    # an objective that takes no seed may still run on any seedFun
+    noisy = _cfg(tmp_path, BOUNDS_CFG.replace("seedSPOT = 3", "noise = true\nseedFun = -5"))
+    monkeypatch.undo()
+    assert main(["tune", "--config", noisy, "--out", out]) == 0
+    assert load_bundle(out)["seeds"][:2] == [-5, -4]
+
+
 def test_a_lone_stack_member_in_a_config_is_one_member(tmp_path, capsys):
     cfg = _cfg(
         tmp_path,

@@ -12,14 +12,14 @@ numpy's Generator: the bootstrap samples, then one block of uniform keys per
 tree, each row's features ordered by key in plain Python.  (The two growers
 differ only where the midpoint of two neighbouring doubles rounds up to the
 upper one: there the oracle recurses forever, and the property test's grids
-never make such pairs.)  Two tests read a fit's draws themselves and pin
-them against a fresh Generator across seeds, row counts and feature counts:
-the one block of keys is the stream of one `random(d)` call per node, and
-the fit makes one `default_rng(seed)` and no other.  The prediction oracle
-sends whole batches down each linked tree by recursive boolean-mask
-partitions and adds the trees' values in tree order from 0.0; the package
-walks every (tree, row) pair through its node arrays at once, so the two
-must agree bit for bit.
+never make such pairs.)  Two tests read a fit's draws, stopping it before
+its trees grow, and pin them against a fresh Generator across seeds, row
+counts and feature counts: the keys are the stream of one `random(d)` call
+per node, and the fit makes one `default_rng(seed)` and no other.  The
+prediction oracle sends whole batches down each linked tree by recursive
+boolean-mask partitions and adds the trees' values in tree order from 0.0;
+the package walks every (tree, row) pair through its node arrays at once,
+so the two must agree bit for bit.
 """
 
 import tracemalloc
@@ -339,36 +339,48 @@ def test_every_tree_equals_the_recursive_oracle_bit_for_bit(
         assert _shape(tree) == _shape(oracle)
 
 
+class _Drawn(Exception):
+    """Raised in place of growing the trees, once a fit has made its draws."""
+
+
 @pytest.fixture
 def fit_draws(monkeypatch):
-    """The bootstrap samples and node features of each `fit_forest` call."""
-    made, grow, rows = [], forest.grow_trees, forest.row_per_node
+    """`fit_forest(X, y, control)`'s bootstrap samples and node features.
+
+    The fit stops where its trees would start to grow, after every draw.
+    """
+    made, rows = [], forest.row_per_node
 
     def reading(drawn):
         made.append([None, drawn.copy()])
         return rows(drawn)
 
-    def growing(X, y, samples, min_node_size, features):
+    def stopping(X, y, samples, min_node_size, features):
         made[-1][0] = np.array(samples)
-        return grow(X, y, samples, min_node_size, features)
+        raise _Drawn
 
     monkeypatch.setattr(forest, "row_per_node", reading)
-    monkeypatch.setattr(forest, "grow_trees", growing)
-    return made
+    monkeypatch.setattr(forest, "grow_trees", stopping)
+
+    def draws(X, y, control):
+        with pytest.raises(_Drawn):
+            fit_forest(X, y, control)
+        return made.pop()
+    return draws
 
 
 @pytest.mark.parametrize("d", range(1, 65))
 def test_one_integers_call_is_the_stream_of_one_choice_per_node(d, fit_draws):
-    # the fit draws every node's keys in one random call after the
-    # bootstrap; it is the stream of one random(d) call per node, each
-    # node choosing its k features of smallest key, ties by column
+    # the name predates the one-generator fit; what it pins: the fit draws
+    # every node's keys after the bootstrap, in blocks of trees, and that
+    # is the stream of one random(d) call per node, each node choosing its
+    # k features of smallest key, ties by column
     n, ntree = 37, 3
     X = np.tile(np.arange(n, dtype=float)[:, None], (1, d))
     for seed in range(3):
         for k in sorted({1, min(d, 3)}):
-            fit_forest(X, X[:, 0], {"ntree": ntree, "mtry": k, "min_node_size": 1,
-                                    "seed": seed})
-            samples, drawn = fit_draws.pop()
+            samples, drawn = fit_draws(X, X[:, 0], {"ntree": ntree, "mtry": k,
+                                                    "min_node_size": 1, "seed": seed})
             per_node = np.random.Generator(np.random.PCG64(seed))
             assert samples.tolist() == per_node.integers(0, n, size=(ntree, n)).tolist()
             expected = [[sorted(range(d), key=lambda j: (keys[j], j))[:k]
@@ -385,8 +397,9 @@ _PINNED_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
 
 @pytest.mark.parametrize("n", range(1, 65))
 def test_vectorized_draws_are_the_stream_of_default_rng(n, fit_draws, generators):
-    # every tree's bootstrap, then every tree's node keys, each in one call
-    # on the fit's one default_rng(seed); n = 1 draws no keys, and an odd n
+    # the name predates the one-generator fit; what it pins: every tree's
+    # bootstrap in one call, then every tree's node keys, all on the fit's
+    # one default_rng(seed); n = 1 draws no keys, and an odd n
     # leaves half of the bootstrap's last 64-bit word unused
     spread = np.random.SeedSequence(n).generate_state(3, np.uint64) >> np.uint64(1)
     for seed in _PINNED_SEEDS + spread.tolist():
@@ -394,15 +407,44 @@ def test_vectorized_draws_are_the_stream_of_default_rng(n, fit_draws, generators
             X = np.random.Generator(np.random.PCG64(n)).uniform(size=(n, d))
             for mtry, min_node_size in ((1, 1), (d, 3)):
                 generators.clear()
-                fit_forest(X, X.sum(axis=1), {"ntree": 2, "mtry": mtry,
-                                              "min_node_size": min_node_size,
-                                              "seed": seed})
+                samples, drawn = fit_draws(X, X.sum(axis=1), {
+                    "ntree": 2, "mtry": mtry, "min_node_size": min_node_size,
+                    "seed": seed})
                 assert generators == [seed]
-                samples, drawn = fit_draws.pop()
                 rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed)
                 assert samples.tolist() == rng.integers(0, n, size=(2, n)).tolist()
                 keys = rng.random((2, forest.feature_draws(n, min_node_size), d))
                 assert drawn.tolist() == _node_features(keys, mtry).tolist()
+
+
+def test_keys_drawn_in_blocks_are_the_one_call_stream(fit_draws):
+    # 500 trees of 200 rows in 20 dimensions take several blocks of keys
+    X = np.random.default_rng(2).uniform(size=(200, 20))
+    samples, drawn = fit_draws(X, X[:, 0], {"min_node_size": 1, "mtry": 2, "seed": 9})
+    rng = np.random.default_rng(9)
+    rng.integers(0, 200, size=(500, 200))
+    keys = rng.random((500, forest.feature_draws(200, 1), 20))
+    assert drawn.shape[0] * drawn.shape[1] * 20 > forest._KEY_DOUBLES
+    assert np.array_equal(drawn, np.argsort(keys, axis=2, kind="stable")[:, :, :2])
+
+
+def test_the_draws_of_a_wide_fit_stay_small(monkeypatch):
+    # the keys of 500 trees of 200 rows in 20 dimensions, drawn at once,
+    # were 31 MB with their argsort; a block at a time, the draws hold the
+    # bootstrap (0.8 MB), the (500, 199, 6) int32 features (2.4 MB) and
+    # one block of keys and its argsort (1 MB)
+    def stopping(X, y, samples, min_node_size, features):
+        raise _Drawn(tracemalloc.get_traced_memory()[1])
+
+    X = np.random.default_rng(3).uniform(size=(200, 20))
+    monkeypatch.setattr(forest, "grow_trees", stopping)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Drawn) as drawn:
+            fit_forest(X, X.sum(axis=1), {"min_node_size": 1, "seed": 1})
+    finally:
+        tracemalloc.stop()
+    assert drawn.value.args[0] <= 6 * 2**20
 
 
 # ---------------------------------------------------------------------------

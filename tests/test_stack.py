@@ -1,14 +1,17 @@
-"""Stacked surrogate: weight simplex, member dropping, convex blending."""
+"""Stacked surrogate: weight simplex, member dropping, convex blending, and
+the Kriging and RSM fold predictions that stand in for refits."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from seqtune import stack
 from seqtune.design import ParamSpace, make_lhd
 from seqtune.forest import fit_forest
 from seqtune.kriging import fit_kriging
-from seqtune.rsm import fit_rsm
+from seqtune.objectives import fun_branin
+from seqtune.rsm import RankDeficiencyError, fit_rsm
 from seqtune.stack import fit_stack
 
 
@@ -185,3 +188,138 @@ def test_fit_is_deterministic_under_seed():
     assert np.array_equal(a.weights, b.weights)
     xq = [[0.3, -0.2, 0.8]]
     assert a.predict(xq) == pytest.approx(b.predict(xq))
+
+
+# ---------------------------------------------------------------------------
+# fold predictions from the full fit
+
+
+def _folds(n, folds, seed):
+    """fit_stack's fold of each row."""
+    fold_of = np.empty(n, dtype=int)
+    order = np.random.default_rng(seed).permutation(n)
+    for k, chunk in enumerate(np.array_split(order, folds)):
+        fold_of[chunk] = k
+    return fold_of
+
+
+def _branin_design(seed):
+    rng = np.random.default_rng(seed)
+    n = 12 + seed % 8
+    X = rng.uniform([-5.0, 0.0], [10.0, 15.0], size=(n, 2))
+    return X, fun_branin(X)[:, 0]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_kriging_fold_predictions_are_the_bordered_solve_of_each_fold(seed):
+    # at the full fit's theta, lambda and scaling, fold I's held-out means
+    # are those of a Kriging fit to the other rows with its own GLS mean:
+    # [K_IT, 1] times the solution of [[K_TT + lam I, 1], [1', 0]] [a; mu] = [y_T; 0]
+    X, y = _branin_design(seed)
+    rng = np.random.default_rng(1000 + seed)
+    fixed = np.r_[rng.uniform(-1.0, 1.0, 2), rng.uniform(-4.0, -2.0)]
+
+    def at_fixed(start, fun, lower, upper, control):
+        return SimpleNamespace(xbest=fixed, count=1)
+
+    fit = fit_kriging(X, y, {"algTheta": at_fixed})
+    fold_of = _folds(y.size, 5, seed)
+    got = fit.fold_predictions(fold_of)
+    z = fit.z
+    K = np.exp(-(((z[:, None, :] - z[None, :, :]) ** 2) * fit.theta).sum(axis=2))
+    for k in range(5):
+        test, train = fold_of == k, fold_of != k
+        m = int(train.sum())
+        bordered = np.ones((m + 1, m + 1))
+        bordered[:m, :m] = K[np.ix_(train, train)] + fit.lambda_ * np.eye(m)
+        bordered[m, m] = 0.0
+        a = np.linalg.solve(bordered, np.r_[y[train], 0.0])
+        want = K[np.ix_(test, train)] @ a[:m] + a[m]
+        assert np.abs(got[test] - want).max() <= 1e-10 * np.abs(y).max()
+
+
+def test_kriging_fold_predictions_need_two_rows_outside_each_fold():
+    X, y = _branin_design(0)
+    fit = fit_kriging(X[:3], y[:3], {"budget": 30})
+    assert np.isfinite(fit.fold_predictions(np.arange(3))).all()
+    with pytest.raises(ValueError, match="at least 2 training points"):
+        fit.fold_predictions(np.array([0, 0, 1]))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_rsm_fold_predictions_are_the_refit_of_each_fold(seed):
+    X, y = _branin_design(seed)
+    fold_of = _folds(y.size, 5, seed)
+    got = fit_rsm(X, y).fold_predictions(fold_of)
+    for k in range(5):
+        test = fold_of == k
+        want = fit_rsm(X[~test], y[~test]).predict(X[test])[:, 0]
+        assert np.abs(got[test] - want).max() <= 1e-10 * np.abs(y).max()
+
+
+def test_rsm_folds_that_the_closed_form_cannot_take_get_the_refit_outcome():
+    X, y = _branin_design(3)  # 15 rows
+    fold_of = np.arange(15) % 3
+    # column 2 varies only in fold 0, so fold 0's refit drops it from the basis
+    test = fold_of == 0
+    lone = X.copy()
+    lone[:, 1] = 0.0
+    lone[test, 1] = np.arange(1.0, 6.0)
+    got = fit_rsm(lone, y).fold_predictions(fold_of)
+    assert np.array_equal(got[test], fit_rsm(lone[~test], y[~test]).predict(lone[test])[:, 0])
+
+    # column 1 takes two levels outside fold 0, so x1^2 is the intercept there
+    levels = X.copy()
+    levels[:, 0] = np.where(np.arange(15) % 2, 1.0, -1.0)
+    levels[test, 0] = 0.25
+    with pytest.raises(RankDeficiencyError):
+        fit_rsm(levels[~test], y[~test])
+    with pytest.raises(RankDeficiencyError):
+        fit_rsm(levels, y).fold_predictions(fold_of)
+
+    # 6 terms and 5 rows outside each fold
+    with pytest.raises(RankDeficiencyError, match="5 rows cannot identify 6 terms"):
+        fit_rsm(X[:8], y[:8]).fold_predictions(np.arange(8) % 3)
+
+
+def _counting(calls, name, fitter):
+    def fit(X, y, control=None):
+        calls[name] = calls.get(name, 0) + 1
+        return fitter(X, y, control)
+    return fit
+
+
+def test_kriging_and_rsm_fit_once_and_the_others_once_per_fold(monkeypatch):
+    calls = {}
+    for name, fitter in list(stack._FITTERS.items()):
+        monkeypatch.setitem(stack._FITTERS, name, _counting(calls, name, fitter))
+    X, y = _sphere_data(n=20)
+    fit = fit_stack(X, y, dict(_FAST, seed=1, folds=4, members=(
+        "kriging", "forest", "rsm", _counting(calls, "mean", _fit_mean))))
+    assert fit.member_names == ["kriging", "forest", "rsm", "fit"]
+    assert calls == {"kriging": 1, "forest": 5, "rsm": 1, "mean": 5}
+
+
+def _refitting(name):
+    """The named member without fold_predictions, so each fold is refit."""
+    def fit(X, y, control=None):
+        return SimpleNamespace(predict=stack._FITTERS[name](X, y, control).predict)
+    fit.__name__ = name  # memberControls and member_names go by it
+    return fit
+
+
+@pytest.mark.parametrize("members, n, folds, kept", [
+    # 1 row outside each fold: Kriging needs 2
+    (("kriging", _fit_mean), 2, 2, ["_fit_mean"]),
+    (("kriging", _fit_mean), 3, 3, ["kriging", "_fit_mean"]),
+    # 4 rows outside each fold cannot identify 6 terms; 6 can
+    (("rsm", _fit_mean), 8, 2, ["_fit_mean"]),
+    (("rsm", _fit_mean), 12, 2, ["rsm", "_fit_mean"]),
+    ((_fit_nan, "rsm"), 12, 3, ["rsm"]),
+])
+def test_members_are_dropped_as_the_fold_refits_drop_them(members, n, folds, kept):
+    X, y = _sphere_data(n=n, d=2, seed=n)
+    control = dict(_FAST, seed=3, folds=folds)
+    assert fit_stack(X, y, dict(control, members=members)).member_names == kept
+    refit = [_refitting(m) if m in stack._FITTERS else m for m in members]
+    assert fit_stack(X, y, dict(control, members=refit)).member_names == kept
