@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compare surrogate models on the Branin function.
 
-Fits Kriging, a random forest, and the stacked convex blend of both on the
-same latin hypercube sample, then reports root-mean-square error on a fresh
-uniform test sample.
+Fits Kriging, a random forest, and the default stack, a convex blend of
+Kriging, the forest and the response surface, on the same latin hypercube
+sample, then reports root-mean-square error on a fresh uniform test sample
+and the stack's member weights.
 """
 
 import argparse
@@ -50,6 +51,9 @@ def main() -> None:
         pred = np.asarray(fit.predict(xtest)).reshape(-1)
         rmse = float(np.sqrt(np.mean((pred - ytest) ** 2)))
         print(f"{name:8s} rmse {rmse:10.4f}   fit {time.perf_counter() - t0:6.2f}s")
+        if name == "stack":
+            weights = zip(fit.member_names, fit.weights)
+            print("stack weights: " + "  ".join(f"{m} {w:.4f}" for m, w in weights))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ feature, the threshold, the left child (the right child is the next node)
 and the node's mean target.  A leaf is its own left child with an infinite
 threshold, so prediction walks every (tree, row) pair at once for as many
 steps as the deepest tree has levels, and sums each row's leaf values in
-tree order from 0.0.
+tree order from 0.0.  A fit keeps its training rows and each tree's
+in-bag mask, so `fold_predictions` can predict every training row from the
+trees whose bootstrap left it out, summed the same way.
 
 All trees grow in lockstep.  Each tree's rows sit in one row of a
 permutation array, where a node is a segment, and each tree keeps its own
@@ -77,6 +79,8 @@ class ForestFit:
     mtry: int
     min_node_size: int
     n_features: int
+    X: Optional[np.ndarray] = None  # the training rows, (n, n_features)
+    in_bag: Optional[np.ndarray] = None  # (ntree, n) bool: row i in tree t's bootstrap
 
     @cached_property
     def trees(self) -> list:
@@ -99,6 +103,29 @@ class ForestFit:
                     todo += [(node.left, j), (node.right, j + 1)]
         return roots
 
+    def _leaf_values(self, xnew: np.ndarray):
+        """Yield (first row, (ntree, rows) leaf values) for chunks of xnew.
+
+        `xnew` is (m, n_features) and NaN-free.  Every (tree, row) pair of a
+        chunk walks its tree at once, for as many steps as the deepest tree
+        has levels; a chunk holds at most _PASS_CELLS pairs (or one row).
+        """
+        rows = xnew.shape[0]
+        xnew = xnew.ravel()
+        ntree, width = self.left.shape
+        roots = np.arange(0, ntree * width, width)[:, None]
+        left = (self.left + roots).ravel()
+        feature, threshold = self.feature.ravel(), self.threshold.ravel()
+        value = self.value.ravel()
+        chunk = max(1, _PASS_CELLS // ntree)
+        for a in range(0, rows, chunk):
+            cols = np.arange(a, min(a + chunk, rows)) * self.n_features
+            node = roots + np.zeros_like(cols)
+            for _ in range(self.depth):
+                x = xnew.take(cols + feature.take(node))
+                node = left.take(node) + (x > threshold.take(node))
+            yield a, value.take(node)
+
     def predict(self, xnew: np.ndarray) -> np.ndarray:
         """Mean over tree predictions, one column."""
         xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
@@ -107,33 +134,52 @@ class ForestFit:
                 f"prediction input has {xnew.shape[1]} columns, model was fit on "
                 f"{self.n_features}"
             )
-        rows = xnew.shape[0]
+        out = np.empty(xnew.shape[0])
         # a NaN coordinate goes right at every split, as +inf does, and +inf
         # stays at a leaf
-        xnew = np.fmin(xnew, np.inf).ravel()
-        ntree, width = self.left.shape
-        roots = np.arange(0, ntree * width, width)[:, None]
-        left = (self.left + roots).ravel()
-        feature, threshold = self.feature.ravel(), self.threshold.ravel()
-        value = self.value.ravel()
-        out = np.empty(rows)
-        chunk = max(1, _PASS_CELLS // ntree)
-        for a in range(0, rows, chunk):
-            cols = np.arange(a, min(a + chunk, rows)) * self.n_features
-            node = roots + np.zeros_like(cols)
-            for _ in range(self.depth):
-                x = xnew.take(cols + feature.take(node))
-                node = left.take(node) + (x > threshold.take(node))
-            # each row's sum in tree order from 0.0, as a running sum
-            total = np.zeros((ntree + 1, cols.shape[0]))
-            total[1:] = value.take(node)
-            out[a:a + cols.shape[0]] = np.cumsum(total, axis=0)[-1] / ntree
+        for a, leaf in self._leaf_values(np.fmin(xnew, np.inf)):
+            out[a:a + leaf.shape[1]] = _tree_sums(leaf) / leaf.shape[0]
         return out.reshape(-1, 1)
+
+    def fold_predictions(self, fold_of: np.ndarray) -> np.ndarray:
+        """Each training row's out-of-bag prediction, (n,).
+
+        Row i's value is the sum, in tree order from 0.0, of the leaf values
+        of the trees whose bootstrap left i out, divided by their number
+        (Breiman, Out-of-bag estimation, 1996).  A row that every tree's
+        bootstrap holds, as happens in small forests, gets the whole
+        forest's prediction instead.  Out-of-bag rows need no folds: only
+        the length of `fold_of`, one entry per training row, is checked,
+        and its values are ignored.
+        """
+        if self.X is None or self.in_bag is None:
+            raise ValueError("the fit holds no training rows")
+        n = self.X.shape[0]
+        if np.shape(fold_of) != (n,):
+            raise ValueError(f"fold_of has shape {np.shape(fold_of)}, the fit has {n} rows")
+        out = np.empty(n)
+        for a, leaf in self._leaf_values(self.X):
+            out_of_bag = ~self.in_bag[:, a:a + leaf.shape[1]]
+            count = out_of_bag.sum(axis=0)
+            # adding 0.0 for the trees that hold the row changes no bit of
+            # the running sum, which starts from +0.0
+            held_out = _tree_sums(np.where(out_of_bag, leaf, 0.0)) / np.maximum(count, 1)
+            whole = _tree_sums(leaf) / leaf.shape[0]
+            out[a:a + leaf.shape[1]] = np.where(count > 0, held_out, whole)
+        return out
 
     def mean_and_gradient(self, xnew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The prediction and its gradient, zero: the forest is piecewise constant."""
         mean = self.predict(xnew)
         return mean, np.zeros((mean.shape[0], self.n_features))
+
+
+def _tree_sums(leaf: np.ndarray) -> np.ndarray:
+    """Each column's sum of (ntree, rows) values, in tree order from 0.0."""
+    total = np.zeros((leaf.shape[0] + 1, leaf.shape[1]))
+    total[1:] = leaf
+    # a running sum, so each column adds its trees one at a time
+    return np.cumsum(total, axis=0)[-1]
 
 
 def _settle(perm, start, m, X, y, min_leaf, features, trees):
@@ -338,6 +384,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> 
     for a in range(0, ntree, block):
         keys = rng.random((min(block, ntree - a), draws, d))
         drawn[a:a + block] = np.argsort(keys, axis=2, kind="stable")[:, :, :mtry]
+    in_bag = np.zeros((ntree, n), dtype=bool)
+    in_bag[np.arange(ntree)[:, None], samples] = True
     features = row_per_node(drawn)
     feature, threshold, left, value, depth = grow_trees(
         X, y, samples, min_node_size, features)
@@ -351,4 +399,6 @@ def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> 
         mtry=min(mtry, d),
         min_node_size=min_node_size,
         n_features=d,
+        X=X,
+        in_bag=in_bag,
     )

@@ -19,6 +19,7 @@ the fitted activity parameters live on that scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -60,9 +61,6 @@ class KrigingFit:
     x_scale: np.ndarray
     z: np.ndarray  # X on the unit-box scale: (X - x_offset) / x_scale
     alpha: np.ndarray
-    sigma2_re: float
-    corr_factorization_re: Optional[np.ndarray]
-    reinterp_idx: Optional[np.ndarray] = None
 
     def predict(self, xnew: np.ndarray) -> np.ndarray:
         """The predicted mean alone, bit-equal to predict_kriging's."""
@@ -109,6 +107,36 @@ class KrigingFit:
                 raise ValueError("need at least 2 training points")
             out[test] = y[test] - np.linalg.solve(c[np.ix_(test, test)], alpha[test])
         return out
+
+    @cached_property
+    def _nugget_free(self) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
+        """(sigma2, factor, rows) of the nugget-free correlation, or None.
+
+        With a positive nugget, predict_kriging's sd uses K with its unit
+        diagonal, factored over the distinct training sites (replicated rows
+        would make it singular), so that sd vanishes at the data; sigma2 is
+        alpha' K alpha / n, between 0 and sigma2_hat.  Only predict_kriging
+        reads it, so it is built on that call's first use and kept.  None
+        without a nugget, and when K does not factor even with jitter.
+        """
+        if not self.lambda_ > 0.0:
+            return None
+        n, d = self.z.shape
+        # K as the fit built it, and alpha and sigma2 on its target scale
+        flat = cross_dist(self.z, self.z, self.types).reshape(d, n * n)
+        m = next(_bordered_stacks(self.theta[None], np.array([self.lambda_]), flat, self.y))
+        psi_pure = np.where(np.eye(n, dtype=bool), 1.0, m[0, :n, :n])
+        e = int(np.frexp(np.max(np.abs(self.y)))[1])
+        alpha = np.ldexp(self.alpha, -e)
+        sigma2 = float(np.ldexp((alpha.T @ psi_pure @ alpha).item() / n, 2 * e))
+        rows = np.sort(np.unique(self.z, axis=0, return_index=True)[1])
+        psi_u = psi_pure[np.ix_(rows, rows)]
+        for jitter in (0.0, 1e-12, 1e-10, 1e-8):
+            try:
+                return sigma2, np.linalg.cholesky(psi_u + jitter * np.eye(rows.size)), rows
+            except np.linalg.LinAlgError:
+                continue
+        return None
 
 
 def _solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -350,29 +378,11 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
             break
         alpha = alpha + _solve(lower_chol, gap)
 
-    sigma2_re = sigma2
-    lower_re = None
-    uniq_idx = None
-    if lam > 0.0:
-        # nugget-free correlation, K with its unit diagonal, for error
-        # estimates that vanish at the data; factored over the distinct
-        # training sites because replicated rows would make it singular
-        psi_pure = np.where(np.eye(n, dtype=bool), 1.0, k_mat)
-        sigma2_re = (alpha.T @ psi_pure @ alpha).item() / n
-        uniq_idx = np.sort(np.unique(z, axis=0, return_index=True)[1])
-        psi_u = psi_pure[np.ix_(uniq_idx, uniq_idx)]
-        for jitter in (0.0, 1e-12, 1e-10, 1e-8):
-            try:
-                lower_re = np.linalg.cholesky(psi_u + jitter * np.eye(uniq_idx.size))
-            except np.linalg.LinAlgError:
-                continue
-            break
-
     # back to the units of y, exactly, since the scale is a power of two
     with np.errstate(over="ignore"):
-        mu, sigma2, sigma2_re = np.ldexp([mu, sigma2, sigma2_re], [e, 2 * e, 2 * e]).tolist()
+        mu, sigma2 = np.ldexp([mu, sigma2], [e, 2 * e]).tolist()
         alpha = np.ldexp(alpha, e)
-    if not (np.isfinite([mu, sigma2, sigma2_re]).all() and np.isfinite(alpha).all()):
+    if not (np.isfinite([mu, sigma2]).all() and np.isfinite(alpha).all()):
         raise ValueError("the targets are too large: the process variance overflows")
 
     return KrigingFit(
@@ -389,9 +399,6 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         x_scale=x_scale,
         z=z,
         alpha=alpha,
-        sigma2_re=sigma2_re,
-        corr_factorization_re=lower_re,
-        reinterp_idx=uniq_idx,
     )
 
 
@@ -416,14 +423,17 @@ def predict_kriging(fit: KrigingFit, xnew: np.ndarray) -> dict:
     With a positive nugget the error estimate uses the nugget-free
     correlation, so it collapses to zero at the training points; at zero
     nugget, or if that correlation would not factorize, the fitted one.
+    The nugget-free factor is built on a fit's first call and kept.
     """
     psi = _cross_correlation(fit, _scaled(fit, xnew))
     mean = fit.mu_hat + psi @ fit.alpha
 
-    if fit.corr_factorization_re is not None:
-        psi_u = psi[:, fit.reinterp_idx]
-        solved = _solve(fit.corr_factorization_re, psi_u.T)
-        s2 = fit.sigma2_re * (1.0 - np.sum(psi_u.T * solved, axis=0))
+    nugget_free = fit._nugget_free
+    if nugget_free is not None:
+        sigma2_re, lower_re, rows = nugget_free
+        psi_u = psi[:, rows]
+        solved = _solve(lower_re, psi_u.T)
+        s2 = sigma2_re * (1.0 - np.sum(psi_u.T * solved, axis=0))
     else:
         solved = _solve(fit.corr_factorization, psi.T)
         s2 = fit.sigma2_hat * (

@@ -4,10 +4,13 @@ Members are fit on the full data; their blend weights come from K-fold
 out-of-fold predictions solved by nonnegative least squares and normalized
 to sum to one, so the stack prediction is always a convex combination of
 member predictions (Breiman, Stacked Regressions, 1996).  A member fit that
-has `fold_predictions(fold_of)` gives every fold's predictions in closed
-form from the full fit: Kriging at the full fit's hyperparameters and input
-scaling with the mean re-estimated per fold, RSM exactly as its refits.
-The forest and callable members are refit on each fold.
+has `fold_predictions(fold_of)` gives every fold's predictions from the
+full fit: Kriging in closed form at the full fit's hyperparameters and
+input scaling with the mean re-estimated per fold, RSM exactly as its
+refits, and the forest out of bag, each row from the trees whose bootstrap
+left it out (the whole forest for a row that every bootstrap holds), so
+that every built-in member is fit once.  Callable members are refit on each
+fold.
 """
 
 from __future__ import annotations
@@ -103,9 +106,11 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     the common fit signature; a single one is a one-member stack), folds
     (default 5), seed, types, and memberControls (a dict of per-member
     control dicts).  Out-of-fold predictions come from the full fit's
-    `fold_predictions(fold_of)` where it has one (Kriging and RSM; Kriging's
-    folds keep the full fit's theta, lambda and scaling), and otherwise
-    from one refit per fold (the forest and callables).  Members that fail
+    `fold_predictions(fold_of)` where it has one, and otherwise from one
+    refit per fold (callables).  Kriging's folds keep the full fit's theta,
+    lambda and scaling; the forest's are its out-of-bag predictions, which
+    ignore the folds, with the whole forest's prediction for a row that
+    every tree's bootstrap holds.  Members that fail
     to fit on the full data or on any fold, or that predict a non-finite
     value out of fold, are dropped; if none survive, the error from the
     last failure is raised.

@@ -19,7 +19,9 @@ per node, and the fit makes one `default_rng(seed)` and no other.  The
 prediction oracle sends whole batches down each linked tree by recursive
 boolean-mask partitions and adds the trees' values in tree order from 0.0;
 the package walks every (tree, row) pair through its node arrays at once,
-so the two must agree bit for bit.
+so the two must agree bit for bit.  The out-of-bag oracle walks each
+linked tree one row at a time and sums, in tree order from 0.0, the trees
+whose bootstrap, redrawn from the seed, left the row out.
 """
 
 import tracemalloc
@@ -519,6 +521,52 @@ def test_predict_matches_the_partition_reference_bit_for_bit(rows):
     # a row alone is summed over the trees in the same order
     for i in range(min(rows, 20)):
         assert fit.predict(xq[i:i + 1]).tobytes() == pred[i:i + 1].tobytes()
+
+
+def _leaf_value(node, row):
+    """The value of the leaf of the linked tree at `node` that `row` reaches."""
+    while node.left is not None:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.value
+
+
+@pytest.mark.parametrize("n, ntree", [(30, 1), (30, 7), (50, 500)])
+def test_fold_predictions_are_the_out_of_bag_sums_bit_for_bit(n, ntree):
+    # 500 trees take several chunks of rows; one tree leaves most rows
+    # inside every bootstrap, and those get the whole forest's prediction
+    rng = np.random.default_rng(n + ntree)
+    X = rng.uniform(-2, 3, size=(n, 3))
+    y = np.sin(2 * X[:, 0]) * X[:, 1] + X[:, 2] ** 2
+    fit = fit_forest(X, y, {"ntree": ntree, "seed": 12, "min_node_size": 2})
+    samples = np.random.default_rng(12).integers(0, n, size=(ntree, n))
+    want, in_every_bag = [], 0
+    for i, row in enumerate(X.tolist()):
+        held_out = [tree for tree, idx in zip(fit.trees, samples) if i not in idx]
+        if held_out:
+            total = 0.0
+            for tree in held_out:
+                total += _leaf_value(tree, row)
+            want.append(total / len(held_out))
+        else:
+            in_every_bag += 1
+            want.append(_reference_predict(fit, X[i:i + 1]).item())
+    got = fit.fold_predictions(np.arange(n) % 5)
+    assert got.tobytes() == np.array(want).tobytes()
+    if ntree == 1:
+        assert 0 < in_every_bag < n
+    # out of bag needs no folds: their values are ignored
+    assert fit.fold_predictions(np.zeros(n, dtype=int)).tobytes() == got.tobytes()
+
+
+def test_fold_predictions_need_one_fold_per_training_row():
+    X = np.random.default_rng(3).uniform(size=(12, 2))
+    fit = fit_forest(X, X[:, 0], {"ntree": 5, "seed": 0})
+    for fold_of in (np.zeros(11, dtype=int), np.zeros(13, dtype=int), np.zeros((12, 1))):
+        with pytest.raises(ValueError, match="fold_of"):
+            fit.fold_predictions(fold_of)
+    # a fit built from node arrays alone holds no training rows
+    with pytest.raises(ValueError, match="training rows"):
+        _single_tree_fit(fit.trees[0], 2).fold_predictions(np.zeros(12, dtype=int))
 
 
 def test_negative_zero_targets_predict_positive_zero():

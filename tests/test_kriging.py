@@ -392,10 +392,11 @@ def _reference_predict(fit: KrigingFit, xnew: np.ndarray, solve=_substitution_so
     cross = cross_dist(znew, ztrain, fit.types)
     psi = np.exp(-np.tensordot(fit.theta, cross, axes=1))
     mean = fit.mu_hat + psi @ fit.alpha
-    if fit.corr_factorization_re is not None:
-        psi_u = psi[:, fit.reinterp_idx]
-        solved = solve(fit.corr_factorization_re, psi_u.T)
-        s2 = fit.sigma2_re * (1.0 - np.sum(psi_u.T * solved, axis=0))
+    if fit._nugget_free is not None:
+        sigma2_re, lower_re, rows = fit._nugget_free
+        psi_u = psi[:, rows]
+        solved = solve(lower_re, psi_u.T)
+        s2 = sigma2_re * (1.0 - np.sum(psi_u.T * solved, axis=0))
     else:
         solved = solve(fit.corr_factorization, psi.T)
         s2 = fit.sigma2_hat * (1.0 + fit.lambda_ - np.sum(psi.T * solved, axis=0))
@@ -419,7 +420,7 @@ def test_prediction_matches_the_wrapper_reference_bit_for_bit(use_lambda, rows):
     y = np.cos(X[:, 0]) + 0.1 * X[:, 1] + rng.normal(0.0, 0.3, X.shape[0])
     fit = fit_kriging(X, y, {"budget": 120, "seed": 9, "useLambda": use_lambda})
     assert (fit.lambda_ > 0) == use_lambda
-    assert (fit.corr_factorization_re is not None) == use_lambda
+    assert (fit._nugget_free is not None) == use_lambda
     xq = rng.uniform(-5.0, 10.0, size=(rows, 2))
     got = predict_kriging(fit, xq)
     want = _reference_predict(fit, xq)
@@ -427,9 +428,9 @@ def test_prediction_matches_the_wrapper_reference_bit_for_bit(use_lambda, rows):
     assert _bits(got["sd"]) == _bits(want["sd"])
     assert _bits(fit.predict(xq)) == _bits(want["mean"])
     # the solves that sd reads agree with LAPACK's dpotrs to 1e-12
-    lower = fit.corr_factorization_re if use_lambda else fit.corr_factorization
+    lower = fit._nugget_free[1] if use_lambda else fit.corr_factorization
     psi = _cross_correlation(fit, _scaled(fit, xq))
-    psi = psi[:, fit.reinterp_idx] if use_lambda else psi
+    psi = psi[:, fit._nugget_free[2]] if use_lambda else psi
     ours, lapack = _solve(lower, psi.T), _cho_solve(lower, psi.T)
     assert np.abs(ours - lapack).max() <= 1e-12 * np.abs(lapack).max()
 
@@ -645,8 +646,8 @@ def test_targets_scaled_by_a_power_of_two_give_the_same_fit(use_lambda):
 def test_the_search_factors_each_stack_of_rows_in_one_call(monkeypatch):
     # 2**15 doubles hold 167 bordered 14-by-14 matrices; with a nugget
     # every stack factors, so the 400 rows take three calls; the final fit
-    # then factors the chosen row's bordered matrix and the nugget-free
-    # correlation
+    # then factors the chosen row's bordered matrix, and only the first
+    # predict_kriging call the nugget-free correlation
     shapes = []
     cholesky = np.linalg.cholesky
 
@@ -660,7 +661,10 @@ def test_the_search_factors_each_stack_of_rows_in_one_call(monkeypatch):
     X = rng.uniform(-1.0, 1.0, size=(12, 1))
     fit = fit_kriging(X, np.cos(3.0 * X[:, 0]), {"seed": 2})
     assert fit.likelihood_evals == 400
-    assert shapes == [(167, 14, 14), (167, 14, 14), (66, 14, 14), (1, 14, 14), (12, 12)]
+    assert shapes == [(167, 14, 14), (167, 14, 14), (66, 14, 14), (1, 14, 14)]
+    for _ in range(2):
+        predict_kriging(fit, X[:3])
+    assert shapes[4:] == [(12, 12)]
 
 
 @pytest.mark.parametrize("use_lambda", [True, False])
