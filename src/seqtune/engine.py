@@ -19,13 +19,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .design import ParamSpace, make_lhd, make_uniform
-from .forest import fit_forest
-from .kriging import fit_kriging
 from .ocba import ocba_allocate
 from .optimizers import optim_lhd, optim_local_bounded
-from .rsm import fit_rsm
 from .rsm import min_rows as rsm_min_rows
-from .stack import fit_stack
+from .stack import MEMBER_FITTERS, fit_stack
 from .stack import min_rows as stack_min_rows
 
 
@@ -33,12 +30,7 @@ class InfeasibleBudgetError(ValueError):
     """The evaluation budget cannot cover the initial design."""
 
 
-_MODELS: dict[str, Callable] = {
-    "kriging": fit_kriging,
-    "forest": fit_forest,
-    "stack": fit_stack,
-    "rsm": fit_rsm,
-}
+_MODELS: dict[str, Callable] = {**MEMBER_FITTERS, "stack": fit_stack}
 
 # the rows a model's fit needs beyond fit_surrogate's two, from the rows' spread
 _MIN_ROWS: dict[str, Callable] = {

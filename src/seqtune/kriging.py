@@ -92,10 +92,16 @@ class KrigingFit:
         mean.  With R = K + lam I, u = R^-1 1 and s = 1'u, the data block
         of the bordered matrix's inverse is C = R^-1 - u u' / s, and fold
         I's held-out means are y_I - C_II^-1 alpha_I (Dubrule, 1983, on
-        blocks of rows).  Raises ValueError when a fold leaves fewer than 2
-        rows, as fit_kriging does.
+        blocks of rows).  Raises ValueError unless `fold_of` holds one
+        integer id >= 0 per row, and when a fold leaves fewer than 2 rows,
+        as fit_kriging does.
         """
         n = self.y.shape[0]
+        fold_of = np.asarray(fold_of)
+        if fold_of.shape != (n,):
+            raise ValueError(f"fold_of has shape {fold_of.shape}, the fit has {n} rows")
+        if fold_of.dtype.kind not in "iu" or fold_of.min() < 0:
+            raise ValueError("fold_of must hold integer fold ids >= 0")
         r_inv = _solve(self.corr_factorization, np.eye(n))
         u = r_inv.sum(axis=1)
         c = r_inv - np.outer(u, u) / u.sum()

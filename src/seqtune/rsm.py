@@ -5,16 +5,17 @@ quadratic basis is fit by least squares, and descent paths are built by
 solving the ridge subproblem (minimize the fitted quadratic on a sphere of
 given radius around the coded origin) at a ladder of radii.
 
-Each ridge step solves the secular equation ||z(t)|| = r in the shift t > 0
-below the smallest eigenvalue (More & Sorensen, Computing a trust region
-step, 1983) by the Illinois method on a closed-form bracket; in the hard
-case, where -b/2 has no component along the lowest eigenspace, the step is
-padded along it.
+The basis's numerical rank is the one its least-squares solve reports: the
+count of singular values above eps * max(n, terms) times the largest
+(Golub & Van Loan, Matrix Computations, 5.4).  Each ridge step solves the
+secular equation ||z(t)|| = r in the shift t > 0 below the smallest
+eigenvalue (More & Sorensen, Computing a trust region step, 1983) by
+bisection on a closed-form bracket; in the hard case, where -b/2 has no
+component along the lowest eigenspace, the step is padded along it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
@@ -86,12 +87,19 @@ class RSMFit:
         number fewer than the terms, or give a basis whose singular values
         span 1e8 or more (the refit's rank test fires near 1e14) is refit
         by fit_rsm, so its outcome, a RankDeficiencyError included, is the
-        refit's.
+        refit's.  Raises ValueError unless `fold_of` holds one integer id
+        >= 0 per row.
         """
+        n = self.y.shape[0]
+        fold_of = np.asarray(fold_of)
+        if fold_of.shape != (n,):
+            raise ValueError(f"fold_of has shape {fold_of.shape}, the fit has {n} rows")
+        if fold_of.dtype.kind not in "iu" or fold_of.min() < 0:
+            raise ValueError("fold_of must hold integer fold ids >= 0")
         basis = _basis(self.code(self.X), self.active, self.main_effects_only)[0]
         q = np.linalg.qr(basis)[0]
         resid = self.y - self.predict(self.X)[:, 0]
-        out = np.empty(self.y.shape[0])
+        out = np.empty(n)
         for k in range(int(fold_of.max()) + 1):
             test = fold_of == k
             rows = self.X[~test]
@@ -120,37 +128,6 @@ def _basis(z: np.ndarray, active: np.ndarray, main_effects_only: bool):
     return np.column_stack(cols), names, pairs
 
 
-def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|diag(R)| and the column order of a Householder QR with column pivoting.
-
-    Each step brings forward the remaining column of largest norm over the
-    rows still to reduce (the first of equal ones), then reflects the rows
-    below onto it (Businger & Golub, 1965).  |diag(R)| falls along the
-    order, so the columns past the numerical rank are those that the
-    earlier ones span.
-    """
-    r = np.array(a, dtype=float)
-    piv = np.arange(r.shape[1])
-    diag = np.zeros(min(r.shape))
-    for k in range(diag.size):
-        rest = r[k:, k:]
-        j = k + int(np.argmax((rest * rest).sum(axis=0)))
-        if j != k:
-            r[:, [k, j]] = r[:, [j, k]]
-            piv[[k, j]] = piv[[j, k]]
-        v = rest[:, 0].copy()
-        diag[k] = norm = math.sqrt(v @ v)
-        if norm == 0.0:
-            continue
-        v[0] += math.copysign(norm, v[0])
-        # column sums rather than a BLAS product, whose rounding may differ
-        # between equal columns and so break the tie between them
-        w = (v[:, None] * rest).sum(axis=0)
-        w *= 2.0 / (v @ v)
-        rest -= v[:, None] * w
-    return diag, piv
-
-
 def min_rows(X: np.ndarray, control: Optional[dict] = None) -> int:
     """The fewest rows `fit_rsm` fits where X's columns vary: one per term."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -166,7 +143,8 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
     Control keys: mainEffectsOnly (drop interactions and quadratics; B = 0) and
     canonical (let descent paths leave a saddle along its falling axis).
     Constant columns are excluded from the basis; a rank-deficient basis
-    raises RankDeficiencyError naming the terms that cannot be estimated.
+    raises RankDeficiencyError naming, in basis order, each term that the
+    terms before it already span, as R's lm reports aliased coefficients.
     """
     control = dict(control or {})
     main_effects_only = bool(control.get("mainEffectsOnly", False))
@@ -193,15 +171,16 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
         raise RankDeficiencyError(
             f"{n} rows cannot identify {n_terms} terms ({', '.join(names)})"
         )
-    diag, piv = _pivoted_qr(basis)
-    tol = diag.max() * max(basis.shape) * np.finfo(float).eps
-    rank = int(np.sum(diag > tol))
+    coef, _, rank, sv = np.linalg.lstsq(basis, y, rcond=None)
     if rank < n_terms:
-        bad = sorted(names[k] for k in piv[rank:])
+        # each leading block's rank at this tolerance, by the same solver
+        tol = np.finfo(float).eps * max(basis.shape) * sv[0]
+        blocks = (np.linalg.lstsq(basis[:, :k], y, rcond=None)[3] for k in range(1, n_terms + 1))
+        ranks = [int(np.sum(s > tol)) for s in blocks]
+        bad = [name for name, r, before in zip(names, ranks, [0] + ranks) if r == before]
         raise RankDeficiencyError(
             "rank-deficient basis, cannot estimate: " + ", ".join(bad)
         )
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
 
     b0 = float(coef[0])
     b = np.zeros(d)
@@ -282,42 +261,25 @@ def _ridge_point(eigenvalues, vecs, c, r: float) -> np.ndarray:
     if nz < r:
         return z + np.sqrt(r**2 - nz**2) * _fix_sign(vecs[:, 0])
     t_hi = 2.0 * np.linalg.norm(c) / r
-    return z_of(_illinois_root(lambda t: 1.0 / r - 1.0 / np.linalg.norm(z_of(t)), t_lo, t_hi))
+    return z_of(_bisect_root(lambda t: 1.0 / r - 1.0 / np.linalg.norm(z_of(t)), t_lo, t_hi))
 
 
-def _illinois_root(fun, lo: float, hi: float) -> float:
+def _bisect_root(fun, lo: float, hi: float) -> float:
     """The root of a decreasing `fun` on [lo, hi], fun(lo) >= 0 > fun(hi).
 
-    The Illinois method: each step takes the secant point of the bracket
-    and keeps the end of the other sign; when the same end is kept twice
-    running, its value is halved, so both ends close in.  It stops when
-    the bracket is within 4 ulps of the point or a value is exactly zero.
-    `_ridge_point` hands it 1/r - 1/||z(t)||, nearly linear in t.
+    Bisection: each step keeps the half of the bracket whose ends differ
+    in sign, until the bracket is within 4 ulps of its midpoint.
+    `_ridge_point` hands it 1/r - 1/||z(t)||.
     """
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    f_lo, f_hi = fun(lo), fun(hi)
-    if f_lo == 0.0:
-        return lo
-    kept = 0  # +1 after keeping hi, -1 after keeping lo
     while True:
-        t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < t < hi:
-            t = lo + (hi - lo) / 2.0
+        t = lo + (hi - lo) / 2.0
         if hi - lo <= 4.0 * eps * t + tiny:
             return t
-        f_t = fun(t)
-        if f_t == 0.0:
-            return t
-        if f_t > 0.0:
-            lo, f_lo = t, f_t
-            if kept == 1:
-                f_hi /= 2.0
-            kept = 1
+        if fun(t) >= 0.0:
+            lo = t
         else:
-            hi, f_hi = t, f_t
-            if kept == -1:
-                f_lo /= 2.0
-            kept = -1
+            hi = t
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

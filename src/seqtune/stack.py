@@ -26,7 +26,7 @@ from .rsm import fit_rsm
 
 DEFAULT_MEMBERS = ("kriging", "forest", "rsm")
 
-_FITTERS = {
+MEMBER_FITTERS = {
     "kriging": fit_kriging,
     "forest": fit_forest,
     "rsm": fit_rsm,
@@ -138,9 +138,9 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
         if callable(name):
             fitter, label = name, getattr(name, "__name__", "custom")
         else:
-            if name not in _FITTERS:
+            if name not in MEMBER_FITTERS:
                 raise ValueError(f"unknown stack member {name!r}")
-            fitter, label = _FITTERS[name], name
+            fitter, label = MEMBER_FITTERS[name], name
         sub = dict(per_member.get(label, {}))
         sub.setdefault("seed", control.get("seed"))
         sub.setdefault("types", control.get("types"))

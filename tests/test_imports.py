@@ -1,12 +1,12 @@
 """seqtune runs without scipy.
 
 seqtune's runtime needs numpy alone: the triangular solves, the local
-search, the pivoted QR, the ridge step's root and the stack's NNLS are its
-own code.  The checks run in fresh interpreters: this pytest process has
-imported scipy already, through the oracle computations of other test
-modules.  The first two checks report the scipy modules loaded when the
-interpreter exits; the others block every scipy import and run each CLI
-command that the golden files pin.
+search, the ridge step's root and the stack's NNLS are its own code.  The
+checks run in fresh interpreters: this pytest process has imported scipy
+already, through the oracle computations of other test modules.  The first
+two checks report the scipy modules loaded when the interpreter exits; the
+others block every scipy import and run each CLI command that the golden
+files pin.
 """
 
 import os

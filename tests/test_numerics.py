@@ -6,10 +6,7 @@ routine that replaced one of its own:
 - `kriging._solve` (forward and back substitution) against LAPACK's dpotrs;
 - `stack._nnls` (Lawson-Hanson) against `scipy.optimize.nnls`, on the
   residual norm and the optimality (KKT) conditions;
-- `rsm._pivoted_qr` against `scipy.linalg.qr(pivoting=True)`, on the rank
-  and the columns kept before it (equal up to exact ties), for
-  rank-deficient RSM bases;
-- `rsm._illinois_root` against `scipy.optimize.brentq` on the ridge step's
+- `rsm._bisect_root` against `scipy.optimize.brentq` on the ridge step's
   secular equation;
 - `optim_local_bounded` (projected BFGS) against L-BFGS-B on bounded
   convex quadratics whose minimizer has active bounds.
@@ -19,13 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import qr
 from scipy.linalg.lapack import dpotrs
 from scipy.optimize import brentq, minimize, nnls
 
 from seqtune.kriging import _solve
 from seqtune.optimizers import optim_local_bounded
-from seqtune.rsm import _basis, _illinois_root, _pivoted_qr
+from seqtune.rsm import _bisect_root
 from seqtune.stack import _nnls
 
 seeds = st.integers(0, 2**32 - 1)
@@ -120,65 +116,6 @@ def test_nnls_splits_nothing_between_identical_columns_it_does_not_need():
 
 
 # ---------------------------------------------------------------------------
-# pivoted QR on RSM bases
-
-
-def _rank(diag: np.ndarray, basis: np.ndarray) -> int:
-    """The numerical rank that fit_rsm reads from |diag(R)|."""
-    return int(np.sum(diag > diag.max() * max(basis.shape) * np.finfo(float).eps))
-
-
-def _residual_norm(basis: np.ndarray, kept, col: int) -> float:
-    """||basis[:, col]|| after projecting out the columns `kept`."""
-    v = basis[:, col]
-    if len(kept):
-        q, _ = np.linalg.qr(basis[:, list(kept)])
-        v = v - q @ (q.T @ v)
-    return float(np.linalg.norm(v))
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=seeds, d=st.integers(1, 3), extra=st.integers(0, 8),
-       defect=st.sampled_from(["two levels", "copied column", "few sites", "none"]))
-def test_pivoted_qr_matches_scipy_on_rsm_bases(seed, d, extra, defect):
-    rng = np.random.default_rng(seed)
-    n = 1 + d + d * (d + 1) // 2 + extra
-    z = rng.uniform(-1.0, 1.0, size=(n, d))
-    if defect == "two levels":
-        z[:, 0] = rng.choice([-1.0, 1.0], size=n)
-    elif defect == "copied column" and d > 1:
-        z[:, 1] = z[:, 0]
-    elif defect == "few sites":
-        z = z[rng.integers(0, max(2, d + 1), size=n)]
-    basis, _, _ = _basis(z, np.arange(d), main_effects_only=False)
-    diag, piv = _pivoted_qr(basis)
-    _, r, want = qr(basis, mode="economic", pivoting=True)
-    rank = _rank(diag, basis)
-    assert rank == _rank(np.abs(np.diag(r)), basis)
-    assert np.linalg.matrix_rank(basis[:, piv[:rank]]) == rank
-    if defect != "none" and not (defect == "copied column" and d == 1):
-        assert rank < basis.shape[1]
-    # the same columns are kept, unless the two orders part at a tie: two
-    # columns equally far from the span of those chosen before, which
-    # rounding noise decides, in LAPACK's dgeqp3 too
-    differ = np.flatnonzero(piv[:rank] != want[:rank])
-    if differ.size:
-        k = differ[0]
-        ours = _residual_norm(basis, piv[:k], piv[k])
-        theirs = _residual_norm(basis, piv[:k], want[k])
-        assert ours == pytest.approx(theirs, rel=1e-9)
-
-
-def test_pivoted_qr_names_the_terms_of_a_two_level_factorial():
-    # on a 2x2 factorial x1^2 and x2^2 are the intercept column again
-    z = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]] * 2)
-    basis, names, _ = _basis(z, np.arange(2), main_effects_only=False)
-    diag, piv = _pivoted_qr(basis)
-    assert _rank(diag, basis) == 4
-    assert sorted(names[k] for k in piv[4:]) == ["x1^2", "x2^2"]
-
-
-# ---------------------------------------------------------------------------
 # the ridge step's root
 
 
@@ -197,10 +134,10 @@ def _secular(rng, k: int):
 
 @settings(max_examples=200, deadline=None)
 @given(seed=seeds, k=st.integers(1, 6))
-def test_illinois_root_matches_brentq(seed, k):
+def test_bisect_root_matches_brentq(seed, k):
     psi, lo, hi = _secular(np.random.default_rng(seed), k)
     assert psi(lo) >= 0.0 > psi(hi)
-    got = _illinois_root(psi, lo, hi)
+    got = _bisect_root(psi, lo, hi)
     tiny = np.finfo(float).tiny
     want = brentq(psi, lo, hi, xtol=tiny, rtol=4 * np.finfo(float).eps)
     assert lo <= got <= hi
@@ -208,8 +145,8 @@ def test_illinois_root_matches_brentq(seed, k):
 
 
 @pytest.mark.parametrize("root", [1e-200, 1e-8, 0.5, 3.0, 1e5])
-def test_illinois_root_finds_roots_far_from_the_bracket_middle(root):
-    got = _illinois_root(lambda t: np.log(root) - np.log(t), root / 1e3, root * 1e6)
+def test_bisect_root_finds_roots_far_from_the_bracket_middle(root):
+    got = _bisect_root(lambda t: np.log(root) - np.log(t), root / 1e3, root * 1e6)
     assert got == pytest.approx(root, rel=1e-14)
 
 

@@ -8,7 +8,7 @@ that bounds the constrained minimum each ridge step must attain.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqtune.rsm import (
@@ -144,11 +144,72 @@ def test_min_rows_is_the_term_count_of_the_varying_columns(control):
 
 
 def test_collinear_columns_raise_rank_error_naming_terms():
+    # x2 is a multiple of x1, so it codes to x1 and x1:x2 to x1^2: in basis
+    # order x2, then both squares, are spanned by the terms before them
     rng = np.random.default_rng(10)
     a = rng.uniform(0, 1, 20)
-    X = np.column_stack([a, 2.0 * a])  # x2 is a multiple of x1
-    with pytest.raises(RankDeficiencyError, match="cannot estimate"):
+    X = np.column_stack([a, 2.0 * a])
+    with pytest.raises(RankDeficiencyError, match="cannot estimate: x2, x1\\^2, x2\\^2$"):
         fit_rsm(X, a**2)
+
+
+def test_a_two_level_factorial_names_both_squares():
+    # on a 2x2 factorial x1^2 and x2^2 are the intercept column again
+    X = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]] * 2)
+    with pytest.raises(RankDeficiencyError, match="cannot estimate: x1\\^2, x2\\^2$"):
+        fit_rsm(X, np.arange(8.0))
+
+
+def test_a_basis_that_its_solve_finds_rank_deficient_is_rejected():
+    # x2 is x1 plus noise near 2e-7, which leaves x2^2 about 1e-14 from the
+    # span of the terms before it, at lstsq's tolerance: the solve drops
+    # that singular value, and a fit that kept it would return the solve's
+    # truncated coefficients (b near +-2.2e6 here)
+    rng = np.random.default_rng(1349)
+    rng.integers(1, 4)
+    rng.integers(0, 9)
+    X = rng.uniform(-1, 1, (8, 2))
+    X[:, 1] = X[:, 0] + 10.0 ** rng.uniform(-16, -6) * rng.normal(size=8)
+    y = rng.normal(size=8)
+    with pytest.raises(RankDeficiencyError, match="cannot estimate: x2\\^2$"):
+        fit_rsm(X, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), extra=st.integers(0, 8),
+       defect=st.sampled_from(["two levels", "copied column", "few sites", "none",
+                               "near copy"]))
+def test_the_fit_raises_exactly_when_its_solve_reports_a_lower_rank(seed, d, extra, defect):
+    rng = np.random.default_rng(seed)
+    n = 1 + d + d * (d + 1) // 2 + extra
+    X = rng.uniform(-1.0, 1.0, size=(n, d))
+    if defect == "two levels":
+        X[:, 0] = rng.choice([-1.0, 1.0], size=n)
+    elif defect == "copied column" and d > 1:
+        X[:, 1] = X[:, 0]
+    elif defect == "few sites":
+        X = X[rng.integers(0, max(2, d + 1), size=n)]
+    elif defect == "near copy" and d > 1:
+        X[:, 1] = X[:, 0] + 10.0 ** rng.uniform(-16, -6) * rng.normal(size=n)
+    y = rng.normal(size=n)
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    active = np.flatnonzero(hi > lo)
+    assume(active.size > 0)
+    # the fit's basis, bit for bit: the active columns, coded
+    centers, halves = (lo + hi) / 2.0, (hi - lo) / 2.0
+    basis = _test_basis(X[:, active], centers[active], halves[active], active.size)
+    rank = np.linalg.lstsq(basis, y, rcond=None)[2]
+    if rank == basis.shape[1]:
+        fit_rsm(X, y)
+        return
+    with pytest.raises(RankDeficiencyError) as raised:
+        fit_rsm(X, y)
+    if defect != "near copy" and n >= basis.shape[1]:
+        # an exact defect: one named term per missing rank (near the
+        # tolerance, rounding in the leading blocks' singular values could
+        # name one term more or fewer)
+        named = str(raised.value).split(": ", 1)[1].split(", ")
+        assert len(named) == basis.shape[1] - rank
 
 
 def test_row_count_mismatch_is_rejected():

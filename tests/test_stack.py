@@ -247,6 +247,26 @@ def test_kriging_fold_predictions_need_two_rows_outside_each_fold():
         fit.fold_predictions(np.array([0, 0, 1]))
 
 
+@pytest.mark.parametrize("name", ["kriging", "forest", "rsm"])
+def test_fold_predictions_need_one_fold_per_training_row(name):
+    X, y = _branin_design(0)  # 12 rows
+    fit = stack.MEMBER_FITTERS[name](X, y, {"budget": 30, "ntree": 5, "seed": 0})
+    for fold_of in (np.zeros(11, dtype=int), np.zeros(13, dtype=int), np.zeros((12, 1))):
+        with pytest.raises(ValueError, match="fold_of has shape"):
+            fit.fold_predictions(fold_of)
+
+
+@pytest.mark.parametrize("name", ["kriging", "rsm"])
+def test_fold_predictions_need_integer_fold_ids_from_zero(name):
+    # fold -1 would never be visited, so its rows would be left unwritten
+    X, y = _branin_design(0)
+    fit = stack.MEMBER_FITTERS[name](X, y, {"budget": 30})
+    for fold_of in (np.arange(12) % 3 - 1, np.zeros(12), np.zeros(12, dtype=bool)):
+        with pytest.raises(ValueError, match="fold ids >= 0"):
+            fit.fold_predictions(fold_of)
+    assert np.isfinite(fit.fold_predictions(np.arange(12) % 3)).all()
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_rsm_fold_predictions_are_the_refit_of_each_fold(seed):
     X, y = _branin_design(seed)
@@ -292,8 +312,8 @@ def _counting(calls, name, fitter):
 
 def test_every_built_in_member_is_fit_once_and_a_callable_once_per_fold(monkeypatch):
     calls = {}
-    for name, fitter in list(stack._FITTERS.items()):
-        monkeypatch.setitem(stack._FITTERS, name, _counting(calls, name, fitter))
+    for name, fitter in list(stack.MEMBER_FITTERS.items()):
+        monkeypatch.setitem(stack.MEMBER_FITTERS, name, _counting(calls, name, fitter))
     X, y = _sphere_data(n=20)
     fit = fit_stack(X, y, dict(_FAST, seed=1, folds=4, members=(
         "kriging", "forest", "rsm", _counting(calls, "mean", _fit_mean))))
@@ -304,7 +324,7 @@ def test_every_built_in_member_is_fit_once_and_a_callable_once_per_fold(monkeypa
 def _refitting(name):
     """The named member without fold_predictions, so each fold is refit."""
     def fit(X, y, control=None):
-        return SimpleNamespace(predict=stack._FITTERS[name](X, y, control).predict)
+        return SimpleNamespace(predict=stack.MEMBER_FITTERS[name](X, y, control).predict)
     fit.__name__ = name  # memberControls and member_names go by it
     return fit
 
@@ -322,5 +342,5 @@ def test_members_are_dropped_as_the_fold_refits_drop_them(members, n, folds, kep
     X, y = _sphere_data(n=n, d=2, seed=n)
     control = dict(_FAST, seed=3, folds=folds)
     assert fit_stack(X, y, dict(control, members=members)).member_names == kept
-    refit = [_refitting(m) if m in stack._FITTERS else m for m in members]
+    refit = [_refitting(m) if m in stack.MEMBER_FITTERS else m for m in members]
     assert fit_stack(X, y, dict(control, members=refit)).member_names == kept
