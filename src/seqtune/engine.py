@@ -57,7 +57,7 @@ def _is_int(value) -> bool:
 # the smallest value the fits and the search can use (checked before any
 # evaluation)
 _INT_KEYS = {
-    "designControl": {"size": None, "replicates": None, "retries": None},
+    "designControl": {"size": None, "replicates": 1, "retries": None},
     "modelControl": {"ntree": 1, "mtry": 1, "min_node_size": 1, "folds": 2, "budget": 1},
     "optimizerControl": {"funEvals": 1},
 }
@@ -393,8 +393,6 @@ def _initial_rows(x, cfg: SpotConfig, space: ParamSpace, rng) -> np.ndarray:
     seed = ctl.get("seed")
     ctl["seed"] = int(rng.integers(2**31 - 1)) if seed is None else int(seed)
     replicates = int(ctl.get("replicates", 1))
-    if replicates < 1:
-        raise ValueError("designControl replicates must be at least 1")
     if cfg.noise and cfg.OCBA and replicates < 2 and cfg.replicates < 2:
         warnings.warn(
             "OCBA needs repeated evaluations to estimate variances; "

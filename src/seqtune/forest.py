@@ -265,13 +265,6 @@ def _settle(perm, start, m, X, y, min_leaf, features, trees):
     return means, cand[chosen], best_f, best_thr, n_left
 
 
-def _leaves(ntree, first, end):
-    """Node arrays (feature, threshold, left, value) of leaves first..end-1."""
-    shape = (ntree, end - first)
-    return (np.zeros(shape, dtype=np.int32), np.full(shape, np.inf),
-            np.tile(np.arange(first, end, dtype=np.int32), (ntree, 1)), np.zeros(shape))
-
-
 def feature_draws(n, min_node_size):
     """The most nodes of a tree of n rows that draw features."""
     # a node draws once if it splits or if, holding 2 * min_node_size rows
@@ -305,24 +298,24 @@ def grow_trees(X, y, samples, min_node_size, features):
     perm = np.array(samples, dtype=np.int32)
     ntree, n = perm.shape
     perm = perm.reshape(-1)
-    # a node, its segment of perm and its depth; splitting a node at depth k
-    # leaves at most k + 2 nodes on its tree's stack, and that node holds
-    # 2 * min_node_size to n - k * min_node_size rows, so k + 2 <= n // min_node_size
-    stack = np.zeros((ntree, max(n // min_node_size, 1), 4), dtype=np.int32)
+    # every leaf and every node waiting on a tree's stack holds at least
+    # min_node_size rows, disjoint from the others', so a tree has at most
+    # `leaves` leaves (2 * leaves - 1 nodes) and `leaves` stack entries
+    leaves = max(n // min_node_size, 1)
+    # a node, its segment of perm and its depth
+    stack = np.zeros((ntree, leaves, 4), dtype=np.int32)
     stack[:, 0, 1] = np.arange(0, ntree * n, n)
     stack[:, 0, 2] = stack[:, 0, 1] + n
     height = np.ones(ntree, dtype=np.intp)
-    capacity = 8
-    feature, threshold, left, value = _leaves(ntree, 0, capacity)
+    # every node starts as a leaf: feature 0, threshold +inf, its own left child
+    shape = (ntree, 2 * leaves - 1)
+    feature, threshold = np.zeros(shape, np.int32), np.full(shape, np.inf)
+    left = np.tile(np.arange(shape[1], dtype=np.int32), (ntree, 1))
+    value = np.zeros(shape)
     count = np.ones(ntree, dtype=np.intp)
     depth = 0
     live = np.arange(ntree)
     while live.shape[0]:
-        if count.max() + 2 > capacity:
-            feature, threshold, left, value = (
-                np.hstack(pair) for pair in zip((feature, threshold, left, value),
-                                                _leaves(ntree, capacity, 2 * capacity)))
-            capacity *= 2
         height[live] -= 1
         popped = stack[live, height[live]]
         order = np.argsort(popped[:, 1] - popped[:, 2], kind="stable")

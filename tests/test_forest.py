@@ -292,7 +292,9 @@ def test_a_chain_of_splits_reaches_the_growers_bounds(leaves_draw, min_node_size
     # leaf draws features and fails to split, so the tree makes
     # n // min_node_size - 1 draws.  The grower's stack and fit_forest's
     # feature buffer have those sizes, with one feature drawn per node and,
-    # beside a constant second column, with two.
+    # beside a constant second column, with two.  With min_node_size rows
+    # per level the tree has n // min_node_size leaves, so its nodes fill
+    # the grower's node arrays.
     levels = 16
     per_level = min_node_size * (2 if leaves_draw else 1)
     x = np.repeat(np.arange(levels, dtype=float), per_level)
@@ -310,6 +312,19 @@ def test_a_chain_of_splits_reaches_the_growers_bounds(leaves_draw, min_node_size
         if leaves_draw:
             assert draws.calls == x.shape[0] // min_node_size - 1
             assert forest.feature_draws(x.shape[0], min_node_size) == draws.calls
+        else:
+            features = forest.row_per_node(_node_features(keys, d))
+            arrays = grow_trees(x, y, [np.arange(len(y))], min_node_size, features)
+            width = 2 * (x.shape[0] // min_node_size) - 1
+            assert [a.shape for a in arrays[:4]] == [(1, width)] * 4
+
+
+def test_fewer_rows_than_the_minimum_node_size_grow_a_single_leaf():
+    X = np.array([[0.0], [1.0], [2.0]])
+    fit = fit_forest(X, np.array([0.0, 1.0, 5.0]),
+                     {"ntree": 4, "min_node_size": 5, "seed": 0})
+    assert fit.left.shape == (4, 1) and fit.depth == 0
+    assert (fit.left == 0).all() and (fit.threshold == np.inf).all()
 
 
 @settings(max_examples=150)

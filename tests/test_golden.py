@@ -3,7 +3,10 @@
 Each file under tests/golden/ is the output of one `seqtune` command on a
 fixed config: the archive.csv of the three shipped configs, of a stacked
 Branin run, of a noisy OCBA run and of its continuation, and the CSV of a
-surface drawn from a bundle's fitted model.  The test re-runs every command
+surface drawn from a bundle's fitted model.  The stacked run has the
+branin-stack benchmark's budget of 20 evaluations (10 design rows, 10 stack
+fits): its first 13 rows, 3 stack fits, stayed the same when the RSM member
+refit each cross-validation fold instead of using its closed form.  The test re-runs every command
 and compares bytes, so reproducibility is pinned across commits, not only
 between two runs in one process.  The stacked run and the Branin Kriging run
 are also repeated in a fresh interpreter with OpenBLAS held to one thread,

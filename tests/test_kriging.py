@@ -22,6 +22,7 @@ scipy's `cho_solve` (LAPACK's dpotrs) to 1e-12.
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -212,6 +213,65 @@ def test_reinterpolation_zeroes_error_at_training_points():
     # between training sites the uncertainty comes back
     mid = np.array([[np.sort(base[:, 0])[:2].mean()]])
     assert predict_kriging(fit, mid)["sd"].item() > 1e-6 * spread
+
+
+def _pinned(log10_params):
+    """An algTheta search that returns these log10 hyperparameters unscored."""
+    def search(start, fun, lower, upper, control):
+        return SimpleNamespace(xbest=np.array(log10_params, dtype=float), count=1)
+    return search
+
+
+def _twelve_rows():
+    rng = np.random.default_rng(1)
+    X = rng.uniform(size=(12, 2))
+    return X, np.sin(3 * X[:, 0]) + X[:, 1]
+
+
+@pytest.fixture
+def choleskys(monkeypatch):
+    """The matrix and the outcome of each np.linalg.cholesky call."""
+    calls, real = [], np.linalg.cholesky
+
+    def recording(a):
+        try:
+            factor = real(a)
+        except np.linalg.LinAlgError:
+            calls.append((a, "raised"))
+            raise
+        calls.append((a, "factored"))
+        return factor
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return calls
+
+
+def test_a_nugget_free_correlation_that_fails_to_factor_takes_a_jitter(choleskys):
+    # at the search's lower bounds, theta = lambda = 1e-6, K is all but a
+    # matrix of ones: K + lambda I factors, K alone does not
+    X, y = _twelve_rows()
+    fit = fit_kriging(X, y, {"algTheta": _pinned([-6.0, -6.0, -6.0])})
+    del choleskys[:]
+    sigma2 = fit._nugget_free[0]
+    (k_mat, first), (jittered, second) = choleskys
+    assert (first, second) == ("raised", "factored")
+    assert np.array_equal(jittered, k_mat + 1e-12 * np.eye(12))
+    sd = predict_kriging(fit, X)["sd"]
+    # in exact arithmetic the jitter leaves sd^2 at most 1e-12 sigma2 here
+    assert np.isfinite(sd).all()
+    assert sd.max() <= 1e-5 * math.sqrt(sigma2)
+
+
+@pytest.mark.parametrize("log10_theta, outcome", [(-6.0, "raised"), (-3.0, "factored")])
+def test_a_correlation_without_nugget_that_the_search_would_penalize_is_singular(
+    choleskys, log10_theta, outcome
+):
+    # at theta = 1e-6 the bordered matrix does not factor; at 1e-3 it
+    # factors, but its likelihood values mark it unusable
+    X, y = _twelve_rows()
+    control = {"algTheta": _pinned([log10_theta] * 2), "useLambda": False}
+    with pytest.raises(ValueError, match="singular at the selected hyperparameters"):
+        fit_kriging(X, y, control)
+    assert [o for _, o in choleskys] == [outcome]
 
 
 def test_duplicates_without_nugget_are_rejected():
