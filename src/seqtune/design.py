@@ -79,11 +79,17 @@ def sample_lhd(rng: np.random.Generator, space: ParamSpace, size: int) -> np.nda
 
 
 def cross_dist(za: np.ndarray, zb: np.ndarray, types: tuple[str, ...]) -> np.ndarray:
-    """Distance tensor between two point sets, stacked (d, m, n)."""
-    m, d = za.shape
-    out = np.empty((d, m, zb.shape[0]))
+    """Distance tensor between two point sets, stacked (d, ..., m, n).
+
+    `za` is (..., m, d) and `zb` (..., n, d); their leading axes broadcast,
+    and a 2-d pair gives (d, m, n).  Every entry is computed on its own, so
+    its bits do not depend on the stack around it.
+    """
+    m, d = za.shape[-2:]
+    stack = np.broadcast_shapes(za.shape[:-2], zb.shape[:-2])
+    out = np.empty((d, *stack, m, zb.shape[-2]))
     for i in range(d):
-        diff = za[:, i][:, None] - zb[:, i][None, :]
+        diff = za[..., i, None] - zb[..., None, :, i]
         if types[i] == "factor":
             out[i] = (diff != 0.0).astype(float)
         else:
@@ -91,16 +97,24 @@ def cross_dist(za: np.ndarray, zb: np.ndarray, types: tuple[str, ...]) -> np.nda
     return out
 
 
-def _min_pairwise_distance(x: np.ndarray, space: ParamSpace) -> float:
-    """Smallest pairwise Euclidean distance on bound-normalized coordinates."""
-    if x.shape[0] < 2:
-        return np.inf
+def _min_pairwise_distance(x: np.ndarray, space: ParamSpace):
+    """Smallest pairwise Euclidean distance on bound-normalized coordinates.
+
+    `x` is one design (m, d), giving a float, or a stack (..., m, d) of
+    them, giving an array of the stack's shape.
+    """
+    if x.shape[-2] < 2:
+        return np.full(x.shape[:-2], np.inf)[()]
     width = space.upper - space.lower
     scale = np.where(width > 0, width, 1.0)
     z = (x - space.lower) / scale
     dist = np.sqrt(cross_dist(z, z, ("numeric",) * space.dim).sum(axis=0))
-    iu = np.triu_indices(x.shape[0], k=1)
-    return float(dist[iu].min())
+    i, j = np.triu_indices(x.shape[-2], k=1)
+    return dist[..., i, j].min(axis=-1)
+
+
+# Distances scored per pass of make_lhd; bounds the pass's temporaries.
+_PASS_DOUBLES = 2**16
 
 
 def make_lhd(
@@ -110,9 +124,10 @@ def make_lhd(
 ) -> np.ndarray:
     """Maximin Latin hypercube design of `size` new points; `existing` is ignored.
 
-    Draws `retries` stratified candidates and keeps the one whose smallest
-    pairwise distance (after type snapping, on normalized coordinates) is
-    largest.  Control keys: size (default 10), retries (default 100) and seed.
+    Draws `retries` stratified candidates and keeps the first one whose
+    smallest pairwise distance (after type snapping, on normalized
+    coordinates) is largest.  Control keys: size (default 10), retries
+    (default 100) and seed.
     """
     control = control or {}
     size = int(control.get("size", 10))
@@ -122,13 +137,15 @@ def make_lhd(
     if retries < 1:
         raise ValueError("retries must be at least 1")
     rng = np.random.default_rng(control.get("seed"))
-    best, best_score = None, -np.inf
-    for _ in range(retries):
-        cand = space.snap(sample_lhd(rng, space, size))
-        score = _min_pairwise_distance(cand, space)
-        if score > best_score:
-            best, best_score = cand, score
-    return best
+    draws = [sample_lhd(rng, space, size) for _ in range(retries)]
+    cands = space.snap(np.concatenate(draws)).reshape(retries, size, space.dim)
+    # a block of candidates per pass: all 100 of a 12-point design in 2-d
+    block = max(1, _PASS_DOUBLES // (size * size * space.dim))
+    scores = np.concatenate([
+        _min_pairwise_distance(cands[a:a + block], space) for a in range(0, retries, block)
+    ])
+    # argmax takes the first maximum, as a strict > over the candidates would
+    return cands[np.argmax(scores)].copy()
 
 
 def make_uniform(

@@ -205,7 +205,8 @@ def _settle(perm, start, m, X, y, min_leaf, features, trees):
     for a, b in zip([0, *edges], [*edges, k]):
         size = int(m[a])
         group = targets[a:b, :size]
-        means[a:b] = mu = group.mean(axis=1)
+        # what group.mean(axis=1) computes, without its Python wrapper
+        means[a:b] = mu = np.add.reduce(group, axis=1) / size
         if size >= min_split:
             c = group - mu[:, None]
             yc[a:b, :size] = c
@@ -215,8 +216,10 @@ def _settle(perm, start, m, X, y, min_leaf, features, trees):
     k = cand.shape[0]
     if not k:
         return means, cand, cand, parent[cand], cand
-    rows, yc, parent, pad, m = rows[cand], yc[cand], parent[cand], pad[cand], m[cand]
-    feats = features(trees[cand])
+    if k < m.shape[0]:
+        rows, yc, parent, pad, m = rows[cand], yc[cand], parent[cand], pad[cand], m[cand]
+        trees = trees[cand]
+    feats = features(trees)
     best_f = np.full(k, -1)
     best_thr = np.zeros(k)
     best_gain = 1e-12 * parent

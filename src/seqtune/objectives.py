@@ -82,34 +82,45 @@ def sann_minimize(fn: Callable[[np.ndarray], float], params: SannParams) -> Sann
     """Simulated annealing with logarithmic cooling.
 
     The start point is evaluated once for bookkeeping; `counts` reports the
-    number of proposal evaluations, which is exactly `maxit`.  Temperature for
-    proposal i is temp / ln(j*tmax + e) with j = (i-1) // tmax, so the first
-    `tmax` proposals run at the starting temperature.  Proposals are Gaussian
-    steps with per-dimension scale equal to the current temperature (clamped
-    below at 1e-8), and the best point ever visited is returned.
+    number of proposal evaluations, which is exactly `maxit`.  The proposals
+    run in stages of `tmax`, the last one shorter when `tmax` does not
+    divide `maxit`; the stage whose first proposal is number j*tmax + 1 runs
+    at temperature temp / ln(j*tmax + e), so the first stage runs at the
+    starting temperature.  Proposals are Gaussian steps with per-dimension
+    scale equal to the current temperature (clamped below at 1e-8), each
+    followed by one `random()` draw for the accept decision, and the best
+    point ever visited is returned.  `tmax` must be a whole number; an
+    integral float gives the same run as the integer.
     """
+    if not math.isfinite(params.temp):
+        raise ValueError(f"temp must be finite, got {params.temp}")
+    if not math.isfinite(params.tmax) or params.tmax != int(params.tmax):
+        raise ValueError(f"tmax must be a whole number, got {params.tmax}")
     if params.temp <= 0.0:
         raise ValueError("temp must be positive")
     if params.tmax < 1:
         raise ValueError("tmax must be at least 1")
     if params.maxit < 1:
         raise ValueError("maxit must be at least 1")
+    maxit, tmax = params.maxit, int(params.tmax)
     rng = np.random.default_rng(params.seed)
+    normal, random = rng.normal, rng.random
     cur = np.asarray(params.par, dtype=float).copy()
+    shape = cur.shape
     cur_y = float(fn(cur))
-    best, best_y = cur.copy(), cur_y
-    for i in range(1, params.maxit + 1):
-        stage = (i - 1) // params.tmax
-        t = params.temp / math.log(stage * params.tmax + math.e)
+    # no array is changed in place, so the best point can share its buffer
+    best, best_y = cur, cur_y
+    for first in range(0, maxit, tmax):
+        t = params.temp / math.log(first + math.e)
         scale = max(t, 1e-8)
-        prop = cur + rng.normal(0.0, scale, size=cur.shape)
-        prop_y = float(fn(prop))
-        if prop_y < best_y:
-            best, best_y = prop.copy(), prop_y
-        delta = prop_y - cur_y
-        if metropolis_accept(delta, t, rng.uniform()):
-            cur, cur_y = prop, prop_y
-    return SannResult(par=best, value=best_y, counts=params.maxit)
+        for _ in range(min(tmax, maxit - first)):
+            prop = cur + normal(0.0, scale, size=shape)
+            prop_y = float(fn(prop))
+            if prop_y < best_y:
+                best, best_y = prop, prop_y
+            if metropolis_accept(prop_y - cur_y, t, random()):
+                cur, cur_y = prop, prop_y
+    return SannResult(par=best, value=best_y, counts=maxit)
 
 
 @dataclass
@@ -122,7 +133,8 @@ class TuningProblem:
     x0: Sequence[float] = (10.0, 10.0)
     maxit: int = 100
     fn: Callable[[np.ndarray], float] = field(
-        default=lambda v: float(np.sum(np.asarray(v, dtype=float) ** 2))
+        # np.sum's reduction without its Python wrapper
+        default=lambda v: float(np.add.reduce(np.square(np.asarray(v, dtype=float)), axis=None))
     )
 
 
@@ -144,6 +156,9 @@ def sann2spot(
         raise ValueError("expected columns (temp, tmax)")
     out = np.empty((algpar.shape[0], 1))
     for i, (temp, tmax) in enumerate(algpar):
+        for name, value in (("temp", temp), ("tmax", tmax)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if temp <= 0.0:
             raise ValueError("temp must be positive")
         params = SannParams(

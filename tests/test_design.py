@@ -6,7 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from seqtune.design import ParamSpace, _min_pairwise_distance, make_lhd, make_uniform
+from seqtune.design import (
+    ParamSpace,
+    _min_pairwise_distance,
+    cross_dist,
+    make_lhd,
+    make_uniform,
+    sample_lhd,
+)
 from seqtune.engine import initial_design
 
 
@@ -177,6 +184,74 @@ def test_min_pairwise_distance_matches_pdist(lower, upper):
     z = (x - sp.lower) / np.where(width > 0, width, 1.0)
     assert _min_pairwise_distance(x, sp) == pytest.approx(pdist(z).min(), rel=1e-12)
     assert _min_pairwise_distance(x[:1], sp) == np.inf
+    # a stack of designs gives one score per design, each bit for bit its
+    # own call's
+    stack = np.stack([x, (x + sp.lower) / 2.0, np.roll(x, 3, axis=0)])
+    scores = _min_pairwise_distance(stack, sp)
+    assert scores.shape == (3,)
+    for design, score in zip(stack, scores):
+        zd = (design - sp.lower) / np.where(width > 0, width, 1.0)
+        assert score == pytest.approx(pdist(zd).min(), rel=1e-12)
+        assert score == _min_pairwise_distance(design, sp)
+    assert np.array_equal(_min_pairwise_distance(stack[:, :1], sp), [np.inf] * 3)
+
+
+def _lhd_one_candidate_at_a_time(space, size, retries, seed):
+    """make_lhd's documented procedure: draw, snap and score each candidate
+    in turn and keep the first with the largest smallest distance."""
+    rng = np.random.default_rng(seed)
+    best, best_score = None, -np.inf
+    for _ in range(retries):
+        cand = space.snap(sample_lhd(rng, space, size))
+        score = _min_pairwise_distance(cand, space)
+        if score > best_score:
+            best, best_score = cand, score
+    return best
+
+
+_LHD_SPACES = {
+    "numeric": ParamSpace([-5.0, 0.0], [10.0, 15.0]),
+    "integer": ParamSpace([1.0, 1.0], [100.0, 100.0], ("integer", "integer")),
+    "factor": ParamSpace([1.0, 0.0, 1.0], [10.0, 1.0, 3.0], ("integer", "numeric", "factor")),
+    "levels": ParamSpace([1.0], [3.0], ("factor",)),
+}
+
+
+@pytest.mark.parametrize("retries", [1, 50])
+@pytest.mark.parametrize("size", [1, 2, 5, 12])
+@pytest.mark.parametrize("kind", sorted(_LHD_SPACES))
+def test_lhd_matches_one_candidate_at_a_time(kind, size, retries):
+    # the three-level factor space ties often, so the first maximum matters
+    space = _LHD_SPACES[kind]
+    for seed in range(3):
+        expected = _lhd_one_candidate_at_a_time(space, size, retries, seed)
+        got = make_lhd(None, space, dict(size=size, retries=retries, seed=seed))
+        assert np.array_equal(got, expected)
+
+
+def test_lhd_scores_large_designs_in_blocks_of_candidates():
+    # 60 points in 5-d are scored three candidates a pass, so 7 retries make
+    # blocks 0-2, 3-5 and 6; seeds 0, 1 and 5 pick from the last, the middle
+    # and the first
+    space = ParamSpace([0.0] * 5, [1.0] * 5)
+    for seed in (0, 1, 5):
+        expected = _lhd_one_candidate_at_a_time(space, 60, 7, seed)
+        assert np.array_equal(make_lhd(None, space, dict(size=60, retries=7, seed=seed)), expected)
+
+
+def test_cross_dist_on_a_stack_is_each_pair_bit_for_bit():
+    rng = np.random.default_rng(11)
+    types = ("numeric", "factor", "integer")
+    za = np.round(rng.normal(size=(4, 6, 3)), 1)
+    zb = np.round(rng.normal(size=(4, 5, 3)), 1)
+    stacked = cross_dist(za, zb, types)
+    assert stacked.shape == (3, 4, 6, 5)
+    for k in range(4):
+        assert np.array_equal(stacked[:, k], cross_dist(za[k], zb[k], types))
+    # a 2-d point set broadcasts against the stack
+    shared = cross_dist(za, zb[0], types)
+    for k in range(4):
+        assert np.array_equal(shared[:, k], cross_dist(za[k], zb[0], types))
 
 
 # ---------------------------------------------------------------------------

@@ -190,22 +190,22 @@ def test_sann_deterministic_under_seed():
     assert np.array_equal(a.par, b.par)
 
 
-def test_sann_chain_matches_hand_replay():
-    # replay the documented procedure step by step with the same generator:
-    # per proposal, one Gaussian step (scale = temperature, floored at 1e-8)
-    # then one uniform draw for the accept decision; cooling is
-    # temp / ln(j*tmax + e) with j advancing every tmax proposals.
-    params = SannParams(par=(2.0, -1.0), maxit=25, temp=5.0, tmax=4, seed=9)
-    res = sann_minimize(_sum_sq, params)
+def _replay(par, maxit, temp, tmax, seed):
+    """The documented procedure, one proposal at a time with the same generator.
 
-    rng = np.random.default_rng(9)
-    cur = np.array([2.0, -1.0])
+    Per proposal: one Gaussian step (scale = temperature, floored at 1e-8),
+    then one uniform draw for the accept decision; cooling is
+    temp / ln(j*tmax + e) with j advancing every tmax proposals.  Returns
+    the best point and its value.
+    """
+    rng = np.random.default_rng(seed)
+    cur = np.array(par, dtype=float)
     cur_y = _sum_sq(cur)
     best, best_y = cur.copy(), cur_y
-    for i in range(1, params.maxit + 1):
-        stage = (i - 1) // params.tmax
-        t = params.temp / math.log(stage * params.tmax + math.e)
-        prop = cur + rng.normal(0.0, max(t, 1e-8), size=2)
+    for i in range(1, maxit + 1):
+        stage = (i - 1) // tmax
+        t = temp / math.log(stage * tmax + math.e)
+        prop = cur + rng.normal(0.0, max(t, 1e-8), size=cur.shape)
         prop_y = _sum_sq(prop)
         if prop_y < best_y:
             best, best_y = prop.copy(), prop_y
@@ -213,8 +213,25 @@ def test_sann_chain_matches_hand_replay():
         u = rng.uniform()
         if delta <= 0 or u < math.exp(-min(delta / t, 700.0)):
             cur, cur_y = prop, prop_y
-    assert res.value == pytest.approx(best_y, rel=1e-15)
-    assert res.par == pytest.approx(best, rel=1e-15)
+    return best, best_y
+
+
+def test_sann_chain_matches_hand_replay():
+    layouts = [
+        (5.0, 4, 25),  # maxit not a multiple of tmax: a last stage of one
+        (5.0, 1, 12),  # a new temperature every proposal
+        (3.0, 40, 25),  # tmax > maxit: one stage
+        (10.0, 10, 100),  # the default scenario's settings
+        (2.0, 7, 50),  # a last stage of one after seven full ones
+        (1e-9, 3, 20),  # every step at the 1e-8 scale floor
+    ]
+    for temp, tmax, maxit in layouts:
+        for seed in range(5):
+            params = SannParams(par=(2.0, -1.0), maxit=maxit, temp=temp, tmax=tmax, seed=seed)
+            res = sann_minimize(_sum_sq, params)
+            best, best_y = _replay((2.0, -1.0), maxit, temp, tmax, seed)
+            assert res.value == best_y
+            assert np.array_equal(res.par, best)
 
 
 def test_sann_validates_settings():
@@ -224,6 +241,25 @@ def test_sann_validates_settings():
         sann_minimize(_sum_sq, SannParams(par=(0.0,), tmax=0))
     with pytest.raises(ValueError):
         sann_minimize(_sum_sq, SannParams(par=(0.0,), maxit=0))
+
+
+@pytest.mark.parametrize("temp", [np.nan, np.inf, -np.inf])
+def test_sann_rejects_a_non_finite_temperature(temp):
+    with pytest.raises(ValueError, match="temp must be finite"):
+        sann_minimize(_sum_sq, SannParams(par=(1.0,), temp=temp, seed=0))
+
+
+@pytest.mark.parametrize("tmax", [np.nan, np.inf, 2.5])
+def test_sann_rejects_a_tmax_that_is_not_a_whole_number(tmax):
+    with pytest.raises(ValueError, match="tmax must be a whole number"):
+        sann_minimize(_sum_sq, SannParams(par=(1.0,), tmax=tmax, seed=0))
+
+
+def test_sann_runs_an_integral_float_tmax_as_the_integer():
+    a = sann_minimize(_sum_sq, SannParams(par=(4.0, 3.0), maxit=33, tmax=10.0, seed=5))
+    b = sann_minimize(_sum_sq, SannParams(par=(4.0, 3.0), maxit=33, tmax=10, seed=5))
+    assert a.value == b.value
+    assert np.array_equal(a.par, b.par)
 
 
 def test_sann_first_stage_runs_at_start_temperature():
@@ -243,7 +279,7 @@ def test_sann_first_stage_runs_at_start_temperature():
             -min((prop_y - cur_y) / 2.5, 700.0)
         ):
             cur, cur_y = prop, prop_y
-    assert res.value == pytest.approx(best_y, rel=1e-15)
+    assert res.value == best_y
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +310,22 @@ def test_sann2spot_validates_input():
         sann2spot([[0.0, 5.0]])  # temperature must be positive
 
 
+@pytest.mark.parametrize(
+    "row, name",
+    [
+        ([np.nan, 5.0], "temp"),
+        ([np.inf, 5.0], "temp"),
+        ([5.0, np.inf], "tmax"),
+        ([5.0, np.nan], "tmax"),
+    ],
+)
+def test_sann2spot_rejects_non_finite_settings(row, name):
+    # a NaN or infinite temperature used to return the start value 200.0,
+    # every proposal being NaN; a non-finite tmax failed in int(round(.))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        sann2spot(np.array([row]), seed=1)
+
+
 def test_sann2spot_rounds_tmax_to_at_least_one():
     # tmax 0.4 rounds to 0 and is floored at 1; equivalent to tmax=1
     a = sann2spot([[5.0, 0.4]], seed=3)
@@ -298,6 +350,16 @@ def test_default_scenario_starts_far_from_optimum():
     assert tuple(DEFAULT_SANN_SCENARIO.x0) == (10.0, 10.0)
     assert DEFAULT_SANN_SCENARIO.maxit == 100
     assert DEFAULT_SANN_SCENARIO.fn((3.0, 4.0)) == pytest.approx(25.0)
+
+
+def test_default_scenario_fn_is_the_sum_of_squares_bit_for_bit():
+    # lengths 8 and up go through numpy's pairwise summation blocks
+    rng = np.random.default_rng(0)
+    for length in range(1, 21):
+        for _ in range(20):
+            v = rng.normal(size=length) * 10.0 ** rng.uniform(-3, 3)
+            assert DEFAULT_SANN_SCENARIO.fn(v) == _sum_sq(v)
+            assert DEFAULT_SANN_SCENARIO.fn(list(v)) == _sum_sq(v)
 
 
 def test_make_sann_objective_accepts_seed_kwarg():
