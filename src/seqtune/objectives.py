@@ -89,23 +89,28 @@ def sann_minimize(fn: Callable[[np.ndarray], float], params: SannParams) -> Sann
     starting temperature.  Proposals are Gaussian steps with per-dimension
     scale equal to the current temperature (clamped below at 1e-8), each
     followed by one `random()` draw for the accept decision, and the best
-    point ever visited is returned.  `tmax` must be a whole number; an
-    integral float gives the same run as the integer.
+    point ever visited is returned.  `par` must be finite, and `maxit` and
+    `tmax` whole numbers; an integral float gives the same run as the
+    integer.
     """
     if not math.isfinite(params.temp):
         raise ValueError(f"temp must be finite, got {params.temp}")
-    if not math.isfinite(params.tmax) or params.tmax != int(params.tmax):
-        raise ValueError(f"tmax must be a whole number, got {params.tmax}")
+    for name in ("maxit", "tmax"):
+        value = getattr(params, name)
+        if not math.isfinite(value) or value != int(value):
+            raise ValueError(f"{name} must be a whole number, got {value}")
     if params.temp <= 0.0:
         raise ValueError("temp must be positive")
     if params.tmax < 1:
         raise ValueError("tmax must be at least 1")
     if params.maxit < 1:
         raise ValueError("maxit must be at least 1")
-    maxit, tmax = params.maxit, int(params.tmax)
+    maxit, tmax = int(params.maxit), int(params.tmax)
+    cur = np.asarray(params.par, dtype=float).copy()
+    if not np.isfinite(cur).all():
+        raise ValueError(f"par (the scenario's x0) must be finite, got {params.par}")
     rng = np.random.default_rng(params.seed)
     normal, random = rng.normal, rng.random
-    cur = np.asarray(params.par, dtype=float).copy()
     shape = cur.shape
     cur_y = float(fn(cur))
     # no array is changed in place, so the best point can share its buffer

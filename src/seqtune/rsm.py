@@ -32,8 +32,6 @@ class RankDeficiencyError(ValueError):
 
 @dataclass
 class RSMFit:
-    X: np.ndarray  # the training inputs and targets, (n, d) and (n,)
-    y: np.ndarray
     centers: np.ndarray
     halves: np.ndarray
     active: np.ndarray
@@ -75,47 +73,6 @@ class RSMFit:
         z = self.code(xnew)
         halves = np.where(self.halves > 0, self.halves, 1.0)
         return self.predict(xnew), (self.b + z @ (self.B + self.B.T)) / halves
-
-    def fold_predictions(self, fold_of: np.ndarray) -> np.ndarray:
-        """Each row's prediction from a fit to the rows outside its fold, (n,).
-
-        `fold_of[i]` is row i's fold, 0 to folds - 1.  Recoding a column
-        affinely maps the basis onto itself, so a fold's refit has this
-        fit's hat matrix H on its rows, and its held-out residuals are
-        (I - H_II)^-1 r_I from this fit's residuals r: the block form of
-        PRESS.  A fold whose training rows leave an active column constant,
-        number fewer than the terms, or give a basis whose singular values
-        span 1e8 or more (the refit's rank test fires near 1e14) is refit
-        by fit_rsm, so its outcome, a RankDeficiencyError included, is the
-        refit's.  Raises ValueError unless `fold_of` holds one integer id
-        >= 0 per row.
-        """
-        n = self.y.shape[0]
-        fold_of = np.asarray(fold_of)
-        if fold_of.shape != (n,):
-            raise ValueError(f"fold_of has shape {fold_of.shape}, the fit has {n} rows")
-        if fold_of.dtype.kind not in "iu" or fold_of.min() < 0:
-            raise ValueError("fold_of must hold integer fold ids >= 0")
-        basis = _basis(self.code(self.X), self.active, self.main_effects_only)[0]
-        q = np.linalg.qr(basis)[0]
-        resid = self.y - self.predict(self.X)[:, 0]
-        out = np.empty(n)
-        for k in range(int(fold_of.max()) + 1):
-            test = fold_of == k
-            rows = self.X[~test]
-            lo, hi = rows.min(axis=0), rows.max(axis=0)
-            if (hi > lo)[self.active].all() and rows.shape[0] >= basis.shape[1]:
-                coded = (2.0 * rows - lo - hi) / np.where(hi > lo, hi - lo, 1.0)
-                fold_basis = _basis(coded, self.active, self.main_effects_only)[0]
-                sv = np.linalg.svd(fold_basis, compute_uv=False)
-                if sv[-1] > 1e-8 * sv[0]:
-                    qi = q[test]
-                    press = np.linalg.solve(np.eye(qi.shape[0]) - qi @ qi.T, resid[test])
-                    out[test] = self.y[test] - press
-                    continue
-            control = {"mainEffectsOnly": self.main_effects_only, "canonical": self.canonical}
-            out[test] = fit_rsm(rows, self.y[~test], control).predict(self.X[test])[:, 0]
-        return out
 
 
 def _basis(z: np.ndarray, active: np.ndarray, main_effects_only: bool):
@@ -203,8 +160,6 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
         stationary = centers + stationary_coded * halves
 
     return RSMFit(
-        X=X,
-        y=y,
         centers=centers,
         halves=halves,
         active=active,

@@ -5,16 +5,16 @@ out-of-fold predictions solved by nonnegative least squares and normalized
 to sum to one, so the stack prediction is always a convex combination of
 member predictions (Breiman, Stacked Regressions, 1996).  A member fit that
 has `fold_predictions(fold_of)` gives every fold's predictions from the
-full fit: Kriging in closed form at the full fit's hyperparameters and
-input scaling with the mean re-estimated per fold, RSM exactly as its
-refits, and the forest out of bag, each row from the trees whose bootstrap
-left it out (the whole forest for a row that every bootstrap holds), so
-that every built-in member is fit once.  Callable members are refit on each
-fold.
+full fit, so it is fit once: Kriging in closed form at the full fit's
+hyperparameters and input scaling with the mean re-estimated per fold, and
+the forest out of bag, each row from the trees whose bootstrap left it out
+(the whole forest for a row that every bootstrap holds).  Every other
+member, RSM and callables, is refit on each fold.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,8 +95,12 @@ def _member_settings(control: dict) -> tuple[list, dict]:
 
 
 def min_rows(X: np.ndarray, control: Optional[dict] = None) -> int:
-    """The fewest rows `fit_stack` fits: one per fold (control key folds)."""
-    return int(dict(control or {}).get("folds", 5))
+    """The fewest rows `fit_stack` fits: one per fold (control key folds,
+    an integer)."""
+    folds = dict(control or {}).get("folds", 5)
+    if not isinstance(folds, numbers.Integral) or isinstance(folds, bool):
+        raise ValueError(f"stack folds must be an integer, got {folds!r}")
+    return int(folds)
 
 
 def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> StackFit:
@@ -107,7 +111,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     (default 5), seed, types, and memberControls (a dict of per-member
     control dicts).  Out-of-fold predictions come from the full fit's
     `fold_predictions(fold_of)` where it has one, and otherwise from one
-    refit per fold (callables).  Kriging's folds keep the full fit's theta,
+    refit per fold (RSM, callables).  Kriging's folds keep the full fit's theta,
     lambda and scaling; the forest's are its out-of-bag predictions, which
     ignore the folds, with the whole forest's prediction for a row that
     every tree's bootstrap holds.  Members that fail

@@ -262,6 +262,28 @@ def test_sann_runs_an_integral_float_tmax_as_the_integer():
     assert np.array_equal(a.par, b.par)
 
 
+@pytest.mark.parametrize("maxit", [np.nan, np.inf, 10.5])
+def test_sann_rejects_a_maxit_that_is_not_a_whole_number(maxit):
+    # a fractional or NaN maxit used to leak range()'s TypeError
+    with pytest.raises(ValueError, match="maxit must be a whole number"):
+        sann_minimize(_sum_sq, SannParams(par=(1.0,), maxit=maxit, seed=0))
+
+
+def test_sann_runs_an_integral_float_maxit_as_the_integer():
+    a = sann_minimize(_sum_sq, SannParams(par=(4.0, 3.0), maxit=33.0, tmax=10, seed=5))
+    b = sann_minimize(_sum_sq, SannParams(par=(4.0, 3.0), maxit=33, tmax=10, seed=5))
+    assert (a.value, a.counts) == (b.value, b.counts)
+    assert np.array_equal(a.par, b.par)
+
+
+@pytest.mark.parametrize("x0", [(np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf)])
+def test_sann_rejects_a_start_point_that_is_not_finite(x0):
+    # every proposal from such a start is non-finite, and the start's own
+    # value used to come back as the run's result
+    with pytest.raises(ValueError, match=r"par \(the scenario's x0\) must be finite"):
+        sann2spot([[5.0, 5.0]], scenario=TuningProblem(x0=x0), seed=0)
+
+
 def test_sann_first_stage_runs_at_start_temperature():
     # with maxit <= tmax every proposal uses t = temp / ln(e) = temp; the
     # replay below only matches if no cooling happened in the first stage

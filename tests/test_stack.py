@@ -1,6 +1,6 @@
-"""Stacked surrogate: weight simplex, member dropping, convex blending, and
-the Kriging and RSM fold predictions and the forest's out-of-bag ones that
-stand in for refits."""
+"""Stacked surrogate: weight simplex, member dropping, convex blending, the
+Kriging fold predictions and the forest's out-of-bag ones that stand in for
+refits, and the refits of every other member."""
 
 from types import SimpleNamespace
 
@@ -12,7 +12,7 @@ from seqtune.design import ParamSpace, make_lhd
 from seqtune.forest import fit_forest
 from seqtune.kriging import fit_kriging
 from seqtune.objectives import fun_branin
-from seqtune.rsm import RankDeficiencyError, fit_rsm
+from seqtune.rsm import fit_rsm
 from seqtune.stack import fit_stack
 
 
@@ -158,7 +158,12 @@ def test_validates_folds_and_rows():
         fit_stack(X, y, {"folds": 1})
     with pytest.raises(ValueError):
         fit_stack(X[:3], y[:3], {"folds": 5})
+    # folds 2.9 used to run 2 folds, and True to fail as if it were 1
     for key, bad in (
+        ("folds", 2.9),
+        ("folds", 3.0),
+        ("folds", True),
+        ("folds", "3"),
         ("members", ()),
         ("members", None),
         ("members", 3),
@@ -192,7 +197,7 @@ def test_fit_is_deterministic_under_seed():
 
 
 # ---------------------------------------------------------------------------
-# fold predictions from the full fit
+# held-out predictions: from the full fit, or one refit per fold
 
 
 def _folds(n, folds, seed):
@@ -247,7 +252,7 @@ def test_kriging_fold_predictions_need_two_rows_outside_each_fold():
         fit.fold_predictions(np.array([0, 0, 1]))
 
 
-@pytest.mark.parametrize("name", ["kriging", "forest", "rsm"])
+@pytest.mark.parametrize("name", ["kriging", "forest"])
 def test_fold_predictions_need_one_fold_per_training_row(name):
     X, y = _branin_design(0)  # 12 rows
     fit = stack.MEMBER_FITTERS[name](X, y, {"budget": 30, "ntree": 5, "seed": 0})
@@ -256,7 +261,7 @@ def test_fold_predictions_need_one_fold_per_training_row(name):
             fit.fold_predictions(fold_of)
 
 
-@pytest.mark.parametrize("name", ["kriging", "rsm"])
+@pytest.mark.parametrize("name", ["kriging"])
 def test_fold_predictions_need_integer_fold_ids_from_zero(name):
     # fold -1 would never be visited, so its rows would be left unwritten
     X, y = _branin_design(0)
@@ -268,39 +273,25 @@ def test_fold_predictions_need_integer_fold_ids_from_zero(name):
 
 
 @pytest.mark.parametrize("seed", range(24))
-def test_rsm_fold_predictions_are_the_refit_of_each_fold(seed):
+def test_rsm_fold_predictions_are_the_refit_of_each_fold(seed, monkeypatch):
+    # the stack's held-out RSM column, as its NNLS solve gets it, is
+    # fit_rsm's prediction from the rows outside each fold, bit for bit
+    columns = []
+
+    def recording(a, b):
+        columns.append(a.copy())
+        return nnls(a, b)
+
+    nnls = stack._nnls
+    monkeypatch.setattr(stack, "_nnls", recording)
     X, y = _branin_design(seed)
+    fit_stack(X, y, {"members": "rsm", "seed": seed})
     fold_of = _folds(y.size, 5, seed)
-    got = fit_rsm(X, y).fold_predictions(fold_of)
+    want = np.empty(y.size)
     for k in range(5):
         test = fold_of == k
-        want = fit_rsm(X[~test], y[~test]).predict(X[test])[:, 0]
-        assert np.abs(got[test] - want).max() <= 1e-10 * np.abs(y).max()
-
-
-def test_rsm_folds_that_the_closed_form_cannot_take_get_the_refit_outcome():
-    X, y = _branin_design(3)  # 15 rows
-    fold_of = np.arange(15) % 3
-    # column 2 varies only in fold 0, so fold 0's refit drops it from the basis
-    test = fold_of == 0
-    lone = X.copy()
-    lone[:, 1] = 0.0
-    lone[test, 1] = np.arange(1.0, 6.0)
-    got = fit_rsm(lone, y).fold_predictions(fold_of)
-    assert np.array_equal(got[test], fit_rsm(lone[~test], y[~test]).predict(lone[test])[:, 0])
-
-    # column 1 takes two levels outside fold 0, so x1^2 is the intercept there
-    levels = X.copy()
-    levels[:, 0] = np.where(np.arange(15) % 2, 1.0, -1.0)
-    levels[test, 0] = 0.25
-    with pytest.raises(RankDeficiencyError):
-        fit_rsm(levels[~test], y[~test])
-    with pytest.raises(RankDeficiencyError):
-        fit_rsm(levels, y).fold_predictions(fold_of)
-
-    # 6 terms and 5 rows outside each fold
-    with pytest.raises(RankDeficiencyError, match="5 rows cannot identify 6 terms"):
-        fit_rsm(X[:8], y[:8]).fold_predictions(np.arange(8) % 3)
+        want[test] = fit_rsm(X[~test], y[~test]).predict(X[test])[:, 0]
+    assert columns[0][:, 0].tobytes() == want.tobytes()
 
 
 def _counting(calls, name, fitter):
@@ -310,7 +301,9 @@ def _counting(calls, name, fitter):
     return fit
 
 
-def test_every_built_in_member_is_fit_once_and_a_callable_once_per_fold(monkeypatch):
+def test_kriging_and_the_forest_are_fit_once_and_rsm_and_a_callable_once_per_fold(
+    monkeypatch,
+):
     calls = {}
     for name, fitter in list(stack.MEMBER_FITTERS.items()):
         monkeypatch.setitem(stack.MEMBER_FITTERS, name, _counting(calls, name, fitter))
@@ -318,7 +311,7 @@ def test_every_built_in_member_is_fit_once_and_a_callable_once_per_fold(monkeypa
     fit = fit_stack(X, y, dict(_FAST, seed=1, folds=4, members=(
         "kriging", "forest", "rsm", _counting(calls, "mean", _fit_mean))))
     assert fit.member_names == ["kriging", "forest", "rsm", "fit"]
-    assert calls == {"kriging": 1, "forest": 1, "rsm": 1, "mean": 5}
+    assert calls == {"kriging": 1, "forest": 1, "rsm": 5, "mean": 5}
 
 
 def _refitting(name):
