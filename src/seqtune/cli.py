@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import inspect
 import sys
 from datetime import datetime, timezone
 from typing import Optional
@@ -205,25 +204,13 @@ def cmd_design(args) -> int:
     return 0
 
 
-def _objective(name: str, cfg: SpotConfig):
-    """The objective `name`; a noisy run of one that takes a seed hands it
-    seedFun plus the row count, and numpy's default_rng takes no negative
-    seed, so a negative seedFun is rejected before any evaluation."""
-    fun = get_objective(name)
-    seeded = cfg.noise and cfg.seedFun is not None
-    if seeded and cfg.seedFun < 0 and "seed" in inspect.signature(fun).parameters:
-        raise ConfigError(
-            f"seedFun must be nonnegative for fun = {name}, got {cfg.seedFun}")
-    return fun
-
-
 def _run_spot(args, force_deterministic: bool) -> int:
     run, fields = _read_config(args)
     if force_deterministic:
         fields["noise"] = False
         fields.setdefault("optimizer", "local")
     cfg = _build_spot_config(fields)
-    fun = _objective(run["fun"], cfg)
+    fun = get_objective(run["fun"])
     meta = _meta_from_config(fields, run)
     meta["created"] = _now()
     result = spot(None, fun, run["lower"], run["upper"], cfg)
@@ -247,7 +234,7 @@ def cmd_optimize(args) -> int:
 def cmd_continue(args) -> int:
     data = load_bundle(args.bundle)
     fields, cfg, run = _read_bundle_run(data["meta"], funEvals=args.funEvals)
-    fun = _objective(run["fun"], cfg)
+    fun = get_objective(run["fun"])
     result = spot_loop(
         data["x"], data["y"], fun, run["lower"], run["upper"], cfg, data["seeds"]
     )

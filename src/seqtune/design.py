@@ -9,12 +9,29 @@ per equal-width bin.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 VALID_TYPES = ("numeric", "integer", "factor")
+
+
+def is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def read_count(control: dict, key: str, default, least: int = 1, name=None) -> int:
+    """control[key], or `default` when absent, as a count: an integer (not a
+    bool, nor a float such as 3.0) of at least `least`, or ValueError naming
+    `name` (default: key)."""
+    value = control.get(key, default)
+    if not is_int(value):
+        raise ValueError(f"{name or key} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name or key} must be at least {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -126,16 +143,12 @@ def make_lhd(
 
     Draws `retries` stratified candidates and keeps the first one whose
     smallest pairwise distance (after type snapping, on normalized
-    coordinates) is largest.  Control keys: size (default 10), retries
-    (default 100) and seed.
+    coordinates) is largest.  Control keys: size (default 10) and retries
+    (default 100), counts of at least 1 (`read_count`), and seed.
     """
     control = control or {}
-    size = int(control.get("size", 10))
-    retries = int(control.get("retries", 100))
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    if retries < 1:
-        raise ValueError("retries must be at least 1")
+    size = read_count(control, "size", 10)
+    retries = read_count(control, "retries", 100)
     rng = np.random.default_rng(control.get("seed"))
     draws = [sample_lhd(rng, space, size) for _ in range(retries)]
     cands = space.snap(np.concatenate(draws)).reshape(retries, size, space.dim)
@@ -155,12 +168,10 @@ def make_uniform(
 ) -> np.ndarray:
     """Independent uniform draws of `size` new points; `existing` is ignored.
 
-    Each draw is type-snapped.  Control keys: size (default 10) and seed.
+    Each draw is type-snapped.  Control keys: size (a count, default 10), seed.
     """
     control = control or {}
-    size = int(control.get("size", 10))
-    if size < 1:
-        raise ValueError("size must be at least 1")
+    size = read_count(control, "size", 10)
     rng = np.random.default_rng(control.get("seed"))
     x = rng.uniform(space.lower, space.upper, size=(size, space.dim))
     return space.snap(x)

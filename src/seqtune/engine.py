@@ -11,14 +11,13 @@ replicate index, and the run stops exactly at the evaluation budget.
 from __future__ import annotations
 
 import inspect
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .design import ParamSpace, make_lhd, make_uniform
+from .design import ParamSpace, is_int, make_lhd, make_uniform, read_count
 from .ocba import ocba_allocate
 from .optimizers import optim_lhd, optim_local_bounded
 from .rsm import min_rows as rsm_min_rows
@@ -49,15 +48,10 @@ _DESIGNS: dict[str, Callable] = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 # control keys that the designs, models and optimizers read as counts, with
-# the smallest value the fits and the search can use (checked before any
-# evaluation)
+# the least that each of them enforces (checked before any evaluation)
 _INT_KEYS = {
-    "designControl": {"size": None, "replicates": 1, "retries": None},
+    "designControl": {"size": 1, "replicates": 1, "retries": 1},
     "modelControl": {"ntree": 1, "mtry": 1, "min_node_size": 1, "folds": 2, "budget": 1},
     "optimizerControl": {"funEvals": 1},
 }
@@ -87,12 +81,11 @@ class SpotConfig:
         def bad(name: str, what: str) -> ValueError:
             return ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
-        for name in ("funEvals", "replicates", "OCBAbudget", "seedSPOT"):
-            if not _is_int(getattr(self, name)):
-                raise bad(name, "an integer")
-        if self.seedFun is not None and not _is_int(self.seedFun):
+        for name, least in (("funEvals", 1), ("replicates", 1), ("OCBAbudget", 0)):
+            read_count(vars(self), name, None, least)
+        if self.seedFun is not None and not is_int(self.seedFun):
             raise bad("seedFun", "an integer or none")
-        if self.seedSPOT < 0:
+        if not (is_int(self.seedSPOT) and self.seedSPOT >= 0):
             raise bad("seedSPOT", "a nonnegative integer")
         for name in ("noise", "OCBA"):
             if not isinstance(getattr(self, name), bool):
@@ -102,22 +95,13 @@ class SpotConfig:
             if not isinstance(section, dict):
                 raise bad(name, "a section of keys")
             seed = section.get("seed")
-            if seed is not None and not (_is_int(seed) and seed >= 0):
+            if seed is not None and not (is_int(seed) and seed >= 0):
                 raise ValueError(
                     f"{name} seed must be a nonnegative integer or none, got {seed!r}"
                 )
             for key, least in keys.items():
-                value = section.get(key)
-                if key in section and not _is_int(value):
-                    raise ValueError(f"{name} {key} must be an integer, got {value!r}")
-                if least is not None and value is not None and value < least:
-                    raise ValueError(f"{name} {key} must be at least {least}, got {value!r}")
-        if self.funEvals < 1:
-            raise ValueError("funEvals must be at least 1")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
-        if self.OCBAbudget < 0:
-            raise ValueError("OCBAbudget must be nonnegative")
+                if key in section:
+                    read_count(section, key, None, least, f"{name} {key}")
         if self.duplicate not in ("EXPLORE", "STOP"):
             raise ValueError("duplicate must be EXPLORE or STOP")
         _resolve(_DESIGNS, self.design, "design")
@@ -334,6 +318,11 @@ def _run(
 ) -> SpotResult:
     """Evaluate `design`, then fit, search and evaluate until the budget is spent."""
     pass_seed = _accepts_seed(fun)
+    # a seeded row hands its seed to the objective, and numpy's generators
+    # take no negative seed: reject one before any evaluation
+    if pass_seed and cfg.noise and cfg.seedFun is not None and cfg.seedFun < 0:
+        raise ValueError("seedFun must be nonnegative for an objective that takes "
+                         f"a seed, got {cfg.seedFun}")
     if design is not None:
         _evaluate(fun, design, cfg, archive, pass_seed)
     run_search = _resolve(_OPTIMIZERS, cfg.optimizer, "optimizer")
@@ -392,7 +381,7 @@ def _initial_rows(x, cfg: SpotConfig, space: ParamSpace, rng) -> np.ndarray:
     ctl = dict(cfg.designControl)
     seed = ctl.get("seed")
     ctl["seed"] = int(rng.integers(2**31 - 1)) if seed is None else int(seed)
-    replicates = int(ctl.get("replicates", 1))
+    replicates = read_count(ctl, "replicates", 1, name="designControl replicates")
     if cfg.noise and cfg.OCBA and replicates < 2 and cfg.replicates < 2:
         warnings.warn(
             "OCBA needs repeated evaluations to estimate variances; "

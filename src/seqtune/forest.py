@@ -48,6 +48,8 @@ from typing import Optional
 
 import numpy as np
 
+from .design import read_count
+
 
 @dataclass
 class _Node:
@@ -353,7 +355,7 @@ def grow_trees(X, y, samples, min_node_size, features):
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> ForestFit:
-    """Fit a forest; control keys: ntree, mtry, min_node_size, seed."""
+    """Fit a forest; control keys: seed and the counts ntree, mtry, min_node_size."""
     control = dict(control or {})
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -364,11 +366,9 @@ def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> 
         raise ValueError("non-finite values in X or y")
     if n < 1:
         raise ValueError("need at least one training point")
-    ntree = int(control.get("ntree", 500))
-    mtry = int(control.get("mtry", max(1, d // 3)))
-    min_node_size = int(control.get("min_node_size", 5))
-    if ntree < 1 or mtry < 1 or min_node_size < 1:
-        raise ValueError("ntree, mtry and min_node_size must be positive")
+    ntree = read_count(control, "ntree", 500)
+    mtry = read_count(control, "mtry", max(1, d // 3))
+    min_node_size = read_count(control, "min_node_size", 5)
     rng = np.random.default_rng(control.get("seed"))
     samples = rng.integers(0, n, size=(ntree, n))
     draws = feature_draws(n, min_node_size)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import optimizers
-from .design import cross_dist
+from .design import cross_dist, read_count
 
 # concentrated -log-likelihood returned when the correlation matrix cannot
 # be factorized; large enough that the search never keeps such a point
@@ -269,10 +269,11 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     """Maximum-likelihood Kriging fit.
 
     Control keys read: types, algTheta ("lhd", "local" or a callable with
-    the optimizer signature), budget (likelihood evaluations, default 200
-    per hyperparameter), useLambda (fit a nugget, default True) and seed;
-    any other key is ignored.  Hyperparameters are searched on the log10
-    ranges DEFAULT_THETA_BOUNDS and DEFAULT_LAMBDA_BOUNDS.
+    the optimizer signature), budget (likelihood evaluations, a count as
+    `read_count` reads it, default 200 per hyperparameter), useLambda (fit
+    a nugget, default True) and seed; any other key is ignored.
+    Hyperparameters are searched on the log10 ranges DEFAULT_THETA_BOUNDS
+    and DEFAULT_LAMBDA_BOUNDS.
 
     The search and the fit at the chosen hyperparameters take their
     likelihood values, mu and sigma2 from the same bordered Cholesky factor
@@ -318,7 +319,7 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     y_unit = np.ldexp(y, -e)
 
     n_par = d + (1 if use_lambda else 0)
-    budget = int(control.get("budget", 200 * n_par))
+    budget = read_count(control, "budget", 200 * n_par)
     lower = np.full(n_par, DEFAULT_THETA_BOUNDS[0])
     upper = np.full(n_par, DEFAULT_THETA_BOUNDS[1])
     if use_lambda:

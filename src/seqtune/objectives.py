@@ -161,11 +161,9 @@ def sann2spot(
         raise ValueError("expected columns (temp, tmax)")
     out = np.empty((algpar.shape[0], 1))
     for i, (temp, tmax) in enumerate(algpar):
-        for name, value in (("temp", temp), ("tmax", tmax)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if temp <= 0.0:
-            raise ValueError("temp must be positive")
+        # sann_minimize checks temp; round() needs a finite tmax first
+        if not math.isfinite(tmax):
+            raise ValueError(f"tmax must be finite, got {tmax}")
         params = SannParams(
             par=scenario.x0,
             maxit=scenario.maxit,

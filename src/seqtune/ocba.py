@@ -27,11 +27,7 @@ def _apcs(means: np.ndarray, variances: np.ndarray, counts: np.ndarray) -> float
         if i == b:
             continue
         delta = means[i] - means[b]
-        s2 = 0.0
-        if counts[b] > 0:
-            s2 += variances[b] / counts[b]
-        if counts[i] > 0:
-            s2 += variances[i] / counts[i]
+        s2 = variances[b] / counts[b] + variances[i] / counts[i]
         if s2 <= 0.0:
             total += 0.5 if delta == 0.0 else 0.0
         else:

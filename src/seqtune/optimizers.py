@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .design import ParamSpace, sample_lhd
+from .design import ParamSpace, read_count, sample_lhd
 
 
 @dataclass
@@ -27,6 +27,8 @@ class OptResult:
 
 
 def _finish(x: np.ndarray, y: np.ndarray, msg: str = "success") -> OptResult:
+    if y.size != x.shape[0]:
+        raise ValueError("objective returned the wrong number of values")
     y = y.reshape(-1, 1)
     best = int(np.argmin(y[:, 0]))
     return OptResult(
@@ -48,12 +50,11 @@ def optim_lhd(
 ) -> OptResult:
     """Best of control["funEvals"] (default 100) snapped Latin hypercube points.
 
+    funEvals is a count (`read_count`); `fun` returns one value per point.
     `start` is ignored, the way designs ignore `existing`.
     """
     control = dict(control or {})
-    fun_evals = int(control.get("funEvals", 100))
-    if fun_evals < 1:
-        raise ValueError("funEvals must be at least 1")
+    fun_evals = read_count(control, "funEvals", 100)
     space = ParamSpace(lower, upper, tuple(control.get("types", ())))
     rng = np.random.default_rng(control.get("seed"))
     x = space.snap(sample_lhd(rng, space, fun_evals))
@@ -118,12 +119,10 @@ def optim_local_bounded(
     2d + 1 rows of `_difference_rows`, and its gradient comes from their
     differences; a call that the budget cuts short evaluates the rows that
     fit and ends the search.  Every evaluated row lies inside the box, is
-    recorded and counts against funEvals.
+    recorded and counts against funEvals, a count (`read_count`).
     """
     control = dict(control or {})
-    fun_evals = int(control.get("funEvals", 100))
-    if fun_evals < 1:
-        raise ValueError("funEvals must be at least 1")
+    fun_evals = read_count(control, "funEvals", 100)
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     if start is None:

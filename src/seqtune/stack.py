@@ -14,12 +14,12 @@ member, RSM and callables, is refit on each fold.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .design import read_count
 from .forest import fit_forest
 from .kriging import fit_kriging
 from .rsm import fit_rsm
@@ -96,11 +96,8 @@ def _member_settings(control: dict) -> tuple[list, dict]:
 
 def min_rows(X: np.ndarray, control: Optional[dict] = None) -> int:
     """The fewest rows `fit_stack` fits: one per fold (control key folds,
-    an integer)."""
-    folds = dict(control or {}).get("folds", 5)
-    if not isinstance(folds, numbers.Integral) or isinstance(folds, bool):
-        raise ValueError(f"stack folds must be an integer, got {folds!r}")
-    return int(folds)
+    default 5, a count of at least 2 as `read_count` reads it)."""
+    return read_count(control or {}, "folds", 5, least=2, name="stack folds")
 
 
 def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> StackFit:
@@ -108,24 +105,22 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
 
     Control keys: members (names from kriging/forest/rsm, or callables with
     the common fit signature; a single one is a one-member stack), folds
-    (default 5), seed, types, and memberControls (a dict of per-member
-    control dicts).  Out-of-fold predictions come from the full fit's
-    `fold_predictions(fold_of)` where it has one, and otherwise from one
-    refit per fold (RSM, callables).  Kriging's folds keep the full fit's theta,
-    lambda and scaling; the forest's are its out-of-bag predictions, which
-    ignore the folds, with the whole forest's prediction for a row that
-    every tree's bootstrap holds.  Members that fail
-    to fit on the full data or on any fold, or that predict a non-finite
-    value out of fold, are dropped; if none survive, the error from the
-    last failure is raised.
+    (a count of at least 2, as `min_rows` reads it), seed, types, and
+    memberControls (a dict of per-member control dicts).  Out-of-fold
+    predictions come from the full fit's `fold_predictions(fold_of)` where
+    it has one, and otherwise from one refit per fold (RSM, callables).
+    Kriging's folds keep the full fit's theta, lambda and scaling; the
+    forest's are its out-of-bag predictions, which ignore the folds, with
+    the whole forest's prediction for a row that every tree's bootstrap
+    holds.  Members that fail to fit on the full data or on any fold, or
+    that predict a non-finite value out of fold, are dropped; if none
+    survive, the error from the last failure is raised.
     """
     control = dict(control or {})
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     n = X.shape[0]
     folds = min_rows(X, control)
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
     if n < folds:
         raise ValueError("need at least as many rows as folds")
     names, per_member = _member_settings(control)

@@ -520,7 +520,7 @@ def test_a_negative_seedfun_for_a_seeded_objective_exits_2_unevaluated(
     out = str(tmp_path / "b")
     assert main(["tune", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert "seedFun must be nonnegative for fun = sannSphere, got -5" in err
+    assert "seedFun must be nonnegative for an objective that takes a seed, got -5" in err
     assert calls == []
     assert not os.path.exists(out)
 

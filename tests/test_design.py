@@ -14,7 +14,11 @@ from seqtune.design import (
     make_uniform,
     sample_lhd,
 )
-from seqtune.engine import initial_design
+from seqtune.engine import _INT_KEYS, SpotConfig, fit_surrogate, initial_design, spot
+from seqtune.forest import fit_forest
+from seqtune.kriging import fit_kriging
+from seqtune.optimizers import optim_lhd, optim_local_bounded
+from seqtune.stack import min_rows as stack_min_rows
 
 
 def _bin_counts(col, lo, hi, size):
@@ -290,3 +294,122 @@ def test_uniform_spreads_differently_from_lhd():
     sp = ParamSpace([0.0], [1.0])
     u = make_uniform(None, sp, dict(size=12, seed=21))
     assert not np.all(_bin_counts(u[:, 0], 0.0, 1.0, 12) == 1)
+
+
+# ---------------------------------------------------------------------------
+# counts: one rule for every component and for the engine
+
+
+_X = np.random.default_rng(0).uniform(-1.0, 1.0, (8, 2))
+_Y = np.sum(_X**2, axis=1, keepdims=True)
+_BOX = ParamSpace([-1.0, -1.0], [1.0, 1.0])
+
+
+def _sphere(x):
+    return np.sum(x**2, axis=1, keepdims=True)
+
+
+def _noisy(x, seed=None):
+    return _sphere(x) + 0.1 * np.random.default_rng(seed).standard_normal((x.shape[0], 1))
+
+
+def _initial_rows(value):
+    # a config whose section changed after its checks reaches _initial_rows
+    cfg = SpotConfig(designControl={"size": 3, "seed": 0})
+    cfg.designControl["replicates"] = value
+    return initial_design(None, [-1, -1], [1, 1], cfg)
+
+
+def _engine_design(key):
+    return lambda v: initial_design(
+        None, [-1, -1], [1, 1], {"designControl": {"size": 3, "seed": 0, key: v}})
+
+
+def _engine_model(key, model):
+    def fit(v):
+        ctl = {"ntree": 5, "members": ("forest",),
+               "memberControls": {"forest": {"ntree": 5}}, key: v}
+        return fit_surrogate(_X, _Y, {"model": model, "modelControl": ctl}, 0).predict(_X)
+    return fit
+
+
+def _engine_run(settings):
+    def run(v):
+        cfg = {"funEvals": 6, "designControl": {"size": 2, "seed": 0},
+               "model": "forest", "modelControl": {"ntree": 5}, **settings(v)}
+        fun = _noisy if cfg.get("noise") else _sphere
+        return spot(None, fun, [-1, -1], [1, 1], cfg).y
+    return run
+
+
+# (entry point, the name its messages use, its least, the engine's
+# _INT_KEYS entry for the same count); a component case also accepts its
+# least, which pins the table's minimum to the one the component enforces
+_COUNTS = [
+    pytest.param(lambda v: make_lhd(None, _BOX, {"size": v, "seed": 0}),
+                 "size", 1, ("designControl", "size"), id="make_lhd-size"),
+    pytest.param(lambda v: make_lhd(None, _BOX, {"size": 4, "retries": v, "seed": 0}),
+                 "retries", 1, ("designControl", "retries"), id="make_lhd-retries"),
+    pytest.param(lambda v: make_uniform(None, _BOX, {"size": v, "seed": 0}),
+                 "size", 1, ("designControl", "size"), id="make_uniform-size"),
+    pytest.param(_initial_rows, "designControl replicates", 1,
+                 ("designControl", "replicates"), id="_initial_rows-replicates"),
+    pytest.param(lambda v: optim_lhd(None, _sphere, [-1, -1], [1, 1],
+                                     {"funEvals": v, "seed": 0}).y,
+                 "funEvals", 1, ("optimizerControl", "funEvals"), id="optim_lhd-funEvals"),
+    pytest.param(lambda v: optim_local_bounded(None, _sphere, [-1, -1], [1, 1],
+                                               {"funEvals": v}).y,
+                 "funEvals", 1, ("optimizerControl", "funEvals"),
+                 id="optim_local_bounded-funEvals"),
+    pytest.param(lambda v: fit_forest(_X, _Y, {"ntree": v, "seed": 0}).predict(_X),
+                 "ntree", 1, ("modelControl", "ntree"), id="fit_forest-ntree"),
+    pytest.param(lambda v: fit_forest(_X, _Y, {"ntree": 5, "mtry": v, "seed": 0}).predict(_X),
+                 "mtry", 1, ("modelControl", "mtry"), id="fit_forest-mtry"),
+    pytest.param(lambda v: fit_forest(_X, _Y, {"ntree": 5, "min_node_size": v,
+                                               "seed": 0}).predict(_X),
+                 "min_node_size", 1, ("modelControl", "min_node_size"),
+                 id="fit_forest-min_node_size"),
+    pytest.param(lambda v: fit_kriging(_X, _Y, {"budget": v, "seed": 0}).predict(_X),
+                 "budget", 1, ("modelControl", "budget"), id="fit_kriging-budget"),
+    pytest.param(lambda v: stack_min_rows(_X, {"folds": v}),
+                 "stack folds", 2, ("modelControl", "folds"), id="stack.min_rows-folds"),
+    *[pytest.param(_engine_design(key), f"designControl {key}", 1, None,
+                   id=f"SpotConfig-designControl-{key}")
+      for key in ("size", "replicates", "retries")],
+    *[pytest.param(_engine_model(key, model), f"modelControl {key}", least, None,
+                   id=f"SpotConfig-modelControl-{key}")
+      for key, model, least in (("ntree", "forest", 1), ("mtry", "forest", 1),
+                                ("min_node_size", "forest", 1), ("folds", "stack", 2),
+                                ("budget", "kriging", 1))],
+    pytest.param(_engine_run(lambda v: {"optimizerControl": {"funEvals": v}}),
+                 "optimizerControl funEvals", 1, None, id="SpotConfig-optimizerControl-funEvals"),
+    pytest.param(_engine_run(lambda v: {"funEvals": v}), "funEvals", 1, None,
+                 id="SpotConfig-funEvals"),
+    pytest.param(_engine_run(lambda v: {"replicates": v, "funEvals": 8}), "replicates", 1, None,
+                 id="SpotConfig-replicates"),
+    pytest.param(_engine_run(lambda v: {
+        "OCBAbudget": v, "funEvals": 10, "noise": True, "OCBA": True, "seedFun": 1,
+        "designControl": {"size": 2, "replicates": 2, "seed": 0}}),
+                 "OCBAbudget", 0, None, id="SpotConfig-OCBAbudget"),
+]
+
+
+@pytest.mark.parametrize("call, name, least, table", _COUNTS)
+def test_every_count_is_an_integer_of_at_least_its_least(call, name, least, table):
+    # components called from Python used to truncate: ntree 2.7 grew 2
+    # trees, True grew 1, and size 3.9 gave 3 rows
+    for bad in (2.7, 3.0, True, "3"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            call(bad)
+    with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got"):
+        call(least - 1)
+    np.testing.assert_array_equal(call(np.int64(3)), call(3))
+    if table is not None:
+        call(least)
+        section, key = table
+        assert _INT_KEYS[section][key] == least
+
+
+def test_every_count_of_the_engine_has_a_component_case():
+    covered = {p.values[3] for p in _COUNTS if p.values[3] is not None}
+    assert covered == {(s, k) for s, keys in _INT_KEYS.items() for k in keys}

@@ -593,6 +593,44 @@ def test_objective_must_return_one_value_per_row(seeded, count):
         spot(None, wrong, [-1, -1], [1, 1], cfg)
 
 
+def test_a_model_whose_predict_gives_two_columns_fails_the_search():
+    # the lhd search used to count 2m values for m points and take its best
+    # from the wrong row
+    def two_columns(X, y, control):
+        return SimpleNamespace(predict=lambda q: np.zeros((q.shape[0], 2)))
+
+    with pytest.raises(ValueError, match="wrong number of values"):
+        spot(None, _sphere, [-1, -1], [1, 1],
+             {"funEvals": 6, "designControl": {"size": 4}, "model": two_columns})
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["spot", "spot_loop"])
+def test_a_negative_seedfun_for_an_objective_that_takes_a_seed_is_rejected_unevaluated(resume):
+    # such an objective gets seedFun plus the row count, and numpy's
+    # generators take no negative seed: seedFun -5 used to fail at the
+    # first evaluation with numpy's bare "expected non-negative integer"
+    calls = []
+
+    def seeded(x, seed=None):
+        calls.append(seed)
+        return _noisy_sphere(x, seed)
+
+    cfg = dict(_FAST_FOREST, funEvals=8, designControl={"size": 4}, noise=True, seedFun=-5)
+    prior = np.array([[0.5, 0.5], [-0.5, 0.25], [0.0, -0.75]])
+
+    def run(fun):
+        if resume:
+            return spot_loop(prior, _sphere(prior), fun, [-1, -1], [1, 1], cfg)
+        return spot(None, fun, [-1, -1], [1, 1], cfg)
+
+    with pytest.raises(ValueError, match="^seedFun must be nonnegative"):
+        run(seeded)
+    assert calls == []
+    # an objective that takes no seed may still run on any seedFun
+    seeds = run(_sphere).seeds
+    assert seeds[-1] == -5 + 7
+
+
 # ---------------------------------------------------------------------------
 # continuation
 

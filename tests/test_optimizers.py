@@ -76,6 +76,14 @@ def test_lhd_rejects_empty_budget():
         optim_lhd(None, fun_sphere, LOWER, UPPER, {"funEvals": 0})
 
 
+@pytest.mark.parametrize("shape", [(10, 2), (3, 1)], ids=["two-columns", "three-values"])
+def test_lhd_rejects_an_objective_with_the_wrong_number_of_values(shape):
+    # two columns per row used to count 20 points for 10 and take xbest from
+    # the wrong row, and 3 values for 10 points were accepted
+    with pytest.raises(ValueError, match="wrong number of values"):
+        optim_lhd(None, lambda x: np.zeros(shape), LOWER, UPPER, {"funEvals": 10, "seed": 0})
+
+
 def test_lhd_snaps_typed_columns():
     control = {"funEvals": 15, "seed": 2, "types": ("integer", "numeric")}
     res = optim_lhd(None, fun_sphere, LOWER, UPPER, control)
