@@ -21,7 +21,7 @@ from .design import ParamSpace, is_int, make_lhd, make_uniform, read_count
 from .ocba import ocba_allocate
 from .optimizers import optim_lhd, optim_local_bounded
 from .rsm import min_rows as rsm_min_rows
-from .stack import MEMBER_FITTERS, fit_stack
+from .stack import MEMBER_FITTERS, fit_stack, member_settings
 from .stack import min_rows as stack_min_rows
 
 
@@ -102,6 +102,8 @@ class SpotConfig:
             for key, least in keys.items():
                 if key in section:
                     read_count(section, key, None, least, f"{name} {key}")
+        if self.model == "stack":
+            member_settings(self.modelControl)
         if self.duplicate not in ("EXPLORE", "STOP"):
             raise ValueError("duplicate must be EXPLORE or STOP")
         _resolve(_DESIGNS, self.design, "design")

@@ -18,17 +18,24 @@ trees whose bootstrap left it out, summed the same way.
 All trees grow in lockstep.  Each tree's rows sit in one row of a
 permutation array, where a node is a segment, and each tree keeps its own
 depth-first stack (left child first) of such segments.  Every step pops the
-top node of every unfinished tree and searches their splits in one padded
-pass per drawn feature slot: the nodes' rows, gathered to the longest
-node's length, with features padded by +inf and centred targets by 0.
-Stable argsorts and cumulative sums keep the bits of the one-node calls
-under that padding; row means and the parent's squared error (the same BLAS
-dot as `yc @ yc`) do not, so they are computed per group of nodes with
-equal sample count.  A split node's segment is partitioned in place, each
-side keeping the parent's row order, on which the stable sort of tied
-values depends.  A split must reduce the node's squared error by more than
-1e-12 of it, at the midpoint between neighbouring sorted values (the lower
-value where that midpoint rounds up to the upper one).
+top node of every unfinished tree, and a tree goes on popping while the
+node it popped has fewer than max(2, 2 * min_node_size) rows: such a node
+can neither split nor draw features, so each tree still brings at most one
+node that draws.  The popped nodes' splits are searched in one padded pass
+per drawn feature slot: the nodes' rows, gathered to the longest node's
+length, with centred targets padded by 0.  The pass sorts integer keys, a
+row's rank among its column's distinct values (ranked once per fit, the
+padding past every value) shifted above its position in the node.  The
+keys are distinct, so any sort gives the stable order of (value, position),
+and with cumulative sums that keeps the bits of the one-node calls under
+the padding; row means and the parent's squared error (the same BLAS dot
+as `yc @ yc`) do not, so they are computed per group of nodes with equal
+sample count.  A split node's segment is partitioned in place by sorting
+keys of the same kind, side above position, so each side keeps the
+parent's row order, on which the order of tied values depends.  A split
+must reduce the node's squared error by more than 1e-12 of it, at the
+midpoint between neighbouring sorted values (the lower value where that
+midpoint rounds up to the upper one).
 
 One generator, `np.random.default_rng(seed)`, draws every random number of
 a fit: first all trees' bootstrap samples, `integers(0, n, size=(ntree, n))`,
@@ -184,16 +191,18 @@ def _tree_sums(leaf: np.ndarray) -> np.ndarray:
     return np.cumsum(total, axis=0)[-1]
 
 
-def _settle(perm, start, m, X, y, min_leaf, features, trees):
+def _settle(perm, start, m, X, ranks, y, min_leaf, features, trees):
     """Means and best splits of the nodes whose rows are perm[start:start + m].
 
     `m` is sorted in decreasing order and `trees` names each node's tree.
-    A node is a leaf unless the best midpoint threshold over its features,
-    drawn by `features(trees of the nodes that can split)`, reduces its
-    centred squared error by more than 1e-12 of that error.  A split node's
-    segment of `perm` is partitioned in place, the rows going left first,
-    each side in the parent's row order.  Returns the means, the indices of
-    the split nodes, their features, thresholds and left row counts.
+    `ranks` holds each value of X as its rank among its column's distinct
+    values; the padding takes rank X.shape[0], past them all.  A node is a
+    leaf unless the best midpoint threshold over its features, drawn by
+    `features(trees of the nodes that can split)`, reduces its centred
+    squared error by more than 1e-12 of that error.  A split node's segment
+    of `perm` is partitioned in place, the rows going left first, each side
+    in the parent's row order.  Returns the means, the indices of the split
+    nodes, their features, thresholds and left row counts.
     """
     k, width, d = m.shape[0], int(m[0]), X.shape[1]
     cols = np.arange(width)
@@ -223,8 +232,10 @@ def _settle(perm, start, m, X, y, min_leaf, features, trees):
         trees = trees[cand]
     feats = features(trees)
     best_f = np.full(k, -1)
-    best_thr = np.zeros(k)
     best_gain = 1e-12 * parent
+    # the best split's sorted position i, and where its rows at positions
+    # i and i + 1 sit in `rows`
+    best_i, below, above = np.zeros((3, k), np.intp)
     # a split after sorted position i puts i + 1 rows on the left; only
     # positions lo..m-min_leaf-1 leave min_leaf rows on each side
     lo, hi = min_leaf - 1, width - min_leaf
@@ -233,40 +244,56 @@ def _settle(perm, start, m, X, y, min_leaf, features, trees):
     short = pad[:, lo + min_leaf:]
     base = np.arange(0, k * width, width)[:, None]
     at, last = np.arange(k), m - 1
+    # a row's key is its rank above its position in the node, so the keys
+    # are distinct and any sort puts them in the stable order of the values
+    shift = (width - 1).bit_length()
+    mask = (1 << shift) - 1
+    cells = rows * d
     for f in feats.T:
-        xs = X.take(rows * d + f[:, None])
-        np.putmask(xs, pad, np.inf)
-        order = np.argsort(xs, axis=1, kind="stable")
+        key = ranks.take(cells + f[:, None])
+        np.putmask(key, pad, X.shape[0])
+        key <<= shift
+        key |= cols
+        key.sort(axis=1)
+        order = key & mask
         order += base
-        xs, ys = xs.take(order), yc.take(order)
+        key >>= shift
+        ys = yc.take(order)
         s1, s2 = np.cumsum(ys, axis=1), np.cumsum(ys**2, axis=1)
         head1, head2 = s1[:, lo:hi], s2[:, lo:hi]
         tot1, tot2 = s1[at, last][:, None], s2[at, last][:, None]
         left_sse = head2 - head1**2 / size
         right_sse = (tot2 - head2) - (tot1 - head1) ** 2 / right_n
         gain = parent[:, None] - (left_sse + right_sse)
-        gain[(xs[:, lo + 1:hi + 1] <= xs[:, lo:hi]) | short] = -np.inf
+        gain[(key[:, lo + 1:hi + 1] == key[:, lo:hi]) | short] = -np.inf
         i = gain.argmax(axis=1)
         g = gain[at, i]
         i += lo
         better = g > best_gain
-        best_gain[better] = g[better]
-        best_f[better] = f[better]
-        a, b = xs[at, i], xs[at, i + 1]
-        mid = (a + b) / 2.0
-        # the midpoint of neighbouring doubles can round up to b, and a + b
-        # can overflow; either would send every row to one side
-        best_thr[better] = np.where((a <= mid) & (mid < b), mid, a)[better]
+        np.copyto(best_gain, g, where=better)
+        np.copyto(best_f, f, where=better)
+        np.copyto(best_i, i, where=better)
+        np.copyto(below, order[at, i], where=better)
+        np.copyto(above, order[at, i + 1], where=better)
     chosen = best_f >= 0
-    best_f, best_thr = best_f[chosen], best_thr[chosen]
+    best_f, n_left = best_f[chosen], best_i[chosen] + 1
+    a = X.take(rows.take(below[chosen]) * d + best_f)
+    b = X.take(rows.take(above[chosen]) * d + best_f)
     rows, pad = rows[chosen], pad[chosen]
-    # padding sorts after the rows going right
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2.0
+    # the midpoint of neighbouring doubles can round up to b, and a + b
+    # can overflow; either would send every row to one side
+    best_thr = np.where((a <= mid) & (mid < b), mid, a)
+    # the rows going right, then the padding, each in the parent's order
     right = (X.take(rows * d + best_f[:, None]) > best_thr[:, None]) | pad
-    order = np.argsort(right, axis=1, kind="stable")
+    key = right.astype(np.int64) << shift
+    key |= cols
+    key.sort(axis=1)
+    order = key & mask
     order += np.arange(0, order.size, width)[:, None]
     keep = ~pad
     perm[(start[cand[chosen], None] + cols)[keep]] = rows.take(order)[keep]
-    n_left = width - right.sum(axis=1)
     return means, cand[chosen], best_f, best_thr, n_left
 
 
@@ -318,11 +345,29 @@ def grow_trees(X, y, samples, min_node_size, features):
     left = np.tile(np.arange(shape[1], dtype=np.int32), (ntree, 1))
     value = np.zeros(shape)
     count = np.ones(ntree, dtype=np.intp)
+    # each value's rank among its column's distinct values (np.unique's
+    # inverse), from the stable argsort that fit_forest's feature draws
+    # already run: np.unique's own sort would raise the peak memory
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, 0)
+    sorted_ranks = np.zeros(X.shape, dtype=np.int64)
+    np.cumsum(xs[1:] != xs[:-1], axis=0, out=sorted_ranks[1:])
+    ranks = np.empty_like(sorted_ranks)
+    np.put_along_axis(ranks, order, sorted_ranks, 0)
+    min_split = max(2, 2 * min_node_size)
     depth = 0
     live = np.arange(ntree)
     while live.shape[0]:
-        height[live] -= 1
-        popped = stack[live, height[live]]
+        # every live tree pops its top node, and goes on popping while the
+        # node it popped is too small to split (it draws no features)
+        trees, nodes = [], []
+        while live.shape[0]:
+            height[live] -= 1
+            popped = stack[live, height[live]]
+            trees.append(live)
+            nodes.append(popped)
+            live = live[(popped[:, 2] - popped[:, 1] < min_split) & (height[live] > 0)]
+        live, popped = np.concatenate(trees), np.concatenate(nodes)
         order = np.argsort(popped[:, 1] - popped[:, 2], kind="stable")
         live, popped = live[order], popped[order]
         node, start, end, level = popped.T
@@ -334,7 +379,7 @@ def grow_trees(X, y, samples, min_node_size, features):
             b = min(len(sizes), a + max(1, _PASS_CELLS // sizes[a]))
             t, nd = live[a:b], node[a:b]
             means, split, f, thr, n_left = _settle(
-                perm, start[a:b], m[a:b], X, y, min_node_size, features, t)
+                perm, start[a:b], m[a:b], X, ranks, y, min_node_size, features, t)
             value[t, nd] = means
             t, nd = t[split], nd[split]
             child = count[t].astype(np.int32)

@@ -32,6 +32,12 @@ MEMBER_FITTERS = {
     "rsm": fit_rsm,
 }
 
+# the memberControls keys that each built-in member reads as counts
+_MEMBER_COUNTS = {
+    "kriging": ("budget",),
+    "forest": ("ntree", "mtry", "min_node_size"),
+}
+
 
 @dataclass
 class StackFit:
@@ -73,16 +79,22 @@ class StackFit:
         return out, grad
 
 
-def _member_settings(control: dict) -> tuple[list, dict]:
+def member_settings(control: dict) -> tuple[list, dict]:
     """The members list and the memberControls dict, checked up front.
 
-    A single name or callable is a one-member list.
+    A single name or callable is a one-member list, and every member must
+    be a callable or a built-in name.  The counts in a built-in member's
+    controls must be integers of at least 1, as `read_count` reads them, or
+    ValueError names the member and the key.
     """
     names = control.get("members", DEFAULT_MEMBERS)
     if isinstance(names, str) or callable(names):
         names = [names]
     if not isinstance(names, (list, tuple)) or not names:
         raise ValueError(f"stack members must name at least one model, got {names!r}")
+    for name in names:
+        if not callable(name) and name not in MEMBER_FITTERS:
+            raise ValueError(f"unknown stack member {name!r}")
     per_member = control.get("memberControls", {})
     if not isinstance(per_member, dict) or not all(
         isinstance(sub, dict) for sub in per_member.values()
@@ -91,6 +103,10 @@ def _member_settings(control: dict) -> tuple[list, dict]:
             "stack memberControls must map member names to control dicts, "
             f"got {per_member!r}"
         )
+    for label, sub in per_member.items():
+        for key in _MEMBER_COUNTS.get(label, ()):
+            if key in sub:
+                read_count(sub, key, None, name=f"stack memberControls {label} {key}")
     return list(names), per_member
 
 
@@ -106,7 +122,8 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     Control keys: members (names from kriging/forest/rsm, or callables with
     the common fit signature; a single one is a one-member stack), folds
     (a count of at least 2, as `min_rows` reads it), seed, types, and
-    memberControls (a dict of per-member control dicts).  Out-of-fold
+    memberControls (a dict of per-member control dicts, whose counts are
+    checked before any member is fit).  Out-of-fold
     predictions come from the full fit's `fold_predictions(fold_of)` where
     it has one, and otherwise from one refit per fold (RSM, callables).
     Kriging's folds keep the full fit's theta, lambda and scaling; the
@@ -123,7 +140,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     folds = min_rows(X, control)
     if n < folds:
         raise ValueError("need at least as many rows as folds")
-    names, per_member = _member_settings(control)
+    names, per_member = member_settings(control)
 
     rng = np.random.default_rng(control.get("seed"))
     order = rng.permutation(n)
@@ -137,8 +154,6 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
         if callable(name):
             fitter, label = name, getattr(name, "__name__", "custom")
         else:
-            if name not in MEMBER_FITTERS:
-                raise ValueError(f"unknown stack member {name!r}")
             fitter, label = MEMBER_FITTERS[name], name
         sub = dict(per_member.get(label, {}))
         sub.setdefault("seed", control.get("seed"))

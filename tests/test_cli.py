@@ -472,6 +472,23 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_an_unknown_stack_member_exits_2_unevaluated(tmp_path, capsys, monkeypatch):
+    # it used to evaluate the whole design, then exit 2 without a bundle
+    calls = []
+    fun = get_objective("sphere")
+    monkeypatch.setattr("seqtune.cli.get_objective",
+                        lambda name: lambda x: calls.append(x) or fun(x))
+    config = _cfg(tmp_path, "[run]\nfun = sphere\nlower = 0, 0\nupper = 1, 1\n"
+                  "[spot]\nfunEvals = 12\nmodel = stack\n"
+                  "[modelControl]\nmembers = kriging, boosting\n")
+    out = str(tmp_path / "b")
+    assert main(["tune", "--config", config, "--out", out]) == 2
+    assert "config error: bad run settings: unknown stack member 'boosting'" in (
+        capsys.readouterr().err)
+    assert calls == []
+    assert not os.path.exists(out)
+
+
 def test_a_design_too_small_for_the_first_fit_exits_2_unevaluated(
     tmp_path, capsys, monkeypatch
 ):

@@ -537,6 +537,30 @@ def test_a_negative_seed_is_rejected_before_any_evaluation(key, control):
     assert calls == []
 
 
+def test_a_bad_stack_member_is_rejected_before_any_evaluation():
+    # a run used to go ahead with the members left after the forest's fit
+    # rejected ntree 2.7: kriging and rsm
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return _sphere(x)
+
+    for model_control, message in (
+        ({"memberControls": {"forest": {"ntree": 2.7}}},
+         "^stack memberControls forest ntree must be an integer, got 2.7"),
+        # an unknown member used to be found after the design was evaluated
+        ({"members": ["kriging", "boosting"]}, "^unknown stack member 'boosting'"),
+    ):
+        control = {"funEvals": 12, "designControl": {"size": 10}, "model": "stack",
+                   "modelControl": model_control}
+        with pytest.raises(ValueError, match=message):
+            SpotConfig(**control)
+        with pytest.raises(ValueError, match=message):
+            spot(None, counting, [-1, -1], [1, 1], control)
+    assert calls == []
+
+
 def test_config_defaults():
     cfg = SpotConfig()
     assert cfg.funEvals == 20

@@ -10,16 +10,19 @@ fit, read as linked nodes through `ForestFit.trees`, must equal it bit for
 bit when fed the draws that `fit_forest` documents, recomputed here with
 numpy's Generator: the bootstrap samples, then one block of uniform keys per
 tree, each row's features ordered by key in plain Python.  (The two growers
-differ only where the midpoint of two neighbouring doubles rounds up to the
-upper one: there the oracle recurses forever, and the property test's grids
-never make such pairs.)  Two tests read a fit's draws, stopping it before
-its trees grow, and pin them against a fresh Generator across seeds, row
-counts and feature counts: the keys are the stream of one `random(d)` call
-per node, and the fit makes one `default_rng(seed)` and no other.  The
-prediction oracle sends whole batches down each linked tree by recursive
-boolean-mask partitions and adds the trees' values in tree order from 0.0;
-the package walks every (tree, row) pair through its node arrays at once,
-so the two must agree bit for bit.  The out-of-bag oracle walks each
+differ only where the midpoint of two neighbouring values rounds up to the
+upper one or overflows: there the oracle recurses forever, and no data
+compared with it make such pairs.)  The same oracle checks the trees where
+the grower's integer-key sorts meet signed zeros, subnormals, +-1e308,
+heavy ties and node widths on both sides of a power of two.  Two tests
+read a fit's draws, stopping it before its trees grow, and pin them
+against a fresh Generator across seeds, row counts and feature counts: the
+keys are the stream of one `random(d)` call per node, and the fit makes
+one `default_rng(seed)` and no other.  The prediction oracle sends whole
+batches down each linked tree by recursive boolean-mask partitions and
+adds the trees' values in tree order from 0.0; the package walks every
+(tree, row) pair through its node arrays at once, so the two must agree
+bit for bit.  The out-of-bag oracle walks each
 linked tree one row at a time and sums, in tree order from 0.0, the trees
 whose bootstrap, redrawn from the seed, left the row out.
 """
@@ -354,6 +357,38 @@ def test_every_tree_equals_the_recursive_oracle_bit_for_bit(
     for tree, idx, rows in zip(fit.trees, samples, drawn):
         oracle = grow_tree(X[idx], y[idx], min_node_size, _Draws(rows))
         assert _shape(tree) == _shape(oracle)
+
+
+# a signed zero of each sign, the largest magnitudes and subnormals; no
+# two are neighbouring doubles and no two of one sign overflow when added,
+# so the oracle's midpoints are the package's
+_EXTREMES = np.array([-1e308, -1.0, -3e-310, -0.0, 0.0, 2e-310, 5e-310, 1.0, 1e308])
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 300])
+@pytest.mark.parametrize("data", ["extremes", "ties"])
+def test_the_key_sorts_keep_every_tree_equal_to_the_oracle(n, data):
+    # the split search and the partition sort integer keys, a value's rank
+    # above its position in the node: -0.0 and 0.0 share a rank, subnormals
+    # and +-1e308 rank like any value, and these row counts put node widths
+    # on both sides of the powers of two that set the position's bits
+    rng = np.random.default_rng(n)
+    if data == "extremes":
+        X = rng.choice(_EXTREMES, size=(n, 3))
+        y = rng.normal(0, 3, n)
+    else:
+        X = rng.integers(0, 2, size=(n, 3)) * 0.5
+        y = rng.integers(0, 3, n) * 0.1
+    for min_node_size in (1, 3):
+        control = {"ntree": 3, "mtry": 2, "min_node_size": min_node_size, "seed": n}
+        fit = fit_forest(X, y, control)
+        samples, drawn = _documented_draws(n, 3, n, 3, 2, min_node_size)
+        depths = []
+        for tree, idx, rows in zip(fit.trees, samples, drawn):
+            oracle = grow_tree(X[idx], y[idx], min_node_size, _Draws(rows))
+            assert _shape(tree) == _shape(oracle)
+            depths.append(_depth(oracle))
+        assert fit.depth == max(depths) > 0
 
 
 class _Drawn(Exception):

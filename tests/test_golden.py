@@ -14,8 +14,9 @@ and the Branin Kriging run are also repeated in a fresh interpreter with
 OpenBLAS held to one thread, so their archives cannot depend on the BLAS
 thread count.  The two forest-only runs (the shipped SANN forest config and
 the OCBA run) are repeated under OpenBLAS's Haswell and Prescott kernels,
-and with numpy's AVX-512 loops disabled, so their archives cannot depend on
-the CPU's BLAS kernel or on numpy's SIMD dispatch either.
+with numpy's AVX-512 loops disabled, and with its AVX2 loops disabled as
+well, which puts its sorts on their baseline code, so their archives cannot
+depend on the CPU's BLAS kernel or on numpy's SIMD dispatch either.
 
 The `*_rsm_path.csv` files are the `rsm-path` output on the bundles of the
 three shipped configs.  Their header is compared byte for byte and their
@@ -203,6 +204,29 @@ def test_forest_runs_do_not_depend_on_numpy_simd_dispatch(tmp_path, config):
     assert (out / "archive.csv").read_bytes() == (
         GOLDEN / f"{config.stem}.csv").read_bytes()
 
+
+# numpy's sorts dispatch too, to AVX2 loops under X86_V3 and AVX-512 ones
+# under X86_V4; disabling both leaves the sorts that the forest grower runs
+# on integer keys, and every other dispatched loop, on numpy's baseline code
+NO_AVX2 = NO_AVX512 + ",X86_V3"
+EXP_ON_THE_BASELINE = """
+import numpy as np
+info = np.lib.introspect.opt_func_info(func_name="^exp$", signature="float64")
+current = [loop["current"] for loops in info.values() for loop in loops.values()]
+assert current and all(loop.startswith("baseline") for loop in current), info
+"""
+
+
+@pytest.mark.parametrize("config", [
+    ROOT / "configs" / "sann_forest.cfg",
+    GOLDEN / "sann_ocba.cfg",
+], ids=lambda path: path.stem)
+def test_forest_runs_do_not_depend_on_numpy_sort_dispatch(tmp_path, config):
+    out = tmp_path / config.stem
+    _tune_in_subprocess(config, out, check=EXP_ON_THE_BASELINE,
+                        NPY_DISABLE_CPU_FEATURES=NO_AVX2)
+    assert (out / "archive.csv").read_bytes() == (
+        GOLDEN / f"{config.stem}.csv").read_bytes()
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:

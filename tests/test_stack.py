@@ -120,6 +120,33 @@ def test_failing_member_is_dropped():
     assert np.array_equal(fit.weights, [1.0])
 
 
+@pytest.mark.parametrize("member, key, bad", [
+    ("forest", "ntree", 2.7),
+    ("forest", "mtry", 0),
+    ("forest", "min_node_size", True),
+    ("kriging", "budget", "60"),
+    ("kriging", "budget", 0),
+])
+def test_a_bad_member_count_is_rejected_before_any_member_is_fit(member, key, bad):
+    # the member's own fit used to reject it, and the stack dropped the
+    # member: ntree 2.7 fit a stack of kriging alone
+    X, y = _sphere_data(n=10)
+    fitted = []
+
+    def first(X, y, control=None):
+        fitted.append(control)
+        return _fit_mean(X, y)
+
+    control = {"members": (first, "kriging", "forest"), "seed": 1,
+               "memberControls": {member: {key: bad}}}
+    with pytest.raises(ValueError, match=f"^stack memberControls {member} {key} must be"):
+        fit_stack(X, y, control)
+    assert fitted == []
+    # a count of 1 is a count; another member's name for the key is not read
+    control["memberControls"] = {member: {key: 1}, "first": {key: bad}}
+    assert fit_stack(X, y, control).member_names == ["first", "kriging", "forest"]
+
+
 def test_all_members_failing_raises():
     X, y = _sphere_data(n=8)
     with pytest.raises(ValueError, match="every stack member failed"):
