@@ -19,9 +19,9 @@ import numpy as np
 
 from .design import ParamSpace, is_int, make_lhd, make_uniform, read_count
 from .ocba import ocba_allocate
-from .optimizers import optim_lhd, optim_local_bounded
+from .optimizers import one_per_row, optim_lhd, optim_local_bounded
 from .rsm import min_rows as rsm_min_rows
-from .stack import MEMBER_FITTERS, fit_stack, member_settings
+from .stack import MEMBER_COUNT_KEYS, MEMBER_FITTERS, fit_stack, stack_members
 from .stack import min_rows as stack_min_rows
 
 
@@ -52,7 +52,7 @@ _DESIGNS: dict[str, Callable] = {
 # the least that each of them enforces (checked before any evaluation)
 _INT_KEYS = {
     "designControl": {"size": 1, "replicates": 1, "retries": 1},
-    "modelControl": {"ntree": 1, "mtry": 1, "min_node_size": 1, "folds": 2, "budget": 1},
+    "modelControl": {**dict.fromkeys(MEMBER_COUNT_KEYS, 1), "folds": 2},
     "optimizerControl": {"funEvals": 1},
 }
 
@@ -103,7 +103,7 @@ class SpotConfig:
                 if key in section:
                     read_count(section, key, None, least, f"{name} {key}")
         if self.model == "stack":
-            member_settings(self.modelControl)
+            stack_members(self.modelControl)
         if self.duplicate not in ("EXPLORE", "STOP"):
             raise ValueError("duplicate must be EXPLORE or STOP")
         _resolve(_DESIGNS, self.design, "design")
@@ -190,14 +190,6 @@ def _accepts_seed(fun: Callable) -> bool:
         return False
 
 
-def _values(vals, rows: int) -> np.ndarray:
-    """The objective's output as a flat float array of one value per row."""
-    vals = np.asarray(vals, dtype=float).reshape(-1)
-    if vals.shape[0] != rows:
-        raise ValueError("objective returned the wrong number of values")
-    return vals
-
-
 def _evaluate(
     fun: Callable,
     rows: np.ndarray,
@@ -217,9 +209,9 @@ def _evaluate(
             s = cfg.seedFun + archive.count
             np.random.seed(s % 2**32)
             kwargs = {"seed": s} if pass_seed else {}
-            archive.append(row, _values(fun(row.reshape(1, -1), **kwargs), 1)[0], s)
+            archive.append(row, one_per_row(fun(row.reshape(1, -1), **kwargs), 1)[0], s)
     else:
-        for row, val in zip(rows, _values(fun(rows), rows.shape[0])):
+        for row, val in zip(rows, one_per_row(fun(rows), rows.shape[0])):
             archive.append(row, val, None)
 
 

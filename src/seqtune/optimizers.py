@@ -26,10 +26,16 @@ class OptResult:
     msg: str
 
 
-def _finish(x: np.ndarray, y: np.ndarray, msg: str = "success") -> OptResult:
-    if y.size != x.shape[0]:
+def one_per_row(vals, rows: int) -> np.ndarray:
+    """An objective's output as a flat float array of one value per row."""
+    vals = np.asarray(vals, dtype=float).reshape(-1)
+    if vals.size != rows:
         raise ValueError("objective returned the wrong number of values")
-    y = y.reshape(-1, 1)
+    return vals
+
+
+def _finish(x: np.ndarray, vals, msg: str = "success") -> OptResult:
+    y = one_per_row(vals, x.shape[0]).reshape(-1, 1)
     best = int(np.argmin(y[:, 0]))
     return OptResult(
         x=x,
@@ -58,8 +64,7 @@ def optim_lhd(
     space = ParamSpace(lower, upper, tuple(control.get("types", ())))
     rng = np.random.default_rng(control.get("seed"))
     x = space.snap(sample_lhd(rng, space, fun_evals))
-    y = np.asarray(fun(x), dtype=float)
-    return _finish(x, y)
+    return _finish(x, fun(x))
 
 
 class _BudgetExhausted(Exception):
@@ -138,9 +143,7 @@ def optim_local_bounded(
 
     def record(rows: np.ndarray, vals) -> np.ndarray:
         nonlocal count
-        vals = np.asarray(vals, dtype=float).reshape(-1)
-        if vals.size != rows.shape[0]:
-            raise ValueError("objective returned the wrong number of values")
+        vals = one_per_row(vals, rows.shape[0])
         if not count and not np.isfinite(vals[0]):
             raise ValueError("objective not finite at the start point")
         seen_x.append(rows)

@@ -9,7 +9,8 @@ full fit, so it is fit once: Kriging in closed form at the full fit's
 hyperparameters and input scaling with the mean re-estimated per fold, and
 the forest out of bag, each row from the trees whose bootstrap left it out
 (the whole forest for a row that every bootstrap holds).  Every other
-member, RSM and callables, is refit on each fold.
+member, RSM and callables, is refit on each fold.  Every member gets the
+stack's whole control and reads its own keys from it.
 """
 
 from __future__ import annotations
@@ -32,11 +33,8 @@ MEMBER_FITTERS = {
     "rsm": fit_rsm,
 }
 
-# the memberControls keys that each built-in member reads as counts
-_MEMBER_COUNTS = {
-    "kriging": ("budget",),
-    "forest": ("ntree", "mtry", "min_node_size"),
-}
+# the control keys that the built-in members read as counts
+MEMBER_COUNT_KEYS = ("budget", "ntree", "mtry", "min_node_size")
 
 
 @dataclass
@@ -79,13 +77,13 @@ class StackFit:
         return out, grad
 
 
-def member_settings(control: dict) -> tuple[list, dict]:
-    """The members list and the memberControls dict, checked up front.
+def stack_members(control: dict) -> list:
+    """The members list, checked before any member is fit.
 
     A single name or callable is a one-member list, and every member must
-    be a callable or a built-in name.  The counts in a built-in member's
-    controls must be integers of at least 1, as `read_count` reads them, or
-    ValueError names the member and the key.
+    be a callable or a built-in name.  The keys that built-in members read
+    as counts must be integers of at least 1 where the control sets them,
+    as `read_count` reads them, or ValueError names the key.
     """
     names = control.get("members", DEFAULT_MEMBERS)
     if isinstance(names, str) or callable(names):
@@ -95,19 +93,9 @@ def member_settings(control: dict) -> tuple[list, dict]:
     for name in names:
         if not callable(name) and name not in MEMBER_FITTERS:
             raise ValueError(f"unknown stack member {name!r}")
-    per_member = control.get("memberControls", {})
-    if not isinstance(per_member, dict) or not all(
-        isinstance(sub, dict) for sub in per_member.values()
-    ):
-        raise ValueError(
-            "stack memberControls must map member names to control dicts, "
-            f"got {per_member!r}"
-        )
-    for label, sub in per_member.items():
-        for key in _MEMBER_COUNTS.get(label, ()):
-            if key in sub:
-                read_count(sub, key, None, name=f"stack memberControls {label} {key}")
-    return list(names), per_member
+    for key in MEMBER_COUNT_KEYS:
+        read_count(control, key, 1, name=f"stack {key}")
+    return list(names)
 
 
 def min_rows(X: np.ndarray, control: Optional[dict] = None) -> int:
@@ -121,11 +109,12 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
 
     Control keys: members (names from kriging/forest/rsm, or callables with
     the common fit signature; a single one is a one-member stack), folds
-    (a count of at least 2, as `min_rows` reads it), seed, types, and
-    memberControls (a dict of per-member control dicts, whose counts are
-    checked before any member is fit).  Out-of-fold
-    predictions come from the full fit's `fold_predictions(fold_of)` where
-    it has one, and otherwise from one refit per fold (RSM, callables).
+    (a count of at least 2, as `min_rows` reads it) and seed.  Every member
+    is fit with a copy of the whole control, so the members' own keys (types,
+    Kriging's budget, the forest's ntree and so on) go at its top level, and
+    `stack_members` checks their counts first.  Out-of-fold predictions come
+    from the full fit's `fold_predictions(fold_of)` where it has one, and
+    otherwise from one refit per fold (RSM, callables).
     Kriging's folds keep the full fit's theta, lambda and scaling; the
     forest's are its out-of-bag predictions, which ignore the folds, with
     the whole forest's prediction for a row that every tree's bootstrap
@@ -140,7 +129,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     folds = min_rows(X, control)
     if n < folds:
         raise ValueError("need at least as many rows as folds")
-    names, per_member = member_settings(control)
+    names = stack_members(control)
 
     rng = np.random.default_rng(control.get("seed"))
     order = rng.permutation(n)
@@ -155,9 +144,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
             fitter, label = name, getattr(name, "__name__", "custom")
         else:
             fitter, label = MEMBER_FITTERS[name], name
-        sub = dict(per_member.get(label, {}))
-        sub.setdefault("seed", control.get("seed"))
-        sub.setdefault("types", control.get("types"))
+        sub = dict(control)
         try:
             full = fitter(X, y, sub)
             if hasattr(full, "fold_predictions"):

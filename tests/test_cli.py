@@ -15,7 +15,8 @@ from seqtune import (
     save_bundle,
     spot_loop,
 )
-from seqtune.cli import main
+from seqtune.cli import _read_ini, _run_section, _spot_config, main
+from seqtune.engine import fit_surrogate
 
 BOUNDS_CFG = """\
 [run]
@@ -460,16 +461,11 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
         assert not os.path.exists(fresh)
 
     # unusable stack settings used to end in a TypeError or AttributeError
-    for text, key in (
-        ("members =\n", "stack members"),
-        ("memberControls = x\n", "stack memberControls"),
-    ):
-        bad_stack = _cfg(
-            tmp_path,
-            sphere + "[spot]\nfunEvals = 12\nmodel = stack\n[modelControl]\n" + text,
-        )
-        assert main(["tune", "--config", bad_stack, "--out", out]) == 2
-        assert key in capsys.readouterr().err
+    bad_stack = _cfg(
+        tmp_path, sphere + "[spot]\nfunEvals = 12\nmodel = stack\n[modelControl]\nmembers =\n"
+    )
+    assert main(["tune", "--config", bad_stack, "--out", out]) == 2
+    assert "stack members" in capsys.readouterr().err
 
 
 def test_an_unknown_stack_member_exits_2_unevaluated(tmp_path, capsys, monkeypatch):
@@ -487,6 +483,22 @@ def test_an_unknown_stack_member_exits_2_unevaluated(tmp_path, capsys, monkeypat
         capsys.readouterr().err)
     assert calls == []
     assert not os.path.exists(out)
+
+
+def test_a_stack_config_sets_its_members_counts(tmp_path):
+    # fit_stack used to drop them: the forest grew 500 trees and Kriging
+    # evaluated 600 likelihood rows
+    config = _cfg(tmp_path, "[run]\nfun = sphere\nlower = 0, 0\nupper = 1, 1\n"
+                  "[spot]\nmodel = stack\n"
+                  "[modelControl]\nmembers = kriging, forest\nntree = 7\nbudget = 30\n")
+    cp = _read_ini(config)
+    cfg = SpotConfig(**_spot_config(cp, _run_section(cp)))
+    x = np.random.default_rng(0).uniform(size=(12, 2))
+    fit = fit_surrogate(x, get_objective("sphere")(x), cfg, 0)
+    assert fit.member_names == ["kriging", "forest"]
+    kriging, forest = fit.members
+    assert kriging.likelihood_evals == 30
+    assert forest.ntree == 7 and forest.feature.shape[0] == 7
 
 
 def test_a_design_too_small_for_the_first_fit_exits_2_unevaluated(

@@ -327,8 +327,7 @@ def _engine_design(key):
 
 def _engine_model(key, model):
     def fit(v):
-        ctl = {"ntree": 5, "members": ("forest",),
-               "memberControls": {"forest": {"ntree": 5}}, key: v}
+        ctl = {"ntree": 5, "members": ("forest",), key: v}
         return fit_surrogate(_X, _Y, {"model": model, "modelControl": ctl}, 0).predict(_X)
     return fit
 

@@ -547,8 +547,7 @@ def test_a_bad_stack_member_is_rejected_before_any_evaluation():
         return _sphere(x)
 
     for model_control, message in (
-        ({"memberControls": {"forest": {"ntree": 2.7}}},
-         "^stack memberControls forest ntree must be an integer, got 2.7"),
+        ({"ntree": 2.7}, "^modelControl ntree must be an integer, got 2.7"),
         # an unknown member used to be found after the design was evaluated
         ({"members": ["kriging", "boosting"]}, "^unknown stack member 'boosting'"),
     ):

@@ -103,8 +103,7 @@ def test_forest_gradient_is_zero():
 @given(seed=st.integers(0, 10**6))
 def test_stack_gradient_is_the_weighted_sum_of_its_members(seed):
     X, y, query = _mixed_data(seed, 20)
-    control = {"types": TYPES, "seed": seed, "folds": 4,
-               "memberControls": {"kriging": {"budget": 40}, "forest": {"ntree": 10}}}
+    control = {"types": TYPES, "seed": seed, "folds": 4, "budget": 40, "ntree": 10}
     fit = fit_stack(X, y, control)
     mean, grad = fit.mean_and_gradient(query)
     assert _bits(mean) == _bits(fit.predict(query))

@@ -5,7 +5,8 @@ routine that replaced one of its own:
 
 - `kriging._solve` (forward and back substitution) against LAPACK's dpotrs;
 - `stack._nnls` (Lawson-Hanson) against `scipy.optimize.nnls`, on the
-  residual norm and the optimality (KKT) conditions;
+  residual norm and the optimality (KKT) conditions, also where a joining
+  column ends the search;
 - `rsm._bisect_root` against `scipy.optimize.brentq` on the ridge step's
   secular equation;
 - `optim_local_bounded` (projected BFGS) against L-BFGS-B on bounded
@@ -113,6 +114,22 @@ def test_nnls_splits_nothing_between_identical_columns_it_does_not_need():
     assert x[0] + x[1] == pytest.approx(2.0, rel=1e-12)
     assert abs(x[2]) <= 1e-12
     _assert_nnls_optimal(a, 2.0 * col, x)
+
+
+@pytest.mark.parametrize("seed", [2156, 3299, 6260, 16815])
+def test_nnls_stops_where_a_joining_column_comes_out_nonpositive(seed):
+    # exact-fit systems with fewer rows than columns, from a search over
+    # these seeds: on each, the last column to join gets a nonpositive
+    # entry in the least-squares solve, and the search ends there
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(1, 8)), int(rng.integers(2, 5))
+    a, b = rng.normal(size=(m, k)), rng.normal(size=m)
+    assert m < k
+    x = _nnls(a, b)
+    want, _ = nnls(a, b)
+    _assert_nnls_optimal(a, b, x)
+    got_norm, want_norm = np.linalg.norm(a @ x - b), np.linalg.norm(a @ want - b)
+    assert got_norm <= want_norm + 1e-12 * np.linalg.norm(b)
 
 
 # ---------------------------------------------------------------------------

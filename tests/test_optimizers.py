@@ -133,6 +133,24 @@ def test_local_tiny_budget_reports_exhaustion():
     assert res.msg == "budget exhausted"
 
 
+def _with_gradient(x):
+    return fun_sphere(x)
+
+
+# two values for the one row of a mean-and-gradient call
+_with_gradient.mean_and_gradient = lambda x: (np.zeros((2, 1)), np.zeros(x.shape))
+
+
+@pytest.mark.parametrize("fun", [
+    lambda x: np.zeros((x.shape[0], 2)),
+    lambda x: np.zeros((3, 1)),
+    _with_gradient,
+], ids=["two-columns", "three-values", "gradient-two-values"])
+def test_local_rejects_an_objective_with_the_wrong_number_of_values(fun):
+    with pytest.raises(ValueError, match="wrong number of values"):
+        optim_local_bounded(None, fun, LOWER, UPPER, {"funEvals": 20})
+
+
 @given(budget=st.integers(3, 40))
 def test_local_never_spends_more_than_the_budget(budget):
     res = optim_local_bounded(None, fun_sphere, LOWER, UPPER, {"funEvals": budget})

@@ -41,9 +41,8 @@ def _sphere_data(n=30, d=3, seed=123):
     return X, y
 
 
-_FAST = {
-    "memberControls": {"kriging": {"budget": 60}, "forest": {"ntree": 25}},
-}
+# Kriging reads budget and the forest ntree; each member ignores the other's key
+_FAST = {"budget": 60, "ntree": 25}
 
 
 def test_weights_form_a_simplex():
@@ -76,19 +75,22 @@ def test_prediction_is_the_weighted_member_blend():
 
 def test_single_member_gets_unit_weight():
     X, y = _sphere_data(n=12)
-    fit = fit_stack(X, y, {"members": ("forest",),
-                           "memberControls": {"forest": {"ntree": 10}},
-                           "seed": 1})
+    fit = fit_stack(X, y, {"members": ("forest",), "ntree": 10, "seed": 1})
     assert fit.member_names == ["forest"]
     assert np.array_equal(fit.weights, [1.0])
 
     # a config file gives a lone name as a string, not a one-item list
     for members, name in (("forest", "forest"), (_fit_mean, "_fit_mean")):
-        fit = fit_stack(X, y, {"members": members,
-                               "memberControls": {"forest": {"ntree": 10}},
-                               "seed": 1})
+        fit = fit_stack(X, y, {"members": members, "ntree": 10, "seed": 1})
         assert fit.member_names == [name]
         assert np.array_equal(fit.weights, [1.0])
+
+
+def test_a_member_reads_its_counts_from_the_stack_control():
+    # only memberControls used to reach a member: this grew 500 trees
+    X, y = _sphere_data(n=12)
+    forest = fit_stack(X, y, {"members": ("forest",), "ntree": 7}).members[0]
+    assert forest.ntree == 7 and forest.feature.shape[0] == 7
 
 
 def test_single_member_with_no_nnls_weight_still_gets_unit_weight():
@@ -137,14 +139,13 @@ def test_a_bad_member_count_is_rejected_before_any_member_is_fit(member, key, ba
         fitted.append(control)
         return _fit_mean(X, y)
 
-    control = {"members": (first, "kriging", "forest"), "seed": 1,
-               "memberControls": {member: {key: bad}}}
-    with pytest.raises(ValueError, match=f"^stack memberControls {member} {key} must be"):
+    control = {"members": (first, member), "seed": 1, key: bad}
+    with pytest.raises(ValueError, match=f"^stack {key} must be"):
         fit_stack(X, y, control)
     assert fitted == []
-    # a count of 1 is a count; another member's name for the key is not read
-    control["memberControls"] = {member: {key: 1}, "first": {key: bad}}
-    assert fit_stack(X, y, control).member_names == ["first", "kriging", "forest"]
+    # a count of 1 is a count
+    control[key] = 1
+    assert fit_stack(X, y, control).member_names == ["first", member]
 
 
 def test_all_members_failing_raises():
@@ -161,16 +162,17 @@ def test_callable_members_are_supported():
     assert fit.member_names == ["_fit_mean"]
     assert fit.predict([[0.0, 0.0, 0.0]]).item() == pytest.approx(y.mean())
 
-    # like the named members, a custom one gets the stack's seed and types
+    # like the named members, a custom one gets a copy of the stack's control
     seen = []
 
     def recording(X, y, control):
         seen.append(control)
         return _fit_mean(X, y)
 
-    types = ("numeric", "integer", "numeric")
-    fit_stack(X, y, {"members": (recording,), "seed": 4, "types": types})
-    assert seen and all(c == {"seed": 4, "types": types} for c in seen)
+    control = {"members": (recording,), "seed": 4, "budget": 60,
+               "types": ("numeric", "integer", "numeric")}
+    fit_stack(X, y, control)
+    assert seen and all(c == control and c is not control for c in seen)
 
 
 def test_unknown_member_name_is_rejected():
@@ -194,8 +196,6 @@ def test_validates_folds_and_rows():
         ("members", ()),
         ("members", None),
         ("members", 3),
-        ("memberControls", "x"),
-        ("memberControls", {"forest": 10}),
     ):
         with pytest.raises(ValueError, match=f"stack {key} must"):
             fit_stack(X, y, {key: bad})
@@ -210,7 +210,7 @@ def test_non_finite_training_data_is_rejected(fitter, where, bad):
     X, y = _sphere_data()
     (y if where == "y" else X[:, 1])[4] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        fitter(X, y, dict(_FAST, seed=1, budget=60, ntree=25))
+        fitter(X, y, dict(_FAST, seed=1))
 
 
 def test_fit_is_deterministic_under_seed():
@@ -345,7 +345,7 @@ def _refitting(name):
     """The named member without fold_predictions, so each fold is refit."""
     def fit(X, y, control=None):
         return SimpleNamespace(predict=stack.MEMBER_FITTERS[name](X, y, control).predict)
-    fit.__name__ = name  # memberControls and member_names go by it
+    fit.__name__ = name  # member_names go by it
     return fit
 
 
