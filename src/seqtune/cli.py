@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .bundle import CorruptBundleError, fmt, load_bundle, save_bundle, write_lines
+from .design import ParamSpace, query_rows
 from .engine import (
     InfeasibleBudgetError,
     SpotConfig,
@@ -109,10 +110,6 @@ def _run_section(cp: configparser.ConfigParser) -> dict:
     }
     if "types" in run:
         out["types"] = [tok.strip() for tok in run["types"].split(",") if tok.strip()]
-    if len(out["lower"]) != len(out["upper"]):
-        raise ConfigError("[run] lower and upper lengths differ")
-    if out["types"] and len(out["types"]) != len(out["lower"]):
-        raise ConfigError("[run] types length does not match the bounds")
     return out
 
 
@@ -259,25 +256,24 @@ def _surface_eval(args):
     if args.bundle:
         data = load_bundle(args.bundle)
         _, cfg, run = _read_bundle_run(data["meta"])
+        space = ParamSpace(run["lower"], run["upper"], cfg.types)
         fit = fit_surrogate(data["x"], data["y"], cfg, cfg.seedSPOT)
-        lower, upper = run["lower"], run["upper"]
-        return (lambda pts: np.asarray(fit.predict(pts)).reshape(-1)), lower, upper, None
+        return (lambda pts: np.asarray(fit.predict(pts)).reshape(-1)), space, None
     cp = _read_ini(args.config)
     run = _run_section(cp)
+    space = ParamSpace(run["lower"], run["upper"], run["types"])
     fun = get_objective(run["fun"])
     at = None
     if cp.has_section("surface") and cp.has_option("surface", "at"):
         at = _parse_floats(cp.get("surface", "at"), "[surface] at")
-    return (lambda pts: np.asarray(fun(pts)).reshape(-1)), run["lower"], run["upper"], at
+    return (lambda pts: np.asarray(fun(pts)).reshape(-1)), space, at
 
 
 def cmd_surface(args) -> int:
     if bool(args.bundle) == bool(args.config):
         raise ConfigError("surface needs exactly one of --bundle or --config")
-    evaluate, lower, upper, at = _surface_eval(args)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    d = lower.size
+    evaluate, space, at = _surface_eval(args)
+    lower, upper, d = space.lower, space.upper, space.dim
     try:
         di, dj = (int(tok) for tok in args.dims.split(","))
     except ValueError:
@@ -288,9 +284,7 @@ def cmd_surface(args) -> int:
         raise ConfigError("--grid must be at least 2")
     base = (lower + upper) / 2.0
     if at is not None:
-        if len(at) != d:
-            raise ConfigError("[surface] at length does not match the bounds")
-        base = np.asarray(at, dtype=float)
+        base = query_rows(at, d, "[surface] at")[0]
     gi = np.linspace(lower[di - 1], upper[di - 1], args.grid)
     gj = np.linspace(lower[dj - 1], upper[dj - 1], args.grid)
     pts = np.tile(base, (args.grid * args.grid, 1))

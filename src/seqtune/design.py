@@ -5,6 +5,9 @@ the nearest whole number) and "factor" (categorical levels encoded as the
 integers between the bounds).  Latin hypercube sampling stratifies every
 dimension before any snapping, so continuous columns keep exactly one point
 per equal-width bin.
+
+`read_count`, `training_data` and `query_rows` own the input rules that
+every model and the engine share: counts, training rows and query points.
 """
 
 from __future__ import annotations
@@ -32,6 +35,29 @@ def read_count(control: dict, key: str, default, least: int = 1, name=None) -> i
     if value < least:
         raise ValueError(f"{name or key} must be at least {least}, got {value!r}")
     return int(value)
+
+
+def training_data(X, y, least: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The rows a model fits, X as (n, d) and y as (n,) floats; ValueError
+    when the row counts differ, a value is not finite or n < least."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).reshape(-1)
+    n = X.shape[0]
+    if y.shape[0] != n:
+        raise ValueError(f"X and y row counts differ: {n} and {y.shape[0]}")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite values in X or y")
+    if n < least:
+        raise ValueError(f"need at least {least} training points, got {n}")
+    return X, y
+
+
+def query_rows(x, width: int, what: str = "x") -> np.ndarray:
+    """x as (m, width) floats, or ValueError naming `what` and both widths."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != width:
+        raise ValueError(f"{what} has {x.shape[1]} columns, expected {width}")
+    return x
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .design import ParamSpace, is_int, make_lhd, make_uniform, read_count
+from .design import ParamSpace, is_int, make_lhd, make_uniform, query_rows, read_count
 from .ocba import ocba_allocate
 from .optimizers import one_per_row, optim_lhd, optim_local_bounded
 from .rsm import min_rows as rsm_min_rows
@@ -384,20 +384,11 @@ def _initial_rows(x, cfg: SpotConfig, space: ParamSpace, rng) -> np.ndarray:
         )
     rows = []
     if x is not None:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        _check_width(x, space, "start rows x")
+        x = query_rows(x, space.dim, "start rows x")
         rows.append(space.snap(x))
     design_fn = _resolve(_DESIGNS, cfg.design, "design")
-    rows.append(np.atleast_2d(design_fn(x, space, ctl)))
-    _check_width(rows[-1], space, "the design")
+    rows.append(query_rows(design_fn(x, space, ctl), space.dim, "the design"))
     return np.repeat(np.vstack(rows), replicates, axis=0)
-
-
-def _check_width(rows: np.ndarray, space: ParamSpace, what: str) -> None:
-    if rows.shape[1] != space.dim:
-        raise ValueError(
-            f"{what} has {rows.shape[1]} columns, the bounds have {space.dim}"
-        )
 
 
 def initial_design(
@@ -463,12 +454,10 @@ def spot_loop(
     budget is already spent, the archive is returned unchanged.
     """
     cfg, space, rng = _setup(lower, upper, control)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = query_rows(x, space.dim)
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     if x.shape[0] != y.shape[0]:
         raise ValueError("x and y row counts differ")
-    if x.shape[1] != space.dim:
-        raise ValueError("x column count does not match the bounds")
     if seeds is None:
         seeds = [None] * x.shape[0]
     elif len(seeds) != x.shape[0]:

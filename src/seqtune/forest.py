@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import read_count
+from .design import query_rows, read_count, training_data
 
 
 @dataclass
@@ -137,12 +137,7 @@ class ForestFit:
 
     def predict(self, xnew: np.ndarray) -> np.ndarray:
         """Mean over tree predictions, one column."""
-        xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
-        if xnew.shape[1] != self.n_features:
-            raise ValueError(
-                f"prediction input has {xnew.shape[1]} columns, model was fit on "
-                f"{self.n_features}"
-            )
+        xnew = query_rows(xnew, self.n_features)
         out = np.empty(xnew.shape[0])
         # a NaN coordinate goes right at every split, as +inf does, and +inf
         # stays at a leaf
@@ -400,17 +395,11 @@ def grow_trees(X, y, samples, min_node_size, features):
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> ForestFit:
-    """Fit a forest; control keys: seed and the counts ntree, mtry, min_node_size."""
+    """Fit a forest; control keys: seed and the counts ntree, mtry, min_node_size.
+    Raises ValueError where `training_data(X, y)` does."""
     control = dict(control or {})
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).reshape(-1)
+    X, y = training_data(X, y)
     n, d = X.shape
-    if y.shape[0] != n:
-        raise ValueError("X and y row counts differ")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite values in X or y")
-    if n < 1:
-        raise ValueError("need at least one training point")
     ntree = read_count(control, "ntree", 500)
     mtry = read_count(control, "mtry", max(1, d // 3))
     min_node_size = read_count(control, "min_node_size", 5)

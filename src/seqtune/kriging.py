@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import optimizers
-from .design import cross_dist, read_count
+from .design import cross_dist, query_rows, read_count, training_data
 
 # concentrated -log-likelihood returned when the correlation matrix cannot
 # be factorized; large enough that the search never keeps such a point
@@ -281,20 +281,15 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     smallest power of two above max|y|.  The weights are solved and refined
     on that scale too, so the fit on 2**k y is the fit on y with mu and
     alpha times 2**k and the variances times 4**k, bit for bit.  Raises
-    ValueError when the chosen hyperparameters give a correlation matrix
-    that the search penalizes, and when the scaled-back mean, variances or
-    weights overflow (max|y| beyond about 1e150).
+    ValueError where `training_data(X, y, least=2)` does, when the chosen
+    hyperparameters give a correlation matrix that the search penalizes,
+    and when the scaled-back mean, variances or weights overflow (max|y|
+    beyond about 1e150).
     """
     control = dict(control or {})
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).reshape(-1, 1)
+    X, y = training_data(X, y, least=2)
+    y = y.reshape(-1, 1)
     n, d = X.shape
-    if y.shape[0] != n:
-        raise ValueError("X and y row counts differ")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite values in X or y")
-    if n < 2:
-        raise ValueError("need at least 2 training points")
     types = tuple(control.get("types") or ("numeric",) * d)
     if len(types) != d:
         raise ValueError("types length must match X columns")
@@ -411,9 +406,7 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
 
 def _scaled(fit: KrigingFit, xnew: np.ndarray) -> np.ndarray:
     """New points (rows) on the training inputs' unit-box scale."""
-    xnew = np.atleast_2d(np.asarray(xnew, dtype=float))
-    if xnew.shape[1] != fit.X.shape[1]:
-        raise ValueError("prediction points have the wrong dimension")
+    xnew = query_rows(xnew, fit.X.shape[1])
     return (xnew - fit.x_offset) / fit.x_scale
 
 

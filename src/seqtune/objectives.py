@@ -12,6 +12,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .design import query_rows
+
 
 def fun_sphere(x: np.ndarray) -> np.ndarray:
     """Sum of squares, applied row-wise."""
@@ -26,9 +28,7 @@ def fun_cubic(x: np.ndarray) -> np.ndarray:
 
 
 def fun_branin(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != 2:
-        raise ValueError("branin expects 2 columns")
+    x = query_rows(x, 2, "branin's x")
     x1, x2 = x[:, 0], x[:, 1]
     a = x2 - 5.1 / (4.0 * np.pi**2) * x1**2 + 5.0 / np.pi * x1 - 6.0
     y = a**2 + 10.0 * (1.0 - 1.0 / (8.0 * np.pi)) * np.cos(x1) + 10.0
@@ -37,9 +37,7 @@ def fun_branin(x: np.ndarray) -> np.ndarray:
 
 def fun_branin_factor(x: np.ndarray) -> np.ndarray:
     """Branin of columns 1-2; factor level 1, 2 or 3 in column 3 adds 1, -1 or 0."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != 3:
-        raise ValueError("braninFactor expects 3 columns")
+    x = query_rows(x, 3, "braninFactor's x")
     y = fun_branin(x[:, :2])
     levels = np.rint(x[:, 2]).astype(int)
     if not np.all(np.isin(levels, [1, 2, 3])):
@@ -156,9 +154,7 @@ def sann2spot(
     When a seed is given, row i runs with seed + i so replicate rows stay
     reproducible but independent.
     """
-    algpar = np.atleast_2d(np.asarray(algpar, dtype=float))
-    if algpar.shape[1] != 2:
-        raise ValueError("expected columns (temp, tmax)")
+    algpar = query_rows(algpar, 2, "algpar (temp, tmax)")
     out = np.empty((algpar.shape[0], 1))
     for i, (temp, tmax) in enumerate(algpar):
         # sann_minimize checks temp; round() needs a finite tmax first

@@ -22,6 +22,8 @@ from typing import Optional
 
 import numpy as np
 
+from .design import query_rows, training_data
+
 PATH_STEPS = 10
 PATH_RADIUS = 2.5
 
@@ -47,16 +49,12 @@ class RSMFit:
     term_names: list = field(default_factory=list)
 
     def code(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.centers.size:
-            raise ValueError("points have the wrong dimension")
+        x = query_rows(x, self.centers.size)
         halves = np.where(self.halves > 0, self.halves, 1.0)
         return (x - self.centers) / halves
 
     def decode(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        if z.shape[1] != self.centers.size:
-            raise ValueError("points have the wrong dimension")
+        z = query_rows(z, self.centers.size, "z")
         return self.centers + z * self.halves
 
     def predict(self, xnew: np.ndarray) -> np.ndarray:
@@ -99,20 +97,16 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
 
     Control keys: mainEffectsOnly (drop interactions and quadratics; B = 0) and
     canonical (let descent paths leave a saddle along its falling axis).
-    Constant columns are excluded from the basis; a rank-deficient basis
-    raises RankDeficiencyError naming, in basis order, each term that the
-    terms before it already span, as R's lm reports aliased coefficients.
+    Raises ValueError where `training_data(X, y)` does.  Constant columns
+    are excluded from the basis; a rank-deficient basis raises
+    RankDeficiencyError naming, in basis order, each term that the terms
+    before it already span, as R's lm reports aliased coefficients.
     """
     control = dict(control or {})
     main_effects_only = bool(control.get("mainEffectsOnly", False))
     canonical = bool(control.get("canonical", False))
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).reshape(-1)
+    X, y = training_data(X, y)
     n, d = X.shape
-    if y.shape[0] != n:
-        raise ValueError("X and y row counts differ")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite values in X or y")
     lo, hi = X.min(axis=0), X.max(axis=0)
     centers = (lo + hi) / 2.0
     halves = (hi - lo) / 2.0

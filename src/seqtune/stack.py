@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import read_count
+from .design import read_count, training_data
 from .forest import fit_forest
 from .kriging import fit_kriging
 from .rsm import fit_rsm
@@ -118,17 +118,16 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     Kriging's folds keep the full fit's theta, lambda and scaling; the
     forest's are its out-of-bag predictions, which ignore the folds, with
     the whole forest's prediction for a row that every tree's bootstrap
-    holds.  Members that fail to fit on the full data or on any fold, or
-    that predict a non-finite value out of fold, are dropped; if none
-    survive, the error from the last failure is raised.
+    holds.  X and y must pass `training_data(X, y, folds)` before any
+    member is fit.  Members that fail to fit on the full data or on any
+    fold, or that predict a non-finite value out of fold, are dropped; if
+    none survive, the error from the last failure is raised.
     """
     control = dict(control or {})
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).reshape(-1, 1)
-    n = X.shape[0]
     folds = min_rows(X, control)
-    if n < folds:
-        raise ValueError("need at least as many rows as folds")
+    X, y = training_data(X, y, folds)
+    y = y.reshape(-1, 1)
+    n = X.shape[0]
     names = stack_members(control)
 
     rng = np.random.default_rng(control.get("seed"))

@@ -122,9 +122,14 @@ def test_load_rejects_non_object_metadata(tmp_path):
 
 
 def test_load_rejects_wrong_header(tmp_path):
-    where = _write_bundle_files(tmp_path, "a,b,c,d\n1.0,2.0,3.0,4\n")
-    with pytest.raises(CorruptBundleError, match="archive header"):
-        load_bundle(where)
+    for text, message in (
+        ("a,b,c,d\n1.0,2.0,3.0,4\n", "archive header"),
+        ("x1,x3,y,seed,replicate\n1.0,2.0,3.0,,1\n", "archive header"),
+        ("", "archive is empty"),
+    ):
+        where = _write_bundle_files(tmp_path, text)
+        with pytest.raises(CorruptBundleError, match=message):
+            load_bundle(where)
 
 
 def test_load_rejects_short_rows(tmp_path):
@@ -298,11 +303,15 @@ def test_continue_result_seeds_match_the_archive(tmp_path):
 # rsm-path and surface commands
 
 
-def test_rsm_path_emits_ten_descending_steps(cfg_path, tmp_path):
+def test_rsm_path_emits_ten_descending_steps(cfg_path, tmp_path, capsys):
     where = str(tmp_path / "bundle")
     main(["tune", "--config", cfg_path, "--out", where])
     out = str(tmp_path / "path.csv")
     assert main(["rsm-path", "--bundle", where, "--out", out]) == 0
+    capsys.readouterr()
+    # without --out the same table goes to stdout
+    assert main(["rsm-path", "--bundle", where]) == 0
+    assert capsys.readouterr().out.encode() == _read(out)
     lines = _read(out).decode().splitlines()
     assert lines[0] == "x1,x2,y"
     assert len(lines) == 11
@@ -322,6 +331,20 @@ def test_surface_grid_covers_the_bounds(cfg_path, tmp_path):
     # the objective itself is evaluated: corners of the sphere give 8
     corner = grid[(grid[:, 0] == 2.0) & (grid[:, 1] == 2.0)]
     assert corner[0, 2] == 8.0
+
+
+def test_surface_at_is_the_base_point_of_the_grid(tmp_path, capsys):
+    text = "[run]\nfun = sphere\nlower = -1, -1, -1\nupper = 1, 1, 1\n[surface]\n"
+    out = str(tmp_path / "s.csv")
+    assert main(["surface", "--config", _cfg(tmp_path, text + "at = 0, 0, 3\n"),
+                 "--grid", "3", "--out", out]) == 0
+    grid = np.array([[float(c) for c in ln.split(",")]
+                     for ln in _read(out).decode().splitlines()[1:]])
+    # the third axis stays at its `at` value, 3, outside the box
+    np.testing.assert_array_equal(grid[:, 2], grid[:, 0] ** 2 + grid[:, 1] ** 2 + 9.0)
+    assert main(["surface", "--config", _cfg(tmp_path, text + "at = 0, 0\n"),
+                 "--grid", "3"]) == 2
+    assert "[surface] at has 2 columns, expected 3" in capsys.readouterr().err
 
 
 def test_surface_from_a_bundle_uses_the_fitted_model(cfg_path, tmp_path):
@@ -373,11 +396,21 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
         assert main(["design", "--config", unknown_key, "--out", "/dev/null"]) == 2
         assert f"unknown [spot] keys: {key.split()[0]}" in capsys.readouterr().err
 
+    for text, message in (
+        ("fun = sphere\nlower = 0\nupper = 1\nbogus = 1\n", "unknown [run] keys: bogus"),
+        ("fun = sphere\nlower = 0\n", "[run] is missing 'upper'"),
+        ("fun = sphere\nlower = a, b\nupper = 1, 1\n", "cannot parse [run] lower"),
+    ):
+        bad_run = _cfg(tmp_path, "[run]\n" + text)
+        assert main(["design", "--config", bad_run, "--out", "/dev/null"]) == 2
+        assert message in capsys.readouterr().err
+
     mismatched = _cfg(tmp_path, "[run]\nfun = sphere\nlower = 0, 0\nupper = 1\n")
     assert main(["design", "--config", mismatched, "--out", "/dev/null"]) == 2
 
     # a NaN bound used to pass the lower <= upper check: the uniform design
-    # then crashed, and the LHD failed with a message about its column count
+    # then crashed, and the LHD failed with a message about its column count;
+    # surface gridded NaN and reversed bounds and exited 0
     for bound in ("nan", "-inf"):
         for design in ("lhd", "uniform"):
             non_finite = _cfg(
@@ -385,8 +418,15 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
                 f"[run]\nfun = sphere\nlower = {bound}, 0\nupper = 1, 1\n"
                 f"[spot]\ndesign = {design}\n",
             )
-            assert main(["design", "--config", non_finite, "--out", "/dev/null"]) == 2
-            assert "bounds must be finite" in capsys.readouterr().err
+            for command in ("design", "surface"):
+                assert main([command, "--config", non_finite, "--out", "/dev/null"]) == 2
+                assert "bounds must be finite" in capsys.readouterr().err
+    reversed_box = _cfg(tmp_path, "[run]\nfun = sphere\nlower = 10, 15\nupper = -5, 0\n")
+    errors = []
+    for command in ("design", "surface"):
+        assert main([command, "--config", reversed_box, "--out", "/dev/null"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "config error: lower bound exceeds upper bound\n"
 
     unknown_fun = _cfg(tmp_path, "[run]\nfun = mystery\nlower = 0\nupper = 1\n")
     out = str(tmp_path / "b")
@@ -609,15 +649,16 @@ def test_corrupt_bundles_exit_4(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["continue", "surface"])
 @pytest.mark.parametrize(
     "corrupt",
-    [lambda cfg: 5, lambda cfg: ["a"], lambda cfg: dict(cfg, types=7)],
-    ids=["number", "list", "types-number"],
+    [lambda meta: dict(meta, config=5), lambda meta: dict(meta, config=["a"]),
+     lambda meta: dict(meta, config=dict(meta["config"], types=7)),
+     lambda meta: {key: val for key, val in meta.items() if key != "fun"}],
+    ids=["number", "list", "types-number", "no-fun"],
 )
 def test_corrupt_bundle_config_exits_4(cfg_path, tmp_path, capsys, command, corrupt):
     where = str(tmp_path / "bundle")
     main(["tune", "--config", cfg_path, "--out", where])
     meta_path = os.path.join(where, "meta.json")
-    meta = json.loads(_read(meta_path))
-    meta["config"] = corrupt(meta["config"])
+    meta = corrupt(json.loads(_read(meta_path)))
     with open(meta_path, "w") as fh:
         json.dump(meta, fh)
     capsys.readouterr()

@@ -1,5 +1,7 @@
 """Space-filling designs: stratification, typing, replication, determinism."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,10 +16,19 @@ from seqtune.design import (
     make_uniform,
     sample_lhd,
 )
-from seqtune.engine import _INT_KEYS, SpotConfig, fit_surrogate, initial_design, spot
+from seqtune.engine import (
+    _INT_KEYS,
+    SpotConfig,
+    fit_surrogate,
+    initial_design,
+    spot,
+    spot_loop,
+)
 from seqtune.forest import fit_forest
 from seqtune.kriging import fit_kriging
 from seqtune.optimizers import optim_lhd, optim_local_bounded
+from seqtune.rsm import fit_rsm
+from seqtune.stack import fit_stack
 from seqtune.stack import min_rows as stack_min_rows
 
 
@@ -412,3 +423,81 @@ def test_every_count_is_an_integer_of_at_least_its_least(call, name, least, tabl
 def test_every_count_of_the_engine_has_a_component_case():
     covered = {p.values[3] for p in _COUNTS if p.values[3] is not None}
     assert covered == {(s, k) for s, keys in _INT_KEYS.items() for k in keys}
+
+
+# ---------------------------------------------------------------------------
+# training rows and query points: one rule for every model and the engine
+
+
+_FIT_CTL = {"budget": 10, "ntree": 5, "seed": 0}
+
+# (fitter, the fewest rows it fits)
+_FITTERS = [
+    pytest.param(fit_kriging, 2, id="kriging"),
+    pytest.param(fit_forest, 1, id="forest"),
+    pytest.param(fit_rsm, 1, id="rsm"),
+    pytest.param(fit_stack, 5, id="stack"),
+]
+
+
+@pytest.mark.parametrize("fitter, least", _FITTERS)
+def test_every_fitter_rejects_bad_training_rows_alike(fitter, least):
+    y_nan, x_inf = _Y.copy(), _X.copy()
+    y_nan[3, 0], x_inf[5, 1] = np.nan, np.inf
+    with pytest.raises(ValueError, match=r"^X and y row counts differ: 8 and 7$"):
+        fitter(_X, _Y[:7], _FIT_CTL)
+    for X, y in ((_X, y_nan), (x_inf, _Y)):
+        with pytest.raises(ValueError, match=r"^non-finite values in X or y$"):
+            fitter(X, y, _FIT_CTL)
+    few = f"^need at least {least} training points, got {least - 1}$"
+    with pytest.raises(ValueError, match=few):
+        fitter(_X[:least - 1], _Y[:least - 1], _FIT_CTL)
+
+
+def test_fit_stack_checks_its_rows_before_any_member():
+    calls = []
+
+    def recorder(X, y, control):
+        calls.append(X.shape[0])
+        return SimpleNamespace(predict=lambda q: np.zeros(len(q)))
+
+    ctl = {"members": [recorder], "seed": 0}
+    y_nan = _Y.copy()
+    y_nan[0, 0] = np.nan
+    # a member that ignores y used to be fitted six times on a NaN y and
+    # weighted 1; a short y failed inside the member's folds
+    for X, y in ((_X, y_nan), (_X, _Y[:7]), (_X[:4], _Y[:4])):
+        with pytest.raises(ValueError, match="^(non-finite|X and y|need at least)"):
+            fit_stack(X, y, ctl)
+    assert calls == []
+    fit_stack(_X, _Y, ctl)
+    assert len(calls) == 6
+
+
+def _fitted(fitter):
+    return fitter(_X, _Y, _FIT_CTL)
+
+
+# (call on points q, the name its message gives q); every case expects 2 columns
+_QUERIES = [
+    pytest.param(lambda: _fitted(fit_kriging).predict, "x", id="kriging"),
+    pytest.param(lambda: _fitted(fit_forest).predict, "x", id="forest"),
+    pytest.param(lambda: _fitted(fit_rsm).predict, "x", id="rsm-predict"),
+    pytest.param(lambda: _fitted(fit_rsm).decode, "z", id="rsm-decode"),
+    pytest.param(lambda: _fitted(fit_stack).predict, "x", id="stack"),
+    pytest.param(lambda: lambda q: spot_loop(q, np.zeros(len(q)), _sphere, [-1, -1], [1, 1]),
+                 "x", id="spot_loop-x"),
+    pytest.param(lambda: lambda q: initial_design(q, [-1, -1], [1, 1]),
+                 "start rows x", id="initial_design-x"),
+    pytest.param(lambda: lambda q: initial_design(
+        None, [-1, -1], [1, 1], {"design": lambda x, space, ctl: q}),
+                 "the design", id="initial_design-design"),
+]
+
+
+@pytest.mark.parametrize("make, what", _QUERIES)
+def test_every_query_of_the_wrong_width_names_both_widths(make, what):
+    call = make()
+    for k in (1, 3):
+        with pytest.raises(ValueError, match=f"^{what} has {k} columns, expected 2$"):
+            call(np.zeros((4, k)))

@@ -261,6 +261,10 @@ def test_duplicate_policy_stop_returns_none():
         np.array([0.5]), np.array([[0.5]]), "STOP", space, np.random.default_rng(0)
     )
     assert out is None
+    with pytest.raises(ValueError, match="^duplicate must be EXPLORE or STOP"):
+        apply_duplicate_policy(
+            np.array([0.5]), np.array([[0.5]]), "RETRY", space, np.random.default_rng(0)
+        )
 
 
 def test_duplicate_replacement_lands_on_the_only_free_cell():
@@ -472,6 +476,10 @@ def test_config_rejects_bad_values():
         SpotConfig(funEvals=12.5)
     with pytest.raises(ValueError, match="seedSPOT"):
         SpotConfig(seedSPOT="abc")
+    with pytest.raises(ValueError, match="^seedFun must be an integer or none, got 1.5"):
+        SpotConfig(seedFun=1.5)
+    with pytest.raises(ValueError, match="^control must be a SpotConfig, dict or None"):
+        spot(None, _sphere, [-1, -1], [1, 1], 5)
     with pytest.raises(ValueError, match="noise"):
         SpotConfig(noise="maybe")
     with pytest.raises(ValueError, match="modelControl"):
@@ -714,7 +722,7 @@ def test_continuation_from_a_best_row_outside_the_box_searches_inside_it():
 def test_continuation_validates_shapes():
     with pytest.raises(ValueError, match="row counts differ"):
         spot_loop(np.zeros((3, 2)), np.zeros(2), _sphere, [-1, -1], [1, 1], None)
-    with pytest.raises(ValueError, match="column count"):
+    with pytest.raises(ValueError, match="x has 3 columns, expected 2"):
         spot_loop(np.zeros((3, 3)), np.zeros(3), _sphere, [-1, -1], [1, 1], None)
     with pytest.raises(ValueError, match="seeds"):
         spot_loop(np.zeros((3, 2)), np.zeros(3), _sphere, [-1, -1], [1, 1], None,

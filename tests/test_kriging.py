@@ -774,3 +774,67 @@ def test_a_default_fit_on_thirty_rows_peaks_below_one_and_a_half_megabytes():
         tracemalloc.stop()
     assert fit.likelihood_evals == 600
     assert peak <= 1.5 * 2**20
+
+
+# bit-level invariants of the distance tensor and the bordered matrices
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Scaled inputs z (n, d) of numeric and factor columns, their types,
+    and a stack of hyperparameter rows theta (B, d) and lam (B,), with or
+    without a nugget, and y (n, 1)."""
+    n = draw(st.integers(1, 60))
+    types = tuple(draw(st.lists(st.sampled_from(["numeric", "factor"]), min_size=1, max_size=6)))
+    use_lambda = draw(st.booleans())
+    rows = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = np.column_stack([
+        rng.integers(1, 4, n).astype(float) if t == "factor" else rng.uniform(0, 1, n)
+        for t in types
+    ])
+    theta = 10.0 ** rng.uniform(*DEFAULT_THETA_BOUNDS, size=(rows, len(types)))
+    lam = 10.0 ** rng.uniform(*DEFAULT_LAMBDA_BOUNDS, size=rows) if use_lambda else np.zeros(rows)
+    return z, types, theta, lam, rng.uniform(-1.0, 1.0, size=(n, 1))
+
+
+def _stacked(theta, lam, flat, y):
+    # each stack overwrites the buffer of the one before
+    return np.concatenate([m.copy() for m in _bordered_stacks(theta, lam, flat, y)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_kernel_cases())
+def test_distance_planes_are_contiguous_and_bitwise_symmetric(case):
+    z, types, _, _, _ = case
+    for plane in cross_dist(z, z, types):
+        assert plane.flags.c_contiguous
+        assert _bits(plane) == _bits(plane.T.copy())
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_kernel_cases())
+def test_bordered_matrices_are_the_kernel_sum_alone_or_in_any_stack(case):
+    z, types, theta, lam, y = case
+    n, d = z.shape
+    dists = cross_dist(z, z, types)
+    flat = dists.reshape(d, n * n)
+    # exp(-(theta_0 d_0 + theta_1 d_1 + ...)), summed left to right from
+    # 0.0, with lam added on the diagonal
+    total = np.zeros((theta.shape[0], n, n))
+    for j in range(d):
+        total = total + theta[:, j, None, None] * dists[j]
+    want = np.exp(-total)
+    want[:, np.arange(n), np.arange(n)] += lam[:, None]
+    alone = np.concatenate([
+        _stacked(theta[i : i + 1], lam[i : i + 1], flat, y) for i in range(theta.shape[0])
+    ])
+    corr = alone[:, :n, :n]
+    assert _bits(corr) == _bits(corr.transpose(0, 2, 1).copy())
+    assert _bits(corr) == _bits(want)
+    # one row per stack, the default stacks, and every row in one stack
+    for doubles in (1, None, 2**40):
+        with pytest.MonkeyPatch.context() as mp:
+            if doubles is not None:
+                mp.setattr("seqtune.kriging._STACK_DOUBLES", doubles)
+            assert _bits(_stacked(theta, lam, flat, y)) == _bits(alone)

@@ -99,8 +99,10 @@ def test_fun_branin_vectorizes_scalar():
 
 
 def test_fun_branin_rejects_wrong_width():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^branin's x has 3 columns, expected 2$"):
         fun_branin(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="^braninFactor's x has 2 columns, expected 3$"):
+        fun_branin_factor(np.zeros((4, 2)))
 
 
 def test_branin_factor_level_shifts():
@@ -326,7 +328,7 @@ def test_sann2spot_row_seed_offset():
 
 
 def test_sann2spot_validates_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^algpar \(temp, tmax\) has 3 columns, expected 2$"):
         sann2spot([[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         sann2spot([[0.0, 5.0]])  # temperature must be positive

@@ -221,9 +221,9 @@ def test_predict_validates_dimension():
     X = np.random.default_rng(11).uniform(0, 1, size=(10, 2))
     fit = fit_rsm(X, X[:, 0])
     for xq in ([[0.0, 1.0, 2.0]], [[0.5]]):
-        with pytest.raises(ValueError, match="wrong dimension"):
+        with pytest.raises(ValueError, match="columns, expected 2"):
             fit.predict(xq)
-        with pytest.raises(ValueError, match="wrong dimension"):
+        with pytest.raises(ValueError, match="columns, expected 2"):
             fit.decode(xq)
 
 
