@@ -34,19 +34,18 @@ def archive_lines(
     seeds: list,
     replicates: np.ndarray,
 ) -> list[str]:
-    """Render archive rows, header first, one string per line."""
+    """Render archive rows, header first, one string per line; ValueError
+    unless there is one y, seed and replicate per row of x."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
+    if not x.shape[0] == y.size == len(seeds) == len(replicates):
+        raise ValueError("need one y, seed and replicate per row of x")
     d = x.shape[1]
     header = ",".join([f"x{i + 1}" for i in range(d)] + ["y", "seed", "replicate"])
     lines = [header]
-    for i in range(x.shape[0]):
-        seed = seeds[i] if i < len(seeds) else None
-        cells = [fmt(v) for v in x[i]]
-        cells.append(fmt(y[i]))
-        cells.append("" if seed is None else str(int(seed)))
-        cells.append(str(int(replicates[i])))
-        lines.append(",".join(cells))
+    for row, val, seed, rep in zip(x, y, seeds, replicates):
+        seed_cell = "" if seed is None else str(int(seed))
+        lines.append(",".join([*map(fmt, row), fmt(val), seed_cell, str(int(rep))]))
     return lines
 
 

@@ -33,14 +33,13 @@ from .objectives import get_objective
 from .rsm import descent_path, fit_rsm
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
 # [spot] holds the engine fields other than the control sections and types
 _CONTROL_SECTIONS = ("designControl", "modelControl", "optimizerControl")
-_SPOT_KEYS = {f.name for f in dataclasses.fields(SpotConfig)}
-_SPOT_KEYS -= {*_CONTROL_SECTIONS, "types"}
+_SPOT_KEYS = {f.name for f in dataclasses.fields(SpotConfig)} - {*_CONTROL_SECTIONS, "types"}
 _RUN_KEYS = {"fun", "lower", "upper", "types"}
 
 
@@ -114,7 +113,7 @@ def _run_section(cp: configparser.ConfigParser) -> dict:
 
 
 def _spot_config(cp: configparser.ConfigParser, run: dict) -> dict:
-    fields: dict = {"types": tuple(run["types"])}
+    fields: dict = {"types": run["types"]}
     if cp.has_section("spot"):
         items = dict(cp.items("spot"))
         unknown = set(items) - _SPOT_KEYS
@@ -139,28 +138,26 @@ def _now() -> str:
 
 
 def _meta_from_config(fields: dict, run: dict) -> dict:
-    cfg_json = dict(fields)
-    cfg_json["types"] = list(cfg_json.get("types", ()))
-    return {
-        "config": cfg_json,
-        "fun": run["fun"],
-        "lower": run["lower"],
-        "upper": run["upper"],
-    }
+    return {"config": dict(fields), **{key: run[key] for key in ("fun", "lower", "upper")}}
 
 
-def _read_bundle_run(meta: dict, **overrides) -> tuple[dict, SpotConfig, dict]:
-    """Config fields, engine config and [run] values stored in bundle metadata."""
+def _read_bundle_run(data: dict, **overrides) -> tuple[dict, SpotConfig, dict, ParamSpace]:
+    """Config fields, engine config, [run] values and ParamSpace of a bundle;
+    CorruptBundleError if they make no ParamSpace or the archive's width differs."""
     try:
-        config = meta["config"]
-        run = {key: meta[key] for key in ("fun", "lower", "upper")}
+        config = data["meta"]["config"]
+        run = {key: data["meta"][key] for key in ("fun", "lower", "upper")}
     except KeyError as err:
         raise CorruptBundleError(f"metadata is missing {err}") from None
-    if not isinstance(config, dict) or not isinstance(config.get("types", []), list):
-        raise CorruptBundleError("metadata config is not an object with a types list")
+    if not isinstance(config, dict):
+        raise CorruptBundleError("metadata config is not an object")
+    try:
+        space = ParamSpace(run["lower"], run["upper"], config.get("types"))
+        query_rows(data["x"], space.dim, "the archive")
+    except (TypeError, ValueError) as err:
+        raise CorruptBundleError(f"bad bounds, types or archive width: {err}") from None
     fields = dict(config, **overrides)
-    fields["types"] = tuple(fields.get("types", ()))
-    return fields, _build_spot_config(fields), run
+    return fields, _build_spot_config(fields), run, space
 
 
 def _save_run(path: str, result, meta: dict) -> None:
@@ -230,7 +227,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_continue(args) -> int:
     data = load_bundle(args.bundle)
-    fields, cfg, run = _read_bundle_run(data["meta"], funEvals=args.funEvals)
+    fields, cfg, run, _ = _read_bundle_run(data, funEvals=args.funEvals)
     fun = get_objective(run["fun"])
     result = spot_loop(
         data["x"], data["y"], fun, run["lower"], run["upper"], cfg, data["seeds"]
@@ -255,8 +252,7 @@ def cmd_rsm_path(args) -> int:
 def _surface_eval(args):
     if args.bundle:
         data = load_bundle(args.bundle)
-        _, cfg, run = _read_bundle_run(data["meta"])
-        space = ParamSpace(run["lower"], run["upper"], cfg.types)
+        _, cfg, _, space = _read_bundle_run(data)
         fit = fit_surrogate(data["x"], data["y"], cfg, cfg.seedSPOT)
         return (lambda pts: np.asarray(fit.predict(pts)).reshape(-1)), space, None
     cp = _read_ini(args.config)
@@ -344,9 +340,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     except InfeasibleBudgetError as err:
         print(f"budget error: {err}", file=sys.stderr)
         return 3

@@ -6,8 +6,9 @@ integers between the bounds).  Latin hypercube sampling stratifies every
 dimension before any snapping, so continuous columns keep exactly one point
 per equal-width bin.
 
-`read_count`, `training_data` and `query_rows` own the input rules that
-every model and the engine share: counts, training rows and query points.
+`read_count`, `read_types`, `training_data`, `query_rows` and `ParamSpace` own
+the input rules that every model and the engine share: counts, type tags,
+training rows, query points and boxes.
 """
 
 from __future__ import annotations
@@ -37,6 +38,18 @@ def read_count(control: dict, key: str, default, least: int = 1, name=None) -> i
     return int(value)
 
 
+def read_types(types, dim: int) -> tuple[str, ...]:
+    """`dim` names from VALID_TYPES as a tuple, all "numeric" when `types`
+    is None or empty; ValueError for a string, another length, an unknown
+    name or anything but a list or tuple."""
+    sequence = isinstance(types, (list, tuple))
+    if types is None or sequence and not types:
+        return ("numeric",) * dim
+    if not (sequence and len(types) == dim and all(t in VALID_TYPES for t in types)):
+        raise ValueError(f"types must be {dim} of {VALID_TYPES}, got {types!r}")
+    return tuple(types)
+
+
 def training_data(X, y, least: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The rows a model fits, X as (n, d) and y as (n,) floats; ValueError
     when the row counts differ, a value is not finite or n < least."""
@@ -64,8 +77,8 @@ def query_rows(x, width: int, what: str = "x") -> np.ndarray:
 class ParamSpace:
     """Box bounds plus a per-dimension type tag.
 
-    Integer and factor bounds are snapped inward to whole numbers so every
-    admissible value is an exact level.
+    Integer and factor bounds are snapped inward to whole numbers, on copies
+    of the bounds given, so every admissible value is an exact level.
     """
 
     lower: np.ndarray
@@ -73,22 +86,15 @@ class ParamSpace:
     types: tuple[str, ...] = ()
 
     def __post_init__(self):
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        self.lower = np.array(self.lower, dtype=float, ndmin=1)
+        self.upper = np.array(self.upper, dtype=float, ndmin=1)
         if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper must be 1-d and the same length")
         if self.lower.size < 1:
             raise ValueError("empty parameter space")
         if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError(f"bounds must be finite: lower {self.lower}, upper {self.upper}")
-        if not self.types:
-            self.types = ("numeric",) * self.lower.size
-        self.types = tuple(self.types)
-        if len(self.types) != self.lower.size:
-            raise ValueError("types length must match bounds")
-        for t in self.types:
-            if t not in VALID_TYPES:
-                raise ValueError(f"unknown type {t!r}, expected one of {VALID_TYPES}")
+        self.types = read_types(self.types, self.lower.size)
         for i, t in enumerate(self.types):
             if t in ("integer", "factor"):
                 self.lower[i] = np.ceil(self.lower[i])

@@ -99,6 +99,8 @@ class SpotConfig:
                 raise ValueError(
                     f"{name} seed must be a nonnegative integer or none, got {seed!r}"
                 )
+            if "types" in section:
+                raise ValueError(f"{name} cannot set types; set them once, for the run")
             for key, least in keys.items():
                 if key in section:
                     read_count(section, key, None, least, f"{name} {key}")
@@ -109,7 +111,8 @@ class SpotConfig:
         _resolve(_DESIGNS, self.design, "design")
         _resolve(_MODELS, self.model, "model")
         _resolve(_OPTIMIZERS, self.optimizer, "optimizer")
-        self.types = tuple(self.types or ())
+        if self.types is None or isinstance(self.types, list):
+            self.types = tuple(self.types or ())
 
 
 @dataclass
@@ -245,7 +248,7 @@ def fit_surrogate(x: np.ndarray, y: np.ndarray, control=None, seed=None):
             f"{finite.sum()} finite evaluations cannot fit the model, it needs {need}"
         )
     ctl = dict(cfg.modelControl)
-    ctl.setdefault("types", cfg.types or None)
+    ctl["types"] = cfg.types
     ctl.setdefault("seed", seed)
     fit_model = _resolve(_MODELS, cfg.model, "model")
     return fit_model(x[finite], y[finite], ctl)
@@ -254,7 +257,7 @@ def fit_surrogate(x: np.ndarray, y: np.ndarray, control=None, seed=None):
 def _optimizer_control(cfg: SpotConfig, rng: np.random.Generator) -> dict:
     ctl = dict(cfg.optimizerControl)
     ctl.setdefault("funEvals", 100)
-    ctl.setdefault("types", cfg.types or ())
+    ctl["types"] = cfg.types
     ctl.setdefault("seed", int(rng.integers(2**31 - 1)))
     return ctl
 
@@ -367,8 +370,7 @@ def _normalize_config(control) -> SpotConfig:
 
 def _setup(lower, upper, control):
     cfg = _normalize_config(control)
-    space = ParamSpace(np.asarray(lower, float), np.asarray(upper, float), cfg.types)
-    return cfg, space, np.random.default_rng(cfg.seedSPOT)
+    return cfg, ParamSpace(lower, upper, cfg.types), np.random.default_rng(cfg.seedSPOT)
 
 
 def _initial_rows(x, cfg: SpotConfig, space: ParamSpace, rng) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import optimizers
-from .design import cross_dist, query_rows, read_count, training_data
+from .design import cross_dist, query_rows, read_count, read_types, training_data
 
 # concentrated -log-likelihood returned when the correlation matrix cannot
 # be factorized; large enough that the search never keeps such a point
@@ -78,8 +78,8 @@ class KrigingFit:
         znew = _scaled(self, xnew)
         psi = _cross_correlation(self, znew)
         mean = self.mu_hat + psi @ self.alpha
-        numeric = np.array([t != "factor" for t in self.types])
-        slope = np.where(numeric, -2.0 * self.theta / self.x_scale, 0.0)
+        factor = np.array(self.types) == "factor"
+        slope = np.where(factor, 0.0, -2.0 * self.theta / self.x_scale)
         weighted = psi * self.alpha.T
         diff = znew[:, None, :] - self.z[None, :, :]
         return mean.reshape(-1, 1), np.einsum("mn,mnd->md", weighted, diff) * slope
@@ -109,8 +109,8 @@ class KrigingFit:
         out = np.empty(n)
         for k in range(int(fold_of.max()) + 1):
             test = fold_of == k
-            if n - np.count_nonzero(test) < 2:
-                raise ValueError("need at least 2 training points")
+            if (kept := n - np.count_nonzero(test)) < 2:
+                raise ValueError(f"need at least 2 training points, got {kept}")
             out[test] = y[test] - np.linalg.solve(c[np.ix_(test, test)], alpha[test])
         return out
 
@@ -268,10 +268,11 @@ def _bordered_values(m: np.ndarray) -> np.ndarray:
 def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> KrigingFit:
     """Maximum-likelihood Kriging fit.
 
-    Control keys read: types, algTheta ("lhd", "local" or a callable with
-    the optimizer signature), budget (likelihood evaluations, a count as
-    `read_count` reads it, default 200 per hyperparameter), useLambda (fit
-    a nugget, default True) and seed; any other key is ignored.
+    Control keys read: types (one per column of X, all numeric when absent
+    or empty, as `read_types` reads them), algTheta ("lhd", "local" or a
+    callable with the optimizer signature), budget (likelihood evaluations,
+    a count as `read_count` reads it, default 200 per hyperparameter),
+    useLambda (fit a nugget, default True) and seed; any other key is ignored.
     Hyperparameters are searched on the log10 ranges DEFAULT_THETA_BOUNDS
     and DEFAULT_LAMBDA_BOUNDS.
 
@@ -290,9 +291,7 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     X, y = training_data(X, y, least=2)
     y = y.reshape(-1, 1)
     n, d = X.shape
-    types = tuple(control.get("types") or ("numeric",) * d)
-    if len(types) != d:
-        raise ValueError("types length must match X columns")
+    types = read_types(control.get("types"), d)
     use_lambda = bool(control.get("useLambda", True))
 
     if not use_lambda:
@@ -304,9 +303,8 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     x_offset = X.min(axis=0)
     span = X.max(axis=0) - x_offset
     x_scale = np.where(span > 0, span, 1.0)
-    for i, t in enumerate(types):
-        if t == "factor":
-            x_offset[i], x_scale[i] = 0.0, 1.0
+    factor = np.array(types) == "factor"
+    x_offset[factor], x_scale[factor] = 0.0, 1.0
     z = (X - x_offset) / x_scale
     flat = cross_dist(z, z, types).reshape(d, n * n)
     # np.ldexp, as 2.0 ** e overflows for max|y| near the largest double

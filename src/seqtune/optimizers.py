@@ -57,11 +57,12 @@ def optim_lhd(
     """Best of control["funEvals"] (default 100) snapped Latin hypercube points.
 
     funEvals is a count (`read_count`); `fun` returns one value per point.
+    The points are drawn from ParamSpace(lower, upper, control["types"]).
     `start` is ignored, the way designs ignore `existing`.
     """
     control = dict(control or {})
     fun_evals = read_count(control, "funEvals", 100)
-    space = ParamSpace(lower, upper, tuple(control.get("types", ())))
+    space = ParamSpace(lower, upper, control.get("types"))
     rng = np.random.default_rng(control.get("seed"))
     x = space.snap(sample_lhd(rng, space, fun_evals))
     return _finish(x, fun(x))
@@ -124,12 +125,13 @@ def optim_local_bounded(
     2d + 1 rows of `_difference_rows`, and its gradient comes from their
     differences; a call that the budget cuts short evaluates the rows that
     fit and ends the search.  Every evaluated row lies inside the box, is
-    recorded and counts against funEvals, a count (`read_count`).
+    recorded and counts against funEvals, a count (`read_count`).  The box
+    is ParamSpace(lower, upper): checked, never snapped.
     """
     control = dict(control or {})
     fun_evals = read_count(control, "funEvals", 100)
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    space = ParamSpace(lower, upper)
+    lower, upper = space.lower, space.upper
     if start is None:
         x0 = (lower + upper) / 2.0
     else:

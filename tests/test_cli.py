@@ -56,7 +56,7 @@ def _read(path):
 # archive rendering and bundle round-trips
 
 
-def test_archive_lines_format():
+def test_archive_lines_format(tmp_path):
     lines = archive_lines(
         np.array([[0.5, 1.25], [0.1, -3.0]]),
         np.array([2.0, 7.5]),
@@ -66,6 +66,17 @@ def test_archive_lines_format():
     assert lines[0] == "x1,x2,y,seed,replicate"
     assert lines[1] == "0.5,1.25,2.0,7,1"
     assert lines[2] == "0.1,-3.0,7.5,,1"
+    # a short seeds list used to be written as blank seeds, and a short y or
+    # replicates raised IndexError
+    full = (np.zeros((2, 1)), np.zeros(2), [None, None], np.ones(2, dtype=int))
+    for k in range(1, 4):
+        short = list(full)
+        short[k] = short[k][:1]
+        with pytest.raises(ValueError, match="^need one y, seed and replicate per row of x$"):
+            archive_lines(*short)
+        with pytest.raises(ValueError, match="^need one y, seed and replicate"):
+            save_bundle(str(tmp_path / "b"), *short, {})
+    assert not os.path.exists(tmp_path / "b" / "archive.csv")
 
 
 def test_bundle_round_trip_is_exact(tmp_path):
@@ -453,6 +464,16 @@ def test_unusable_configs_exit_2(tmp_path, capsys):
         assert main(["design", "--config", wrong_type, "--out", "/dev/null"]) == 2
         assert line.split()[0] in capsys.readouterr().err
 
+    # a control section's types used to override the run's types
+    control_types = _cfg(
+        tmp_path,
+        "[run]\nfun = sphere\nlower = 0, 0\nupper = 1, 1\n"
+        "[modelControl]\ntypes = factor, factor\n",
+    )
+    assert main(["tune", "--config", control_types, "--out", out]) == 2
+    assert "modelControl cannot set types" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
     # a bad seed in a control section used to crash the run with a TypeError
     for section, text in (
         ("modelControl", "[modelControl]\nntree = 10\nseed = abc\n"),
@@ -651,8 +672,16 @@ def test_corrupt_bundles_exit_4(tmp_path, capsys):
     "corrupt",
     [lambda meta: dict(meta, config=5), lambda meta: dict(meta, config=["a"]),
      lambda meta: dict(meta, config=dict(meta["config"], types=7)),
-     lambda meta: {key: val for key, val in meta.items() if key != "fun"}],
-    ids=["number", "list", "types-number", "no-fun"],
+     lambda meta: {key: val for key, val in meta.items() if key != "fun"},
+     # bounds and types that make no ParamSpace, and an archive narrower
+     # than the bounds, used to exit 2 as config errors
+     lambda meta: dict(meta, lower=["a", "b"]),
+     lambda meta: dict(meta, lower=[-2.0]),
+     lambda meta: dict(meta, lower=meta["upper"], upper=meta["lower"]),
+     lambda meta: dict(meta, config=dict(meta["config"], types=["numeric", "bogus"])),
+     lambda meta: dict(meta, lower=[-2.0] * 3, upper=[2.0] * 3)],
+    ids=["number", "list", "types-number", "no-fun", "string-bounds", "short-lower",
+         "reversed", "unknown-type", "narrow-archive"],
 )
 def test_corrupt_bundle_config_exits_4(cfg_path, tmp_path, capsys, command, corrupt):
     where = str(tmp_path / "bundle")

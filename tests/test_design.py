@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+from seqtune.cli import main
 from seqtune.design import (
+    VALID_TYPES,
     ParamSpace,
     _min_pairwise_distance,
     cross_dist,
@@ -60,6 +62,18 @@ def test_space_validates_bounds():
         ParamSpace([0.0], [1.0], ("ordinal",))
     with pytest.raises(ValueError):
         ParamSpace([0.0], [1.0], ("numeric", "numeric"))
+    for types in ("numeric", ["numeric"] * 2, 7, {"numeric"}):
+        with pytest.raises(ValueError, match="^types must be 1 of"):
+            ParamSpace([0.0], [1.0], types)
+    for types in (None, (), []):
+        assert ParamSpace([0.0], [1.0], types).types == ("numeric",)
+
+
+def test_space_copies_the_bounds_it_snaps():
+    lower, upper = np.array([0.5, 0.5]), np.array([2.5, 2.5])
+    sp = ParamSpace(lower, upper, ["integer", "factor"])
+    assert sp.types == ("integer", "factor")
+    assert lower.tolist() == [0.5, 0.5] and upper.tolist() == [2.5, 2.5]
 
 
 def test_space_snaps_integer_bounds_inward():
@@ -501,3 +515,36 @@ def test_every_query_of_the_wrong_width_names_both_widths(make, what):
     for k in (1, 3):
         with pytest.raises(ValueError, match=f"^{what} has {k} columns, expected 2$"):
             call(np.zeros((4, k)))
+
+
+# ---------------------------------------------------------------------------
+# type tags: one rule for the space, Kriging, the searches, the engine and
+# the command line
+
+
+@pytest.mark.parametrize("types, run_line", [
+    pytest.param("factor", None, id="string"),
+    pytest.param(("numeric",), "numeric", id="short"),
+    pytest.param(("numeric", "bogus"), "numeric, bogus", id="unknown-name"),
+])
+def test_every_part_reads_types_alike(types, run_line, tmp_path, capsys):
+    # Kriging used to split a string into its letters and fit an unknown
+    # name as numeric
+    message = f"types must be 2 of {VALID_TYPES}, got {types!r}"
+    calls = [
+        lambda: ParamSpace([-1.0, -1.0], [1.0, 1.0], types),
+        lambda: fit_kriging(_X, _Y, {"types": types, "budget": 10}),
+        lambda: optim_lhd(None, _sphere, [-1.0, -1.0], [1.0, 1.0], {"types": types}),
+        lambda: spot(None, _sphere, [-1.0, -1.0], [1.0, 1.0], {"types": types}),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    if run_line is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"[run]\nfun = sphere\nlower = -1, -1\nupper = 1, 1\ntypes = {run_line}\n"
+        )
+        assert main(["tune", "--config", str(path), "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"

@@ -491,6 +491,10 @@ def test_config_rejects_bad_values():
             SpotConfig(**{name: {"seed": 2.5}})
         SpotConfig(**{name: {"seed": None}})
         SpotConfig(**{name: {"seed": 7}})
+        # the run's types used to be overridden by a control section's
+        for types in (("integer",), None):
+            with pytest.raises(ValueError, match=f"^{name} cannot set types"):
+                SpotConfig(**{name: {"types": types}})
     # counts read by the designs, models and optimizers: a fraction used to
     # be truncated silently
     for name, key in (

@@ -164,6 +164,25 @@ def test_local_rejects_start_outside_bounds():
         optim_local_bounded(np.array([25.0, 0.0]), fun_sphere, LOWER, UPPER, None)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("search", [optim_lhd, optim_local_bounded])
+@pytest.mark.parametrize("lower, upper, message", [
+    pytest.param(UPPER, LOWER, "lower bound exceeds upper bound", id="reversed"),
+    pytest.param([np.nan, -20.0], UPPER, "bounds must be finite", id="nan"),
+    pytest.param(LOWER, [20.0, np.inf], "bounds must be finite", id="inf"),
+    pytest.param(LOWER, [20.0, 8.0, 1.0], "lower and upper must be 1-d and the same length",
+                 id="mismatched"),
+])
+def test_both_searches_reject_a_bad_box_alike(search, lower, upper, message):
+    # the local search used to call reversed bounds a start point outside
+    # them, and NaN or infinite ones, after a RuntimeWarning, a non-finite
+    # objective at the start point
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ParamSpace(lower, upper)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        search(None, fun_sphere, lower, upper, {"funEvals": 10})
+
+
 def test_local_rejects_non_finite_start_value():
     def broken(x):
         return np.full((x.shape[0], 1), np.nan)
