@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .design import ParamSpace, read_count, sample_lhd
+from .design import ParamSpace, query_rows, read_count, sample_lhd
 
 
 @dataclass
@@ -117,7 +117,7 @@ def optim_local_bounded(
 ) -> OptResult:
     """Projected quasi-Newton descent on the box (`_projected_bfgs`).
 
-    Starts from `start` (or the box center) and stops once
+    Starts from `start` (one point in the box, or its center) and stops once
     control["funEvals"] rows (default 100) have been evaluated.  When `fun`
     carries a `mean_and_gradient` callable, which maps an (m, d) matrix to
     the (m, 1) values and their (m, d) gradient, each iterate is one call
@@ -135,8 +135,8 @@ def optim_local_bounded(
     if start is None:
         x0 = (lower + upper) / 2.0
     else:
-        x0 = np.asarray(start, dtype=float).reshape(-1)
-    if np.any(x0 < lower) or np.any(x0 > upper):
+        x0 = query_rows(start, space.dim, "start")[0]
+    if not np.all((lower <= x0) & (x0 <= upper)):
         raise ValueError("start point outside bounds")
 
     seen_x: list[np.ndarray] = []

@@ -1,21 +1,23 @@
 """Stacked surrogate: a nonnegative blend of heterogeneous base models.
 
 Members are fit on the full data; their blend weights come from K-fold
-out-of-fold predictions solved by nonnegative least squares and normalized
-to sum to one, so the stack prediction is always a convex combination of
-member predictions (Breiman, Stacked Regressions, 1996).  A member fit that
-has `fold_predictions(fold_of)` gives every fold's predictions from the
-full fit, so it is fit once: Kriging in closed form at the full fit's
-hyperparameters and input scaling with the mean re-estimated per fold, and
-the forest out of bag, each row from the trees whose bootstrap left it out
-(the whole forest for a row that every bootstrap holds).  Every other
-member, RSM and callables, is refit on each fold.  Every member gets the
-stack's whole control and reads its own keys from it.
+out-of-fold predictions solved by nonnegative least squares (a search over
+member sets) and normalized to sum to one, so the stack prediction is
+always a convex combination of member predictions (Breiman, Stacked
+Regressions, 1996).  A member fit that has `fold_predictions(fold_of)`
+gives every fold's predictions from the full fit, so it is fit once:
+Kriging in closed form at the full fit's hyperparameters and input scaling
+with the mean re-estimated per fold, and the forest out of bag, each row
+from the trees whose bootstrap left it out (the whole forest for a row
+that every bootstrap holds).  Every other member, RSM and callables, is
+refit on each fold.  Every member gets the stack's whole control and reads
+its own keys from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -121,7 +123,9 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     holds.  X and y must pass `training_data(X, y, folds)` before any
     member is fit.  Members that fail to fit on the full data or on any
     fold, or that predict a non-finite value out of fold, are dropped; if
-    none survive, the error from the last failure is raised.
+    none survive, the error from the last failure is raised.  The weights
+    are `_nnls`'s (2^k - 1 solves for k kept members; a member that repeats
+    an earlier one gets 0), scaled to sum to one, or equal if all are 0.
     """
     control = dict(control or {})
     folds = min_rows(X, control)
@@ -174,46 +178,22 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
 
 
 def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin ||a x - b|| over x >= 0 (Lawson & Hanson, 1974, ch. 23).
+    """argmin ||a x - b|| over x >= 0, by a search over column sets.
 
-    The active-set method: a column joins the passive set P while the
-    gradient a'(b - a x) is above a rounding tolerance at some column
-    outside P (the largest joins), and x becomes the least-squares solution
-    on P's columns.  Where that solution is not positive, x moves from the
-    last feasible point toward it until one more entry reaches zero, that
-    column leaves P and the solve repeats.  A column whose own entry comes
-    out nonpositive the moment it joins ends the search, as rounding would
-    otherwise let it join and leave forever.
+    Some set of linearly independent columns carries a minimizer, and the
+    least-squares solution on it is positive (Caratheodory's theorem for
+    cones); every positive solution is feasible.  So each of the 2^n - 1
+    sets gets one `lstsq`, and of those of full rank and positive solution
+    the first of smallest residual wins, or zero if none beats it.  A set
+    with two identical columns is not of full rank: a duplicate gets 0.
     """
     n = a.shape[1]
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    tol = 10.0 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * max(a.shape)
-
-    def least_squares() -> np.ndarray:
-        z = np.zeros(n)
-        if passive.any():
-            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
-        return z
-
-    while not passive.all():
-        w = np.where(passive, -np.inf, a.T @ (b - a @ x))
-        j = int(np.argmax(w))
-        if not w[j] > tol:
-            break
-        passive[j] = True
-        z = least_squares()
-        if not z[j] > 0.0:
-            passive[j] = False
-            break
-        while not np.all(z[passive] > 0.0):
-            bad = passive & (z <= 0.0)
-            ratio = np.where(bad, x / np.where(bad, x - z, 1.0), np.inf)
-            k = int(np.argmin(ratio))
-            x = x + ratio[k] * (z - x)
-            x[k] = 0.0
-            passive &= x > 0.0
-            x[~passive] = 0.0
-            z = least_squares()
-        x = z
-    return x
+    best, best_sq = np.zeros(n), float(b @ b)
+    for k in range(1, n + 1):
+        for cols in map(list, combinations(range(n), k)):
+            z = np.zeros(n)
+            z[cols], _, rank, _ = np.linalg.lstsq(a[:, cols], b, rcond=None)
+            r = b - a @ z
+            if rank == k and np.all(z[cols] > 0.0) and float(r @ r) < best_sq:
+                best, best_sq = z, float(r @ r)
+    return best

@@ -4,9 +4,9 @@ The package needs numpy alone; scipy, from the `test` extra, checks each
 routine that replaced one of its own:
 
 - `kriging._solve` (forward and back substitution) against LAPACK's dpotrs;
-- `stack._nnls` (Lawson-Hanson) against `scipy.optimize.nnls`, on the
-  residual norm and the optimality (KKT) conditions, also where a joining
-  column ends the search;
+- `stack._nnls` (a least-squares solve on every set of columns) against
+  `scipy.optimize.nnls`, on the residual norm and the optimality (KKT)
+  conditions, also on exact fits with fewer rows than columns;
 - `rsm._bisect_root` against `scipy.optimize.brentq` on the ridge step's
   secular equation;
 - `optim_local_bounded` (projected BFGS) against L-BFGS-B on bounded
@@ -93,6 +93,11 @@ def test_nnls_matches_scipy(seed, m, n, shape):
     _assert_nnls_optimal(a, b, x)
     got_norm, want_norm = np.linalg.norm(a @ x - b), np.linalg.norm(a @ want - b)
     assert got_norm <= want_norm + 1e-12 * np.linalg.norm(b)
+    # the weights are numpy's least-squares solve on their own support, the
+    # bits the archives were made with
+    support = x > 0.0
+    assert np.all(x[~support] == 0.0)
+    assert x[support].tobytes() == np.linalg.lstsq(a[:, support], b, rcond=None)[0].tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 4, 20])
@@ -118,9 +123,9 @@ def test_nnls_splits_nothing_between_identical_columns_it_does_not_need():
 
 @pytest.mark.parametrize("seed", [2156, 3299, 6260, 16815])
 def test_nnls_stops_where_a_joining_column_comes_out_nonpositive(seed):
-    # exact-fit systems with fewer rows than columns, from a search over
-    # these seeds: on each, the last column to join gets a nonpositive
-    # entry in the least-squares solve, and the search ends there
+    # exact fits with fewer rows than columns: any m independent columns
+    # with positive weights fit b up to rounding, and no set of more than
+    # m columns has full rank
     rng = np.random.default_rng(seed)
     m, k = int(rng.integers(1, 8)), int(rng.integers(2, 5))
     a, b = rng.normal(size=(m, k)), rng.normal(size=m)

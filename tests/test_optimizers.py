@@ -160,8 +160,16 @@ def test_local_never_spends_more_than_the_budget(budget):
 
 
 def test_local_rejects_start_outside_bounds():
-    with pytest.raises(ValueError, match="outside bounds"):
-        optim_local_bounded(np.array([25.0, 0.0]), fun_sphere, LOWER, UPPER, None)
+    # a NaN start used to be reported as a non-finite objective, and a
+    # start of the wrong length failed in numpy's broadcasting
+    for start, message in [
+        ([25.0, 0.0], "start point outside bounds"),
+        ([np.nan, 0.5], "start point outside bounds"),
+        ([0.5], "start has 1 columns, expected 2"),
+        ([0.5, 0.5, 0.5], "start has 3 columns, expected 2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            optim_local_bounded(np.array(start), fun_sphere, LOWER, UPPER, None)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -73,6 +73,21 @@ def test_prediction_is_the_weighted_member_blend():
     assert fit.predict(xq) == pytest.approx(manual)
 
 
+def test_a_duplicate_member_gets_no_weight():
+    # the two Kriging columns are identical, so no set of full rank holds
+    # both and the copy changes nothing; the weight used to be split 0.5/0.5
+    rng = np.random.default_rng(0)
+    X = rng.uniform([-5.0, 0.0], [10.0, 15.0], size=(14, 2))
+    y = fun_branin(X)[:, 0]
+    control = {"seed": 1, "ntree": 50, "budget": 60}
+    twice = fit_stack(X, y, dict(control, members=["kriging", "kriging", "forest"]))
+    once = fit_stack(X, y, dict(control, members=["kriging", "forest"]))
+    assert twice.weights[1] == 0.0
+    assert np.delete(twice.weights, 1).tobytes() == once.weights.tobytes()
+    xq = rng.uniform([-5.0, 0.0], [10.0, 15.0], size=(8, 2))
+    assert twice.predict(xq).tobytes() == once.predict(xq).tobytes()
+
+
 def test_single_member_gets_unit_weight():
     X, y = _sphere_data(n=12)
     fit = fit_stack(X, y, {"members": ("forest",), "ntree": 10, "seed": 1})
