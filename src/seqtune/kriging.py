@@ -13,7 +13,10 @@ L^-1 1 and L^-1 y.  The targets enter it divided by the smallest power of
 two above max|y|, so y and 2^k y give it the same bits.
 
 Inputs are scaled to the unit box internally (factor columns excepted), so
-the fitted activity parameters live on that scale.
+the fitted activity parameters live on that scale.  Every prediction, the
+mean, its gradient and the sd, reads one correlation block psi of the new
+points with the training points (`KrigingFit._correlations`), and the sd
+has one formula, whose terms `KrigingFit._variance` holds.
 """
 
 from __future__ import annotations
@@ -62,10 +65,19 @@ class KrigingFit:
     z: np.ndarray  # X on the unit-box scale: (X - x_offset) / x_scale
     alpha: np.ndarray
 
+    def _correlations(self, xnew: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(znew, psi, mean) at new points (rows): the points on the unit-box
+        scale, their (m, n) correlations with the training points and the
+        (m, 1) predicted mean mu + psi alpha."""
+        znew = (query_rows(xnew, self.X.shape[1]) - self.x_offset) / self.x_scale
+        cross = cross_dist(znew, self.z, self.types)
+        psi = np.exp(-np.dot(self.theta.reshape(1, -1), cross.reshape(cross.shape[0], -1)))
+        psi = psi.reshape(cross.shape[1:])
+        return znew, psi, (self.mu_hat + psi @ self.alpha).reshape(-1, 1)
+
     def predict(self, xnew: np.ndarray) -> np.ndarray:
         """The predicted mean alone, bit-equal to predict_kriging's."""
-        mean = self.mu_hat + _cross_correlation(self, _scaled(self, xnew)) @ self.alpha
-        return mean.reshape(-1, 1)
+        return self._correlations(xnew)[2]
 
     def mean_and_gradient(self, xnew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (m, 1) mean, bit-equal to `predict`'s, and its (m, d) gradient.
@@ -75,14 +87,12 @@ class KrigingFit:
         the column's input scale; on factor columns, whose kernel term is an
         indicator, it is zero.
         """
-        znew = _scaled(self, xnew)
-        psi = _cross_correlation(self, znew)
-        mean = self.mu_hat + psi @ self.alpha
+        znew, psi, mean = self._correlations(xnew)
         factor = np.array(self.types) == "factor"
         slope = np.where(factor, 0.0, -2.0 * self.theta / self.x_scale)
         weighted = psi * self.alpha.T
         diff = znew[:, None, :] - self.z[None, :, :]
-        return mean.reshape(-1, 1), np.einsum("mn,mnd->md", weighted, diff) * slope
+        return mean, np.einsum("mn,mnd->md", weighted, diff) * slope
 
     def fold_predictions(self, fold_of: np.ndarray) -> np.ndarray:
         """Each row's mean predicted from the rows outside its fold, (n,).
@@ -115,18 +125,21 @@ class KrigingFit:
         return out
 
     @cached_property
-    def _nugget_free(self) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
-        """(sigma2, factor, rows) of the nugget-free correlation, or None.
+    def _variance(self) -> tuple[float, np.ndarray, np.ndarray | slice, float]:
+        """(sigma2, lower, rows, top): predict_kriging's sd^2 is sigma2 (top -
+        psi_r' R^-1 psi_r), psi_r = psi[:, rows] and R = lower lower'.
 
-        With a positive nugget, predict_kriging's sd uses K with its unit
-        diagonal, factored over the distinct training sites (replicated rows
-        would make it singular), so that sd vanishes at the data; sigma2 is
-        alpha' K alpha / n, between 0 and sigma2_hat.  Only predict_kriging
-        reads it, so it is built on that call's first use and kept.  None
-        without a nugget, and when K does not factor even with jitter.
+        With a positive nugget R is K with its unit diagonal over the
+        distinct training sites (replicated rows would make it singular),
+        factored with the first jitter that works, so that sd vanishes at
+        the data; sigma2 = alpha' K alpha / n, between 0 and sigma2_hat, and
+        top = 1.  Without a nugget, or when no jitter factors K, it is the
+        fit's own (sigma2_hat, corr_factorization, all rows, 1 + lambda).
+        Built on predict_kriging's first call and kept.
         """
+        fitted = (self.sigma2_hat, self.corr_factorization, slice(None), 1.0 + self.lambda_)
         if not self.lambda_ > 0.0:
-            return None
+            return fitted
         n, d = self.z.shape
         # K as the fit built it, and alpha and sigma2 on its target scale
         flat = cross_dist(self.z, self.z, self.types).reshape(d, n * n)
@@ -139,10 +152,10 @@ class KrigingFit:
         psi_u = psi_pure[np.ix_(rows, rows)]
         for jitter in (0.0, 1e-12, 1e-10, 1e-8):
             try:
-                return sigma2, np.linalg.cholesky(psi_u + jitter * np.eye(rows.size)), rows
+                return sigma2, np.linalg.cholesky(psi_u + jitter * np.eye(rows.size)), rows, 1.0
             except np.linalg.LinAlgError:
                 continue
-        return None
+        return fitted
 
 
 def _solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -355,14 +368,14 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     m = next(_bordered_stacks(theta[None], np.array([lam]), flat, y_unit))
     singular = "correlation matrix is singular at the selected hyperparameters"
     try:
-        factor = np.linalg.cholesky(m)
+        bordered = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise ValueError(singular) from None
-    _, usable, mu, sigma2 = _likelihood_values(factor)
+    _, usable, mu, sigma2 = _likelihood_values(bordered)
     if not usable[0]:
         raise ValueError(singular)
     mu, sigma2 = mu[0], sigma2[0]
-    lower_chol = factor[0, :n, :n]
+    lower_chol = bordered[0, :n, :n]
     # cholesky leaves m intact, so its leading block is K + lam I
     k_mat = m[0, :n, :n]
 
@@ -402,40 +415,15 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     )
 
 
-def _scaled(fit: KrigingFit, xnew: np.ndarray) -> np.ndarray:
-    """New points (rows) on the training inputs' unit-box scale."""
-    xnew = query_rows(xnew, fit.X.shape[1])
-    return (xnew - fit.x_offset) / fit.x_scale
-
-
-def _cross_correlation(fit: KrigingFit, znew: np.ndarray) -> np.ndarray:
-    """Correlations between scaled new points (rows) and the training points."""
-    cross = cross_dist(znew, fit.z, fit.types)
-    psi = np.exp(-np.dot(fit.theta.reshape(1, -1), cross.reshape(cross.shape[0], -1)))
-    return psi.reshape(cross.shape[1:])
-
-
 def predict_kriging(fit: KrigingFit, xnew: np.ndarray) -> dict:
     """Predict mean and standard deviation at new points.
 
-    With a positive nugget the error estimate uses the nugget-free
-    correlation, so it collapses to zero at the training points; at zero
-    nugget, or if that correlation would not factorize, the fitted one.
-    The nugget-free factor is built on a fit's first call and kept.
+    The mean is `fit.predict`'s and the sd `KrigingFit._variance`'s error
+    estimate: with a positive nugget it uses the nugget-free correlation,
+    so it collapses to zero at the training points.
     """
-    psi = _cross_correlation(fit, _scaled(fit, xnew))
-    mean = fit.mu_hat + psi @ fit.alpha
-
-    nugget_free = fit._nugget_free
-    if nugget_free is not None:
-        sigma2_re, lower_re, rows = nugget_free
-        psi_u = psi[:, rows]
-        solved = _solve(lower_re, psi_u.T)
-        s2 = sigma2_re * (1.0 - np.sum(psi_u.T * solved, axis=0))
-    else:
-        solved = _solve(fit.corr_factorization, psi.T)
-        s2 = fit.sigma2_hat * (
-            1.0 + fit.lambda_ - np.sum(psi.T * solved, axis=0)
-        )
-    sd = np.sqrt(np.clip(s2, 0.0, None)).reshape(-1, 1)
-    return {"mean": mean.reshape(-1, 1), "sd": sd}
+    _, psi, mean = fit._correlations(xnew)
+    sigma2, lower, rows, top = fit._variance
+    psi = psi[:, rows]
+    s2 = sigma2 * (top - np.sum(psi.T * _solve(lower, psi.T), axis=0))
+    return {"mean": mean, "sd": np.sqrt(np.clip(s2, 0.0, None)).reshape(-1, 1)}

@@ -135,7 +135,10 @@ def optim_local_bounded(
     if start is None:
         x0 = (lower + upper) / 2.0
     else:
-        x0 = query_rows(start, space.dim, "start")[0]
+        x0 = query_rows(start, space.dim, "start")
+        if x0.shape[0] != 1:
+            raise ValueError(f"start has {x0.shape[0]} rows, expected 1")
+        x0 = x0[0]
     if not np.all((lower <= x0) & (x0 <= upper)):
         raise ValueError("start point outside bounds")
 

@@ -58,7 +58,10 @@ class RSMFit:
         return self.centers + z * self.halves
 
     def predict(self, xnew: np.ndarray) -> np.ndarray:
-        z = self.code(xnew)
+        return self._surface(self.code(xnew))
+
+    def _surface(self, z: np.ndarray) -> np.ndarray:
+        """The (m, 1) fitted surface at coded points z."""
         out = self.b0 + z @ self.b + np.sum((z @ self.B) * z, axis=1)
         return out.reshape(-1, 1)
 
@@ -70,7 +73,7 @@ class RSMFit:
         """
         z = self.code(xnew)
         halves = np.where(self.halves > 0, self.halves, 1.0)
-        return self.predict(xnew), (self.b + z @ (self.B + self.B.T)) / halves
+        return self._surface(z), (self.b + z @ (self.B + self.B.T)) / halves
 
 
 def _basis(z: np.ndarray, active: np.ndarray, main_effects_only: bool):

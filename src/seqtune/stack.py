@@ -25,6 +25,7 @@ import numpy as np
 from .design import read_count, training_data
 from .forest import fit_forest
 from .kriging import fit_kriging
+from .optimizers import one_per_row
 from .rsm import fit_rsm
 
 DEFAULT_MEMBERS = ("kriging", "forest", "rsm")
@@ -122,10 +123,11 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     the whole forest's prediction for a row that every tree's bootstrap
     holds.  X and y must pass `training_data(X, y, folds)` before any
     member is fit.  Members that fail to fit on the full data or on any
-    fold, or that predict a non-finite value out of fold, are dropped; if
-    none survive, the error from the last failure is raised.  The weights
-    are `_nnls`'s (2^k - 1 solves for k kept members; a member that repeats
-    an earlier one gets 0), scaled to sum to one, or equal if all are 0.
+    fold, or whose out-of-fold column is not one finite value per row
+    (`one_per_row`), are dropped; if none survive, the last error is
+    raised.  The weights are `_nnls`'s (2^k - 1 solves for k kept members;
+    a member that repeats an earlier one gets 0), scaled to sum to one, or
+    equal if all are 0.
     """
     control = dict(control or {})
     folds = min_rows(X, control)
@@ -151,13 +153,13 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
         try:
             full = fitter(X, y, sub)
             if hasattr(full, "fold_predictions"):
-                oof = full.fold_predictions(fold_of)
+                oof = one_per_row(full.fold_predictions(fold_of), n)
             else:
                 oof = np.empty(n)
                 for k in range(folds):
                     test = fold_of == k
                     part = fitter(X[~test], y[~test], sub)
-                    oof[test] = np.asarray(part.predict(X[test])).reshape(-1)
+                    oof[test] = one_per_row(part.predict(X[test]), np.count_nonzero(test))
             if not np.isfinite(oof).all():
                 raise ValueError(f"member {label!r} predicted non-finite values")
         except Exception as err:  # member dropped, others may still work

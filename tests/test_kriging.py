@@ -40,8 +40,6 @@ from seqtune.kriging import (
     KrigingFit,
     _bordered_stacks,
     _bordered_values,
-    _cross_correlation,
-    _scaled,
     _solve,
     fit_kriging,
     predict_kriging,
@@ -251,7 +249,7 @@ def test_a_nugget_free_correlation_that_fails_to_factor_takes_a_jitter(choleskys
     X, y = _twelve_rows()
     fit = fit_kriging(X, y, {"algTheta": _pinned([-6.0, -6.0, -6.0])})
     del choleskys[:]
-    sigma2 = fit._nugget_free[0]
+    sigma2 = fit._variance[0]
     (k_mat, first), (jittered, second) = choleskys
     assert (first, second) == ("raised", "factored")
     assert np.array_equal(jittered, k_mat + 1e-12 * np.eye(12))
@@ -452,8 +450,8 @@ def _reference_predict(fit: KrigingFit, xnew: np.ndarray, solve=_substitution_so
     cross = cross_dist(znew, ztrain, fit.types)
     psi = np.exp(-np.tensordot(fit.theta, cross, axes=1))
     mean = fit.mu_hat + psi @ fit.alpha
-    if fit._nugget_free is not None:
-        sigma2_re, lower_re, rows = fit._nugget_free
+    sigma2_re, lower_re, rows, _ = fit._variance
+    if lower_re is not fit.corr_factorization:
         psi_u = psi[:, rows]
         solved = solve(lower_re, psi_u.T)
         s2 = sigma2_re * (1.0 - np.sum(psi_u.T * solved, axis=0))
@@ -480,7 +478,7 @@ def test_prediction_matches_the_wrapper_reference_bit_for_bit(use_lambda, rows):
     y = np.cos(X[:, 0]) + 0.1 * X[:, 1] + rng.normal(0.0, 0.3, X.shape[0])
     fit = fit_kriging(X, y, {"budget": 120, "seed": 9, "useLambda": use_lambda})
     assert (fit.lambda_ > 0) == use_lambda
-    assert (fit._nugget_free is not None) == use_lambda
+    assert (fit._variance[1] is not fit.corr_factorization) == use_lambda
     xq = rng.uniform(-5.0, 10.0, size=(rows, 2))
     got = predict_kriging(fit, xq)
     want = _reference_predict(fit, xq)
@@ -488,11 +486,33 @@ def test_prediction_matches_the_wrapper_reference_bit_for_bit(use_lambda, rows):
     assert _bits(got["sd"]) == _bits(want["sd"])
     assert _bits(fit.predict(xq)) == _bits(want["mean"])
     # the solves that sd reads agree with LAPACK's dpotrs to 1e-12
-    lower = fit._nugget_free[1] if use_lambda else fit.corr_factorization
-    psi = _cross_correlation(fit, _scaled(fit, xq))
-    psi = psi[:, fit._nugget_free[2]] if use_lambda else psi
+    _, lower, sites, _ = fit._variance
+    psi = fit._correlations(xq)[1][:, sites]
     ours, lapack = _solve(lower, psi.T), _cho_solve(lower, psi.T)
     assert np.abs(ours - lapack).max() <= 1e-12 * np.abs(lapack).max()
+
+
+def test_a_nugget_free_correlation_that_no_jitter_factors_gives_the_fitted_sd(monkeypatch):
+    # with a positive nugget, sd falls back to the fitted factor and
+    # 1 + lambda when K fails every jitter
+    X, y = _twelve_rows()
+    fit = fit_kriging(X, y, {"budget": 60, "seed": 2})
+    assert fit.lambda_ > 0
+    calls = []
+
+    def failing(a):
+        calls.append(a)
+        raise np.linalg.LinAlgError("not positive definite")
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    xq = np.random.default_rng(5).uniform(size=(9, 2))
+    got = predict_kriging(fit, xq)
+    assert len(calls) == 4
+    sigma2, lower, rows, top = fit._variance
+    assert lower is fit.corr_factorization
+    assert (sigma2, rows, top) == (fit.sigma2_hat, slice(None), 1.0 + fit.lambda_)
+    want = _reference_predict(fit, xq)
+    assert _bits(got["mean"]) == _bits(want["mean"])
+    assert _bits(got["sd"]) == _bits(want["sd"])
 
 
 def test_predict_reads_the_scaled_inputs_stored_at_fit_time():

@@ -160,13 +160,15 @@ def test_local_never_spends_more_than_the_budget(budget):
 
 
 def test_local_rejects_start_outside_bounds():
-    # a NaN start used to be reported as a non-finite objective, and a
-    # start of the wrong length failed in numpy's broadcasting
+    # a NaN start used to be reported as a non-finite objective, a start
+    # of the wrong length failed in numpy's broadcasting, and a start of
+    # two rows started from the first
     for start, message in [
         ([25.0, 0.0], "start point outside bounds"),
         ([np.nan, 0.5], "start point outside bounds"),
         ([0.5], "start has 1 columns, expected 2"),
         ([0.5, 0.5, 0.5], "start has 3 columns, expected 2"),
+        ([[1.0, 1.0], [30.0, 30.0]], "start has 2 rows, expected 1"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             optim_local_bounded(np.array(start), fun_sphere, LOWER, UPPER, None)

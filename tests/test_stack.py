@@ -163,6 +163,26 @@ def test_a_bad_member_count_is_rejected_before_any_member_is_fit(member, key, ba
     assert fit_stack(X, y, control).member_names == ["first", member]
 
 
+
+def _fit_one_value(X, y, control=None):
+    return SimpleNamespace(predict=lambda q: np.array([0.5]))
+
+
+def _fit_short_folds(X, y, control=None):
+    return SimpleNamespace(predict=_fit_mean(X, y).predict,
+                           fold_predictions=lambda fold_of: np.zeros(fold_of.size - 1))
+
+
+@pytest.mark.parametrize("member", [_fit_one_value, _fit_short_folds])
+def test_a_member_without_one_out_of_fold_value_per_row_is_dropped(member):
+    # one value for a fold's rows used to be broadcast over them and kept,
+    # and a fold column of the wrong length failed the whole stack
+    X, y = _sphere_data(n=10)
+    fit = fit_stack(X, y, {"members": (member, _fit_mean), "seed": 2})
+    assert fit.member_names == ["_fit_mean"]
+    with pytest.raises(ValueError, match="wrong number of values"):
+        fit_stack(X, y, {"members": (member,), "seed": 2})
+
 def test_all_members_failing_raises():
     X, y = _sphere_data(n=8)
     with pytest.raises(ValueError, match="every stack member failed"):
