@@ -10,7 +10,9 @@ Every likelihood value, in the search and in the final fit, comes from one
 computation: the Cholesky factor of the bordered matrix
 [[K + lam I, 1, y], [1', C, 0], [y', 0, C]], whose last two rows hold
 L^-1 1 and L^-1 y.  The targets enter it divided by the smallest power of
-two above max|y|, so y and 2^k y give it the same bits.
+two above max|y|, so y and 2^k y give it the same bits.  The search builds
+and factors its hyperparameter rows in stacks, gathers those two rows and
+the pivots from each factor, and scores all its rows in one pass per call.
 
 Inputs are scaled to the unit box internally (factor columns excepted), so
 the fitted activity parameters live on that scale.  Every prediction, the
@@ -35,8 +37,12 @@ from .design import cross_dist, query_rows, read_count, read_types, training_dat
 _PENALTY = 1e10
 
 # the likelihood search factors its hyperparameter rows in stacks of about
-# this many doubles, which keeps the search's memory flat in the budget
-_STACK_DOUBLES = 2**15
+# this many doubles, which keeps the search's memory flat in the budget.
+# At 2**14 (128 KiB) each stack buffer stays within glibc's default mmap
+# threshold, so the heap keeps it from one fit to the next; larger buffers
+# go back to the system after each fit and the next fit faults them in
+# again.  From n = 89 on, a stack holds one matrix
+_STACK_DOUBLES = 2**14
 
 # trailing diagonal of the bordered matrices: far above 1' K^-1 1 and
 # y' K^-1 y (|y| < 1) of any factor that the search keeps, so the last two
@@ -195,22 +201,21 @@ def _solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x.reshape(np.shape(b))
 
 
-def _likelihood_values(lower: np.ndarray):
-    """Concentrated -ln-likelihoods from a stack of bordered factors.
+def _likelihood_values(l_one: np.ndarray, l_y: np.ndarray, pivots: np.ndarray):
+    """Concentrated -ln-likelihoods of B rows from their bordered factors.
 
-    `lower` is (B, n+2, n+2): rows n and n+1 of each factor are L^-1 1 and
-    L^-1 y, and its first n pivots are those of K + lam I.  Returns
-    (values, usable, mu, sigma2).  A row is usable, and its value not
-    _PENALTY, when every pivot is positive and finite, K + lam I is not
+    Each argument is (B, n): rows n and n+1 of each row's bordered factor,
+    L^-1 1 and L^-1 y, and its first n pivots, those of K + lam I.  The
+    search gathers them from all its stacks (`_gather`) and scores them in
+    this one pass per call; a row's bits do not depend on the rows beside
+    it.  Returns (values, usable, mu, sigma2).  A row is usable, and its
+    value not _PENALTY, when every pivot is positive and finite (a NaN
+    pivot marks a matrix that did not factor), K + lam I is not
     effectively singular (a lower bound on its condition number above
     1e12: useless for prediction, so penalized like a failure) and sigma2
     is finite.
     """
-    n = lower.shape[1] - 2
-    l_one = lower[:, n, :n]
-    l_y = lower[:, n + 1, :n]
-    # the first n entries of each factor's diagonal
-    pivots = lower.reshape(lower.shape[0], -1)[:, : n * (n + 3) : n + 3]
+    n = l_one.shape[1]
     lo, hi = pivots.min(axis=1), pivots.max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         one_q, one_y = (l_one * l_one).sum(axis=1), (l_one * l_y).sum(axis=1)
@@ -229,16 +234,26 @@ def _likelihood_values(lower: np.ndarray):
     return np.where(usable, value, _PENALTY), usable, mu, sigma2
 
 
+def _factor_rows(lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L^-1 1, L^-1 y, first n pivots), (B, n) views of a stack of
+    bordered factors (B, n+2, n+2): `_likelihood_values`' arguments."""
+    n = lower.shape[1] - 2
+    return lower[:, n, :n], lower[:, n + 1, :n], np.diagonal(lower, axis1=1, axis2=2)[:, :n]
+
+
 def _bordered_stacks(theta: np.ndarray, lam: np.ndarray, flat: np.ndarray, y: np.ndarray):
     """Yield the bordered matrices of the rows of theta (B, d) and lam (B,).
 
     Each stack is (b, n+2, n+2) and holds [[K + lam I, 1, y], [1', C, 0],
     [y', 0, C]] for b consecutive rows, where `flat` is the (d, n*n)
     distance tensor.  A stack holds about _STACK_DOUBLES doubles, which
-    keeps memory flat in the row count; the next stack overwrites it.
+    keeps memory flat in the row count; the next stack overwrites it, so
+    the search (`_search_values`) factors each stack, gathers from the
+    factor what `_likelihood_values` reads and scores all rows at the end.
     """
     rows, n = theta.shape[0], y.shape[0]
     block = max(1, min(rows, _STACK_DOUBLES // (n + 2) ** 2))
+    neg_theta = -theta
     # buffers shared by the stacks, so that each stack allocates only its
     # factor; the border is written once
     corr = np.empty((block, n * n))
@@ -249,11 +264,11 @@ def _bordered_stacks(theta: np.ndarray, lam: np.ndarray, flat: np.ndarray, y: np
     for lo in range(0, rows, block):
         hi = min(rows, lo + block)
         b = hi - lo
-        # einsum sums theta . d in numpy's own loops, one row at a time, so
+        # einsum sums -theta . d in numpy's own loops, one row at a time, so
         # that a row's bits do not depend on the stack's row count, as a
-        # BLAS product's would
-        c = np.einsum("bj,jk->bk", theta[lo:hi], flat, out=corr[:b])
-        np.negative(c, out=c)
+        # BLAS product's would; rounding is symmetric in sign, so summing
+        # -theta gives the bits of negating the sum of theta
+        c = np.einsum("bj,jk->bk", neg_theta[lo:hi], flat, out=corr[:b])
         np.exp(c, out=c)
         m[:b, :n, :n] = c.reshape(b, n, n)
         # the diagonal of a raveled (n+2)-square matrix has stride n+3
@@ -261,21 +276,40 @@ def _bordered_stacks(theta: np.ndarray, lam: np.ndarray, flat: np.ndarray, y: np
         yield m[:b]
 
 
-def _bordered_values(m: np.ndarray) -> np.ndarray:
-    """Likelihood values of a stack of bordered matrices (B, n+2, n+2).
+def _gather(m: np.ndarray, out: np.ndarray) -> None:
+    """Factor a stack of bordered matrices (b, n+2, n+2) and copy each
+    factor's `_factor_rows` into out (3, b, n).
 
     np.linalg.cholesky raises for the whole stack when one of its matrices
     does not factor, so such a stack is factored again one matrix at a
     time (one more factorization each; halving was slower where many rows
-    fail), and a matrix that does not factor gets _PENALTY.
+    fail), and a matrix that does not factor gets NaN rows, which
+    `_likelihood_values` scores _PENALTY.
     """
     try:
         lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         if m.shape[0] == 1:
-            return np.array([_PENALTY])
-        return np.concatenate([_bordered_values(m[i : i + 1]) for i in range(m.shape[0])])
-    return _likelihood_values(lower)[0]
+            out.fill(np.nan)
+            return
+        for i in range(m.shape[0]):
+            _gather(m[i : i + 1], out[:, i : i + 1])
+        return
+    out[0], out[1], out[2] = _factor_rows(lower)
+
+
+def _search_values(theta: np.ndarray, lam: np.ndarray, flat: np.ndarray, y: np.ndarray):
+    """`_likelihood_values` of the rows of theta (B, d) and lam (B,).
+
+    Each stack of `_bordered_stacks` is factored and gathered into one
+    (3, B, n) array, and all B rows are scored in one pass.
+    """
+    gathered = np.empty((3, theta.shape[0], y.shape[0]))
+    lo = 0
+    for m in _bordered_stacks(theta, lam, flat, y):
+        _gather(m, gathered[:, lo : lo + m.shape[0]])
+        lo += m.shape[0]
+    return _likelihood_values(*gathered)
 
 
 def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> KrigingFit:
@@ -335,8 +369,7 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         v = np.atleast_2d(v)
         theta = 10.0 ** v[:, :d]
         lam = 10.0 ** v[:, d] if use_lambda else np.zeros(v.shape[0])
-        stacks = _bordered_stacks(theta, lam, flat, y_unit)
-        return np.concatenate([_bordered_values(m) for m in stacks]).reshape(-1, 1)
+        return _search_values(theta, lam, flat, y_unit)[0].reshape(-1, 1)
 
     alg = control.get("algTheta", "lhd")
     seed = control.get("seed")
@@ -371,7 +404,7 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         bordered = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise ValueError(singular) from None
-    _, usable, mu, sigma2 = _likelihood_values(bordered)
+    _, usable, mu, sigma2 = _likelihood_values(*_factor_rows(bordered))
     if not usable[0]:
         raise ValueError(singular)
     mu, sigma2 = mu[0], sigma2[0]

@@ -26,11 +26,12 @@ class OptResult:
     msg: str
 
 
-def one_per_row(vals, rows: int) -> np.ndarray:
-    """An objective's output as a flat float array of one value per row."""
+def one_per_row(vals, rows: int, what: str = "objective") -> np.ndarray:
+    """An objective's output as a flat float array of one value per row;
+    `what` names the source in the error when the count is wrong."""
     vals = np.asarray(vals, dtype=float).reshape(-1)
     if vals.size != rows:
-        raise ValueError("objective returned the wrong number of values")
+        raise ValueError(f"{what} returned the wrong number of values ({vals.size} for {rows} rows)")
     return vals
 
 

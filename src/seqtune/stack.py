@@ -150,16 +150,17 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
         else:
             fitter, label = MEMBER_FITTERS[name], name
         sub = dict(control)
+        what = f"stack member {label!r}"
         try:
             full = fitter(X, y, sub)
             if hasattr(full, "fold_predictions"):
-                oof = one_per_row(full.fold_predictions(fold_of), n)
+                oof = one_per_row(full.fold_predictions(fold_of), n, what)
             else:
                 oof = np.empty(n)
                 for k in range(folds):
                     test = fold_of == k
                     part = fitter(X[~test], y[~test], sub)
-                    oof[test] = one_per_row(part.predict(X[test]), np.count_nonzero(test))
+                    oof[test] = one_per_row(part.predict(X[test]), np.count_nonzero(test), what)
             if not np.isfinite(oof).all():
                 raise ValueError(f"member {label!r} predicted non-finite values")
         except Exception as err:  # member dropped, others may still work

@@ -39,7 +39,9 @@ from seqtune.kriging import (
     DEFAULT_THETA_BOUNDS,
     KrigingFit,
     _bordered_stacks,
-    _bordered_values,
+    _gather,
+    _likelihood_values,
+    _search_values,
     _solve,
     fit_kriging,
     predict_kriging,
@@ -664,10 +666,17 @@ def test_the_search_without_a_nugget_reaches_both_penalties(n):
     assert {"value", "factor", "conditioning"} <= branches
 
 
+def _gathered_values(m):
+    # the search's values of one stack: gathered from its factors, scored
+    out = np.empty((3, m.shape[0], m.shape[1] - 2))
+    _gather(m, out)
+    return _likelihood_values(*out)[0]
+
+
 def test_a_stack_that_does_not_factor_is_evaluated_row_by_row(monkeypatch):
     # without a nugget, near-zero activity makes K + lam I all but a matrix
     # of ones, which does not factor; np.linalg.cholesky then raises for the
-    # whole stack, which is factored again one matrix at a time
+    # whole stack, which _gather factors again one matrix at a time
     rng = np.random.default_rng(43)
     n, d = 12, 2
     z = rng.uniform(0.0, 1.0, size=(n, d))
@@ -689,13 +698,13 @@ def test_a_stack_that_does_not_factor_is_evaluated_row_by_row(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", spy)
     m = next(_bordered_stacks(theta, lam, flat, y))
     assert m.shape == (3, n + 2, n + 2)
-    got = _bordered_values(m)
+    got = _gathered_values(m)
     assert shapes == [3, 1, 1, 1]
     assert raised == [3, 1]
     assert got[1] == _PENALTY
     # each other matrix of the stack gets the value it gets alone
     for i in (0, 2):
-        alone = _bordered_values(m[i : i + 1])
+        alone = _gathered_values(m[i : i + 1])
         assert _bits(got[i]) == _bits(alone) and alone[0] < _PENALTY
 
 
@@ -724,8 +733,8 @@ def test_targets_scaled_by_a_power_of_two_give_the_same_fit(use_lambda):
 
 
 def test_the_search_factors_each_stack_of_rows_in_one_call(monkeypatch):
-    # 2**15 doubles hold 167 bordered 14-by-14 matrices; with a nugget
-    # every stack factors, so the 400 rows take three calls; the final fit
+    # 2**14 doubles hold 83 bordered 14-by-14 matrices; with a nugget
+    # every stack factors, so the 400 rows take five calls; the final fit
     # then factors the chosen row's bordered matrix, and only the first
     # predict_kriging call the nugget-free correlation
     shapes = []
@@ -741,10 +750,10 @@ def test_the_search_factors_each_stack_of_rows_in_one_call(monkeypatch):
     X = rng.uniform(-1.0, 1.0, size=(12, 1))
     fit = fit_kriging(X, np.cos(3.0 * X[:, 0]), {"seed": 2})
     assert fit.likelihood_evals == 400
-    assert shapes == [(167, 14, 14), (167, 14, 14), (66, 14, 14), (1, 14, 14)]
+    assert shapes == [(83, 14, 14)] * 4 + [(68, 14, 14), (1, 14, 14)]
     for _ in range(2):
         predict_kriging(fit, X[:3])
-    assert shapes[4:] == [(12, 12)]
+    assert shapes[6:] == [(12, 12)]
 
 
 @pytest.mark.parametrize("use_lambda", [True, False])
@@ -781,7 +790,7 @@ def test_the_final_fit_factors_the_matrix_that_the_search_scored(monkeypatch, us
 
 
 def test_a_default_fit_on_thirty_rows_peaks_below_one_and_a_half_megabytes():
-    # the search factors its rows in stacks of about 2**15 doubles
+    # the search factors its rows in stacks of about 2**14 doubles
     rng = np.random.default_rng(47)
     X = rng.uniform(0.0, 1.0, size=(30, 2))
     y = np.sin(6.0 * X[:, 0]) + X[:, 1] ** 2
@@ -858,3 +867,39 @@ def test_bordered_matrices_are_the_kernel_sum_alone_or_in_any_stack(case):
             if doubles is not None:
                 mp.setattr("seqtune.kriging._STACK_DOUBLES", doubles)
             assert _bits(_stacked(theta, lam, flat, y)) == _bits(alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_kernel_cases())
+def test_a_rows_search_value_mu_and_sigma2_do_not_depend_on_its_stack(case):
+    z, types, theta, lam, y = case
+    n, d = z.shape
+    flat = cross_dist(z, z, types).reshape(d, n * n)
+
+    def searched(theta, lam):
+        values, _, mu, sigma2 = _search_values(theta, lam, flat, y)
+        return np.stack([values, mu, sigma2])
+
+    alone = np.concatenate(
+        [searched(theta[i : i + 1], lam[i : i + 1]) for i in range(theta.shape[0])], axis=1
+    )
+    # one row per stack, the default stacks, and every row in one stack
+    for doubles in (1, None, 2**40):
+        with pytest.MonkeyPatch.context() as mp:
+            if doubles is not None:
+                mp.setattr("seqtune.kriging._STACK_DOUBLES", doubles)
+            assert _bits(searched(theta, lam)) == _bits(alone)
+    # a no-nugget row of near-zero activity, whose K is all but a matrix of
+    # ones, makes the stack that holds it fail to factor as a whole
+    bad = np.full((1, d), 1e-6)
+    try:
+        np.linalg.cholesky(next(_bordered_stacks(bad, np.zeros(1), flat, y)))
+        assume(False)
+    except np.linalg.LinAlgError:
+        pass
+    at = theta.shape[0] // 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("seqtune.kriging._STACK_DOUBLES", 2**40)
+        got = searched(np.insert(theta, at, bad, axis=0), np.insert(lam, at, 0.0))
+    assert got[0, at] == _PENALTY
+    assert _bits(np.delete(got, at, axis=1)) == _bits(alone)

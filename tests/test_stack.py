@@ -180,8 +180,10 @@ def test_a_member_without_one_out_of_fold_value_per_row_is_dropped(member):
     X, y = _sphere_data(n=10)
     fit = fit_stack(X, y, {"members": (member, _fit_mean), "seed": 2})
     assert fit.member_names == ["_fit_mean"]
-    with pytest.raises(ValueError, match="wrong number of values"):
+    with pytest.raises(ValueError, match="wrong number of values") as err:
         fit_stack(X, y, {"members": (member,), "seed": 2})
+    # the error names the member, not an objective
+    assert f"stack member {member.__name__!r} returned" in str(err.value)
 
 def test_all_members_failing_raises():
     X, y = _sphere_data(n=8)
