@@ -30,7 +30,6 @@ from .engine import (
     spot_loop,
 )
 from .objectives import get_objective
-from .rsm import descent_path, fit_rsm
 
 
 class ConfigError(ValueError):
@@ -240,6 +239,8 @@ def cmd_continue(args) -> int:
 
 
 def cmd_rsm_path(args) -> int:
+    from .rsm import descent_path, fit_rsm
+
     data = load_bundle(args.bundle)
     finite = np.isfinite(data["y"][:, 0])
     fit = fit_rsm(data["x"][finite], data["y"][finite])

@@ -21,6 +21,9 @@ import numpy as np
 
 VALID_TYPES = ("numeric", "integer", "factor")
 
+# the model control keys that the built-in models read as counts
+MEMBER_COUNT_KEYS = ("budget", "ntree", "mtry", "min_node_size")
+
 
 def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -10,6 +10,7 @@ replicate index, and the run stops exactly at the evaluation budget.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import warnings
 from dataclasses import dataclass, field
@@ -17,25 +18,20 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .design import ParamSpace, is_int, make_lhd, make_uniform, query_rows, read_count
-from .ocba import ocba_allocate
+from .design import (
+    MEMBER_COUNT_KEYS, ParamSpace, is_int, make_lhd, make_uniform, query_rows, read_count,
+)
 from .optimizers import one_per_row, optim_lhd, optim_local_bounded
-from .rsm import min_rows as rsm_min_rows
-from .stack import MEMBER_COUNT_KEYS, MEMBER_FITTERS, fit_stack, stack_members
-from .stack import min_rows as stack_min_rows
 
 
 class InfeasibleBudgetError(ValueError):
     """The evaluation budget cannot cover the initial design."""
 
 
-_MODELS: dict[str, Callable] = {**MEMBER_FITTERS, "stack": fit_stack}
-
-# the rows a model's fit needs beyond fit_surrogate's two, from the rows' spread
-_MIN_ROWS: dict[str, Callable] = {
-    "stack": stack_min_rows,
-    "rsm": rsm_min_rows,
-}
+# the built-in models: seqtune.<name> is imported on the model's first fit,
+# which calls its fit_<name>, and its min_rows where it has one gives the rows
+# that the fit needs beyond fit_surrogate's two, from the rows' spread
+_MODELS = ("forest", "kriging", "rsm", "stack")
 
 _OPTIMIZERS: dict[str, Callable] = {
     "lhd": optim_lhd,
@@ -105,12 +101,14 @@ class SpotConfig:
                 if key in section:
                     read_count(section, key, None, least, f"{name} {key}")
         if self.model == "stack":
+            from .stack import stack_members
+
             stack_members(self.modelControl)
         if self.duplicate not in ("EXPLORE", "STOP"):
             raise ValueError("duplicate must be EXPLORE or STOP")
-        _resolve(_DESIGNS, self.design, "design")
-        _resolve(_MODELS, self.model, "model")
-        _resolve(_OPTIMIZERS, self.optimizer, "optimizer")
+        _check_name(_DESIGNS, self.design, "design")
+        _check_name(_MODELS, self.model, "model")
+        _check_name(_OPTIMIZERS, self.optimizer, "optimizer")
         if self.types is None or isinstance(self.types, list):
             self.types = tuple(self.types or ())
 
@@ -218,19 +216,31 @@ def _evaluate(
             archive.append(row, val, None)
 
 
+def _check_name(known, value, kind: str) -> None:
+    """Pass a callable or a name in `known`; anything else is a ValueError."""
+    if not (callable(value) or (isinstance(value, str) and value in known)):
+        names = ", ".join(sorted(known))
+        raise ValueError(f"unknown {kind} {value!r} (known: {names})")
+
+
 def _resolve(table: dict, value, kind: str) -> Callable:
-    if callable(value):
-        return value
-    try:
-        return table[value]
-    except (KeyError, TypeError):
-        known = ", ".join(sorted(table))
-        raise ValueError(f"unknown {kind} {value!r} (known: {known})") from None
+    _check_name(table, value, kind)
+    return value if callable(value) else table[value]
+
+
+def _fitter(model) -> tuple[Callable, Optional[Callable]]:
+    """The model's fit and its min_rows rule (None: it has none), importing
+    a built-in model's module on first use."""
+    _check_name(_MODELS, model, "model")
+    if callable(model):
+        return model, None
+    module = importlib.import_module(f".{model}", __package__)
+    return getattr(module, f"fit_{model}"), getattr(module, "min_rows", None)
 
 
 def _min_rows(cfg: SpotConfig, x: np.ndarray) -> int:
     """The fewest rows like x that `fit_surrogate` fits the configured model to."""
-    rule = _MIN_ROWS.get(cfg.model) if isinstance(cfg.model, str) else None
+    rule = _fitter(cfg.model)[1]
     return max(2, rule(x, cfg.modelControl)) if rule else 2
 
 
@@ -250,8 +260,7 @@ def fit_surrogate(x: np.ndarray, y: np.ndarray, control=None, seed=None):
     ctl = dict(cfg.modelControl)
     ctl["types"] = cfg.types
     ctl.setdefault("seed", seed)
-    fit_model = _resolve(_MODELS, cfg.model, "model")
-    return fit_model(x[finite], y[finite], ctl)
+    return _fitter(cfg.model)[0](x[finite], y[finite], ctl)
 
 
 def _optimizer_control(cfg: SpotConfig, rng: np.random.Generator) -> dict:
@@ -297,6 +306,8 @@ def _ocba_step(
     ok = (counts >= 2) & np.isfinite(means) & np.isfinite(variances)
     if ok.sum() < 2 or np.all(variances[ok] == 0.0):
         return
+    from .ocba import ocba_allocate
+
     alloc = ocba_allocate(means[ok], variances[ok], counts[ok], extra)
     for sub_idx, n_extra in enumerate(alloc):
         if n_extra > 0:
@@ -320,42 +331,49 @@ def _run(
     if pass_seed and cfg.noise and cfg.seedFun is not None and cfg.seedFun < 0:
         raise ValueError("seedFun must be nonnegative for an objective that takes "
                          f"a seed, got {cfg.seedFun}")
-    if design is not None:
-        _evaluate(fun, design, cfg, archive, pass_seed)
-    run_search = _resolve(_OPTIMIZERS, cfg.optimizer, "optimizer")
+    # seeded evaluations reseed numpy's global generator: the caller gets its
+    # stream back as it was (an unseeded run leaves the stream to the objective)
+    state = np.random.get_state() if cfg.noise and cfg.seedFun is not None else None
+    try:
+        if design is not None:
+            _evaluate(fun, design, cfg, archive, pass_seed)
+        run_search = _resolve(_OPTIMIZERS, cfg.optimizer, "optimizer")
 
-    while archive.count < cfg.funEvals:
-        # the model seed is drawn even when modelControl sets its own, so
-        # the generator's sequence does not depend on modelControl
-        seed = int(rng.integers(2**31 - 1))
-        model = archive.modelFit = fit_surrogate(archive.x, archive.y, cfg, seed)
-        # a continued archive may hold a best row outside the box
-        search = run_search(
-            np.clip(archive.xbest, space.lower, space.upper),
-            _surrogate(model),
-            space.lower,
-            space.upper,
-            _optimizer_control(cfg, rng),
-        )
-        candidate = space.snap(search.xbest)[0]
-        if not cfg.noise:
-            try:
-                candidate = apply_duplicate_policy(
-                    candidate, archive.x, cfg.duplicate, space, rng
-                )
-            except RuntimeError:
-                archive.msg = "stopped: no unevaluated point found to explore"
-                break
-            if candidate is None:
-                archive.msg = "stopped on duplicate candidate (duplicate=STOP)"
-                break
-        reps = min(cfg.replicates, cfg.funEvals - archive.count)
-        rows = np.repeat(candidate.reshape(1, -1), reps, axis=0)
-        _evaluate(fun, rows, cfg, archive, pass_seed)
-        if cfg.OCBA and cfg.noise:
-            _ocba_step(fun, cfg, archive, pass_seed)
+        while archive.count < cfg.funEvals:
+            # the model seed is drawn even when modelControl sets its own, so
+            # the generator's sequence does not depend on modelControl
+            seed = int(rng.integers(2**31 - 1))
+            model = archive.modelFit = fit_surrogate(archive.x, archive.y, cfg, seed)
+            # a continued archive may hold a best row outside the box
+            search = run_search(
+                np.clip(archive.xbest, space.lower, space.upper),
+                _surrogate(model),
+                space.lower,
+                space.upper,
+                _optimizer_control(cfg, rng),
+            )
+            candidate = space.snap(search.xbest)[0]
+            if not cfg.noise:
+                try:
+                    candidate = apply_duplicate_policy(
+                        candidate, archive.x, cfg.duplicate, space, rng
+                    )
+                except RuntimeError:
+                    archive.msg = "stopped: no unevaluated point found to explore"
+                    break
+                if candidate is None:
+                    archive.msg = "stopped on duplicate candidate (duplicate=STOP)"
+                    break
+            reps = min(cfg.replicates, cfg.funEvals - archive.count)
+            rows = np.repeat(candidate.reshape(1, -1), reps, axis=0)
+            _evaluate(fun, rows, cfg, archive, pass_seed)
+            if cfg.OCBA and cfg.noise:
+                _ocba_step(fun, cfg, archive, pass_seed)
 
-    return archive
+        return archive
+    finally:
+        if state is not None:
+            np.random.set_state(state)
 
 
 def _normalize_config(control) -> SpotConfig:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import read_count, training_data
+from .design import MEMBER_COUNT_KEYS, read_count, training_data
 from .forest import fit_forest
 from .kriging import fit_kriging
 from .optimizers import one_per_row
@@ -35,9 +35,6 @@ MEMBER_FITTERS = {
     "forest": fit_forest,
     "rsm": fit_rsm,
 }
-
-# the control keys that the built-in members read as counts
-MEMBER_COUNT_KEYS = ("budget", "ntree", "mtry", "min_node_size")
 
 
 @dataclass

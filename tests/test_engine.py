@@ -109,6 +109,35 @@ def test_objectives_without_seed_argument_get_seeded_global_rng():
     assert a.seeds == list(range(42, 50))
 
 
+def _global_draw(x):
+    return np.random.rand(x.shape[0], 1)
+
+
+def test_an_objective_without_a_seed_archives_the_draws_of_its_rows_seeds():
+    cfg = dict(_FAST_FOREST, funEvals=8, designControl={"size": 4}, noise=True, seedFun=42)
+    res = spot(None, _global_draw, [-2, -2], [2, 2], cfg)
+    assert res.seeds == list(range(42, 50))
+    for val, seed in zip(res.y[:, 0], res.seeds):
+        np.random.seed(seed)
+        assert val == np.random.rand()
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["spot", "spot_loop"])
+def test_a_seeded_run_leaves_the_callers_global_stream_as_it_found_it(resume):
+    # every seeded evaluation reseeds numpy's global generator first; the
+    # caller's next draw used to come from the last evaluation's seed
+    cfg = dict(_FAST_FOREST, funEvals=8, designControl={"size": 4}, noise=True, seedFun=3)
+    prior = np.array([[0.5, 0.5], [-0.5, 0.25], [0.0, -0.75]])
+    np.random.seed(2024)
+    expected = np.random.rand()
+    np.random.seed(2024)
+    if resume:
+        spot_loop(prior, _sphere(prior), _global_draw, [-1, -1], [1, 1], cfg)
+    else:
+        spot(None, _global_draw, [-1, -1], [1, 1], cfg)
+    assert np.random.rand() == expected
+
+
 # ---------------------------------------------------------------------------
 # budget accounting
 
