@@ -8,7 +8,9 @@ per equal-width bin.
 
 `read_count`, `read_types`, `training_data`, `query_rows` and `ParamSpace` own
 the input rules that every model and the engine share: counts, type tags,
-training rows, query points and boxes.
+training rows, query points and boxes.  `_check_name` and `stack_members` own
+the name rule that the engine and the stack share for designs, models,
+optimizers and stack members, and `_MODELS` names the built-in models.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from typing import Optional
 import numpy as np
 
 VALID_TYPES = ("numeric", "integer", "factor")
+
+# the built-in models: seqtune.<name> defines fit_<name>, which engine._fitter
+# loads on the model's first fit; a stack's members are the others
+_MODELS = ("forest", "kriging", "rsm", "stack")
+DEFAULT_MEMBERS = ("kriging", "forest", "rsm")
 
 # the model control keys that the built-in models read as counts
 MEMBER_COUNT_KEYS = ("budget", "ntree", "mtry", "min_node_size")
@@ -39,6 +46,35 @@ def read_count(control: dict, key: str, default, least: int = 1, name=None) -> i
     if value < least:
         raise ValueError(f"{name or key} must be at least {least}, got {value!r}")
     return int(value)
+
+
+def _check_name(known, value, kind: str) -> None:
+    """Pass a callable or a name in `known`; anything else is a ValueError."""
+    if not (callable(value) or (isinstance(value, str) and value in known)):
+        names = ", ".join(sorted(known))
+        raise ValueError(f"unknown {kind} {value!r} (known: {names})")
+
+
+def stack_members(control: dict) -> list:
+    """The stack's members list, checked before any member is fit or loaded.
+
+    A single name or callable is a one-member list, and every member must
+    be a callable or a built-in model other than the stack (`_check_name`).
+    The keys that built-in members read as counts must be integers of at
+    least 1 where the control sets them, as `read_count` reads them, or
+    ValueError names the key.
+    """
+    names = control.get("members", DEFAULT_MEMBERS)
+    if isinstance(names, str) or callable(names):
+        names = [names]
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ValueError(f"stack members must name at least one model, got {names!r}")
+    known = [m for m in _MODELS if m != "stack"]
+    for name in names:
+        _check_name(known, name, "stack member")
+    for key in MEMBER_COUNT_KEYS:
+        read_count(control, key, 1, name=f"stack {key}")
+    return list(names)
 
 
 def read_types(types, dim: int) -> tuple[str, ...]:

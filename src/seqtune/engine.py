@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .design import (
-    MEMBER_COUNT_KEYS, ParamSpace, is_int, make_lhd, make_uniform, query_rows, read_count,
+    _MODELS, MEMBER_COUNT_KEYS, ParamSpace, _check_name, is_int, make_lhd, make_uniform,
+    query_rows, read_count, stack_members,
 )
 from .optimizers import one_per_row, optim_lhd, optim_local_bounded
 
@@ -27,11 +28,6 @@ from .optimizers import one_per_row, optim_lhd, optim_local_bounded
 class InfeasibleBudgetError(ValueError):
     """The evaluation budget cannot cover the initial design."""
 
-
-# the built-in models: seqtune.<name> is imported on the model's first fit,
-# which calls its fit_<name>, and its min_rows where it has one gives the rows
-# that the fit needs beyond fit_surrogate's two, from the rows' spread
-_MODELS = ("forest", "kriging", "rsm", "stack")
 
 _OPTIMIZERS: dict[str, Callable] = {
     "lhd": optim_lhd,
@@ -101,8 +97,6 @@ class SpotConfig:
                 if key in section:
                     read_count(section, key, None, least, f"{name} {key}")
         if self.model == "stack":
-            from .stack import stack_members
-
             stack_members(self.modelControl)
         if self.duplicate not in ("EXPLORE", "STOP"):
             raise ValueError("duplicate must be EXPLORE or STOP")
@@ -216,13 +210,6 @@ def _evaluate(
             archive.append(row, val, None)
 
 
-def _check_name(known, value, kind: str) -> None:
-    """Pass a callable or a name in `known`; anything else is a ValueError."""
-    if not (callable(value) or (isinstance(value, str) and value in known)):
-        names = ", ".join(sorted(known))
-        raise ValueError(f"unknown {kind} {value!r} (known: {names})")
-
-
 def _resolve(table: dict, value, kind: str) -> Callable:
     _check_name(table, value, kind)
     return value if callable(value) else table[value]
@@ -230,7 +217,8 @@ def _resolve(table: dict, value, kind: str) -> Callable:
 
 def _fitter(model) -> tuple[Callable, Optional[Callable]]:
     """The model's fit and its min_rows rule (None: it has none), importing
-    a built-in model's module on first use."""
+    a built-in model's module on first use; min_rows gives the rows that the
+    fit needs beyond fit_surrogate's two, from the rows' spread."""
     _check_name(_MODELS, model, "model")
     if callable(model):
         return model, None

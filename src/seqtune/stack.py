@@ -11,7 +11,9 @@ with the mean re-estimated per fold, and the forest out of bag, each row
 from the trees whose bootstrap left it out (the whole forest for a row
 that every bootstrap holds).  Every other member, RSM and callables, is
 refit on each fold.  Every member gets the stack's whole control and reads
-its own keys from it.
+its own keys from it.  `design.stack_members` checks the members list, and
+a built-in member's module is loaded through the engine's `_fitter`, so a
+stack loads only the modules of the members it names.
 """
 
 from __future__ import annotations
@@ -22,19 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .design import MEMBER_COUNT_KEYS, read_count, training_data
-from .forest import fit_forest
-from .kriging import fit_kriging
+from .design import read_count, stack_members, training_data
+from .engine import _fitter
 from .optimizers import one_per_row
-from .rsm import fit_rsm
-
-DEFAULT_MEMBERS = ("kriging", "forest", "rsm")
-
-MEMBER_FITTERS = {
-    "kriging": fit_kriging,
-    "forest": fit_forest,
-    "rsm": fit_rsm,
-}
 
 
 @dataclass
@@ -77,27 +69,6 @@ class StackFit:
         return out, grad
 
 
-def stack_members(control: dict) -> list:
-    """The members list, checked before any member is fit.
-
-    A single name or callable is a one-member list, and every member must
-    be a callable or a built-in name.  The keys that built-in members read
-    as counts must be integers of at least 1 where the control sets them,
-    as `read_count` reads them, or ValueError names the key.
-    """
-    names = control.get("members", DEFAULT_MEMBERS)
-    if isinstance(names, str) or callable(names):
-        names = [names]
-    if not isinstance(names, (list, tuple)) or not names:
-        raise ValueError(f"stack members must name at least one model, got {names!r}")
-    for name in names:
-        if not callable(name) and name not in MEMBER_FITTERS:
-            raise ValueError(f"unknown stack member {name!r}")
-    for key in MEMBER_COUNT_KEYS:
-        read_count(control, key, 1, name=f"stack {key}")
-    return list(names)
-
-
 def min_rows(X: np.ndarray, control: Optional[dict] = None) -> int:
     """The fewest rows `fit_stack` fits: one per fold (control key folds,
     default 5, a count of at least 2 as `read_count` reads it)."""
@@ -112,9 +83,9 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     (a count of at least 2, as `min_rows` reads it) and seed.  Every member
     is fit with a copy of the whole control, so the members' own keys (types,
     Kriging's budget, the forest's ntree and so on) go at its top level, and
-    `stack_members` checks their counts first.  Out-of-fold predictions come
-    from the full fit's `fold_predictions(fold_of)` where it has one, and
-    otherwise from one refit per fold (RSM, callables).
+    `design.stack_members` checks the names and their counts first.
+    Out-of-fold predictions come from the full fit's `fold_predictions(fold_of)`
+    where it has one, and otherwise from one refit per fold (RSM, callables).
     Kriging's folds keep the full fit's theta, lambda and scaling; the
     forest's are its out-of-bag predictions, which ignore the folds, with
     the whole forest's prediction for a row that every tree's bootstrap
@@ -142,10 +113,8 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     fitted, kept_names, oof_cols = [], [], []
     last_error: Optional[Exception] = None
     for name in names:
-        if callable(name):
-            fitter, label = name, getattr(name, "__name__", "custom")
-        else:
-            fitter, label = MEMBER_FITTERS[name], name
+        fitter = _fitter(name)[0]
+        label = getattr(name, "__name__", "custom") if callable(name) else name
         sub = dict(control)
         what = f"stack member {label!r}"
         try:

@@ -591,6 +591,8 @@ def test_a_bad_stack_member_is_rejected_before_any_evaluation():
         ({"ntree": 2.7}, "^modelControl ntree must be an integer, got 2.7"),
         # an unknown member used to be found after the design was evaluated
         ({"members": ["kriging", "boosting"]}, "^unknown stack member 'boosting'"),
+        # a list as a name used to raise TypeError: unhashable type
+        ({"members": (["kriging"],)}, r"^unknown stack member \['kriging'\]"),
     ):
         control = {"funEvals": 12, "designControl": {"size": 10}, "model": "stack",
                    "modelControl": model_control}

@@ -7,8 +7,8 @@ already, through the oracle computations of other test modules.  The first
 two checks report the scipy modules loaded when the interpreter exits; the
 next ones block every scipy import and run each CLI command that the golden
 files pin.  The last ones report the seqtune modules loaded at exit: set-up
-loads no model's module, a run loads only its own model's, and the package's
-names load their submodule on first use.
+loads no model's module, a run loads only its own model's (a stack's, its
+members' too), and the package's names load their submodule on first use.
 """
 
 import importlib
@@ -123,10 +123,14 @@ def test_every_command_runs_without_scipy(tmp_path, config):
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
 
 
-@pytest.mark.parametrize("name", ["branin_kriging", "sann_forest"])
-def test_set_up_loads_no_model_module(name):
-    loaded = set(_at_exit(_set_up_probe(ROOT / "configs" / f"{name}.cfg", SEQTUNE_AT_EXIT),
-                          "seqtune"))
+@pytest.mark.parametrize("config", [
+    ROOT / "configs" / "branin_kriging.cfg",
+    ROOT / "configs" / "sann_forest.cfg",
+    # a stack config's member check reads names only, and loads no member
+    GOLDEN / "branin_stack.cfg",
+], ids=lambda path: path.stem)
+def test_set_up_loads_no_model_module(config):
+    loaded = set(_at_exit(_set_up_probe(config, SEQTUNE_AT_EXIT), "seqtune"))
     assert "seqtune.cli" in loaded
     assert not loaded & MODEL_MODULES
 
@@ -138,6 +142,15 @@ def test_a_kriging_run_loads_no_other_model_module(tmp_path):
     assert set(_at_exit(stderr, "seqtune")) & MODEL_MODULES == {"seqtune.kriging"}
     assert (out / "archive.csv").read_bytes() == (
         GOLDEN / "branin_kriging.csv").read_bytes()
+
+
+def test_a_stack_run_loads_only_its_members_modules(tmp_path):
+    config = tmp_path / "kriging_forest_stack.cfg"
+    config.write_text((GOLDEN / "branin_stack.cfg").read_text()
+                      + "\n[modelControl]\nmembers = kriging, forest\n")
+    stderr = _tune_in_subprocess(config, tmp_path / "out", check=SEQTUNE_AT_EXIT)
+    assert set(_at_exit(stderr, "seqtune")) & MODEL_MODULES == {
+        "seqtune.stack", "seqtune.kriging", "seqtune.forest"}
 
 
 def test_an_unknown_model_exits_2_and_loads_no_model_module(tmp_path):

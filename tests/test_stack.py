@@ -2,6 +2,7 @@
 Kriging fold predictions and the forest's out-of-bag ones that stand in for
 refits, and the refits of every other member."""
 
+import importlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,11 @@ def _fit_mean(X, y, control=None):
 
 def _fit_nan(X, y, control=None):
     return SimpleNamespace(predict=lambda q: np.full(np.atleast_2d(q).shape[0], np.nan))
+
+
+def _own_fit(name):
+    """The built-in model's own fit_<name>, which the engine's loader calls."""
+    return getattr(importlib.import_module(f"seqtune.{name}"), f"fit_{name}")
 
 
 def _sphere_data(n=30, d=3, seed=123):
@@ -212,10 +218,15 @@ def test_callable_members_are_supported():
     assert seen and all(c == control and c is not control for c in seen)
 
 
-def test_unknown_member_name_is_rejected():
+@pytest.mark.parametrize("members, bad", [
+    (("kriging", "boosting"), "'boosting'"),
+    (("kriging", "stack"), "'stack'"),  # a stack cannot be its own member
+    ((["kriging"],), r"\['kriging'\]"),  # a list is no name, and no dict key
+], ids=["boosting", "stack", "list"])
+def test_unknown_member_name_is_rejected(members, bad):
     X, y = _sphere_data(n=10)
-    with pytest.raises(ValueError, match="unknown stack member"):
-        fit_stack(X, y, {"members": ("kriging", "boosting")})
+    with pytest.raises(ValueError, match=f"^unknown stack member {bad}"):
+        fit_stack(X, y, {"members": members})
 
 
 def test_validates_folds_and_rows():
@@ -320,7 +331,7 @@ def test_kriging_fold_predictions_need_two_rows_outside_each_fold():
 @pytest.mark.parametrize("name", ["kriging", "forest"])
 def test_fold_predictions_need_one_fold_per_training_row(name):
     X, y = _branin_design(0)  # 12 rows
-    fit = stack.MEMBER_FITTERS[name](X, y, {"budget": 30, "ntree": 5, "seed": 0})
+    fit = _own_fit(name)(X, y, {"budget": 30, "ntree": 5, "seed": 0})
     for fold_of in (np.zeros(11, dtype=int), np.zeros(13, dtype=int), np.zeros((12, 1))):
         with pytest.raises(ValueError, match="fold_of has shape"):
             fit.fold_predictions(fold_of)
@@ -330,7 +341,7 @@ def test_fold_predictions_need_one_fold_per_training_row(name):
 def test_fold_predictions_need_integer_fold_ids_from_zero(name):
     # fold -1 would never be visited, so its rows would be left unwritten
     X, y = _branin_design(0)
-    fit = stack.MEMBER_FITTERS[name](X, y, {"budget": 30})
+    fit = _own_fit(name)(X, y, {"budget": 30})
     for fold_of in (np.arange(12) % 3 - 1, np.zeros(12), np.zeros(12, dtype=bool)):
         with pytest.raises(ValueError, match="fold ids >= 0"):
             fit.fold_predictions(fold_of)
@@ -370,8 +381,9 @@ def test_kriging_and_the_forest_are_fit_once_and_rsm_and_a_callable_once_per_fol
     monkeypatch,
 ):
     calls = {}
-    for name, fitter in list(stack.MEMBER_FITTERS.items()):
-        monkeypatch.setitem(stack.MEMBER_FITTERS, name, _counting(calls, name, fitter))
+    for name in ("kriging", "forest", "rsm"):
+        monkeypatch.setattr(f"seqtune.{name}.fit_{name}",
+                            _counting(calls, name, _own_fit(name)))
     X, y = _sphere_data(n=20)
     fit = fit_stack(X, y, dict(_FAST, seed=1, folds=4, members=(
         "kriging", "forest", "rsm", _counting(calls, "mean", _fit_mean))))
@@ -382,7 +394,7 @@ def test_kriging_and_the_forest_are_fit_once_and_rsm_and_a_callable_once_per_fol
 def _refitting(name):
     """The named member without fold_predictions, so each fold is refit."""
     def fit(X, y, control=None):
-        return SimpleNamespace(predict=stack.MEMBER_FITTERS[name](X, y, control).predict)
+        return SimpleNamespace(predict=_own_fit(name)(X, y, control).predict)
     fit.__name__ = name  # member_names go by it
     return fit
 
@@ -400,5 +412,5 @@ def test_members_are_dropped_as_the_fold_refits_drop_them(members, n, folds, kep
     X, y = _sphere_data(n=n, d=2, seed=n)
     control = dict(_FAST, seed=3, folds=folds)
     assert fit_stack(X, y, dict(control, members=members)).member_names == kept
-    refit = [_refitting(m) if m in stack.MEMBER_FITTERS else m for m in members]
+    refit = [_refitting(m) if isinstance(m, str) else m for m in members]
     assert fit_stack(X, y, dict(control, members=refit)).member_names == kept
