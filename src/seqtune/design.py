@@ -6,11 +6,11 @@ integers between the bounds).  Latin hypercube sampling stratifies every
 dimension before any snapping, so continuous columns keep exactly one point
 per equal-width bin.
 
-`read_count`, `read_types`, `training_data`, `query_rows` and `ParamSpace` own
-the input rules that every model and the engine share: counts, type tags,
-training rows, query points and boxes.  `_check_name` and `stack_members` own
-the name rule that the engine and the stack share for designs, models,
-optimizers and stack members, and `_MODELS` names the built-in models.
+`read_count`, `read_flag`, `read_types`, `training_data`, `query_rows` and
+`ParamSpace` own the input rules that every model and the engine share.
+`_check_name`, `_resolve` and `stack_members` own the name rule that the
+engine, Kriging and the stack share for designs, models, searches and stack
+members, and `_MODELS` names the built-in models.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ VALID_TYPES = ("numeric", "integer", "factor")
 _MODELS = ("forest", "kriging", "rsm", "stack")
 DEFAULT_MEMBERS = ("kriging", "forest", "rsm")
 
-# the model control keys that the built-in models read as counts
+# the model control keys that the built-in models read as counts and as flags
 MEMBER_COUNT_KEYS = ("budget", "ntree", "mtry", "min_node_size")
+MEMBER_FLAG_KEYS = ("useLambda", "mainEffectsOnly", "canonical")
 
 
 def is_int(value) -> bool:
@@ -48,11 +49,25 @@ def read_count(control: dict, key: str, default, least: int = 1, name=None) -> i
     return int(value)
 
 
+def read_flag(control: dict, key: str, default, name=None) -> bool:
+    """control[key], or `default` when absent, as a flag: True or False, not
+    1 nor "false", or ValueError naming `name` (default: key)."""
+    value = control.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{name or key} must be true or false, got {value!r}")
+    return value
+
+
 def _check_name(known, value, kind: str) -> None:
     """Pass a callable or a name in `known`; anything else is a ValueError."""
     if not (callable(value) or (isinstance(value, str) and value in known)):
         names = ", ".join(sorted(known))
         raise ValueError(f"unknown {kind} {value!r} (known: {names})")
+
+
+def _resolve(table: dict, value, kind: str):
+    _check_name(table, value, kind)
+    return value if callable(value) else table[value]
 
 
 def stack_members(control: dict) -> list:
@@ -61,8 +76,8 @@ def stack_members(control: dict) -> list:
     A single name or callable is a one-member list, and every member must
     be a callable or a built-in model other than the stack (`_check_name`).
     The keys that built-in members read as counts must be integers of at
-    least 1 where the control sets them, as `read_count` reads them, or
-    ValueError names the key.
+    least 1 where the control sets them, as `read_count` reads them, and
+    the flags must be True or False (`read_flag`), or ValueError names the key.
     """
     names = control.get("members", DEFAULT_MEMBERS)
     if isinstance(names, str) or callable(names):
@@ -74,6 +89,8 @@ def stack_members(control: dict) -> list:
         _check_name(known, name, "stack member")
     for key in MEMBER_COUNT_KEYS:
         read_count(control, key, 1, name=f"stack {key}")
+    for key in MEMBER_FLAG_KEYS:
+        read_flag(control, key, False, name=f"stack {key}")
     return list(names)
 
 

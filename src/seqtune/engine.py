@@ -19,20 +19,15 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .design import (
-    _MODELS, MEMBER_COUNT_KEYS, ParamSpace, _check_name, is_int, make_lhd, make_uniform,
-    query_rows, read_count, stack_members,
+    _MODELS, MEMBER_COUNT_KEYS, MEMBER_FLAG_KEYS, ParamSpace, _check_name, _resolve, is_int,
+    make_lhd, make_uniform, query_rows, read_count, read_flag, stack_members,
 )
-from .optimizers import one_per_row, optim_lhd, optim_local_bounded
+from .optimizers import OPTIMIZERS, one_per_row
 
 
 class InfeasibleBudgetError(ValueError):
     """The evaluation budget cannot cover the initial design."""
 
-
-_OPTIMIZERS: dict[str, Callable] = {
-    "lhd": optim_lhd,
-    "local": optim_local_bounded,
-}
 
 _DESIGNS: dict[str, Callable] = {
     "lhd": make_lhd,
@@ -80,8 +75,7 @@ class SpotConfig:
         if not (is_int(self.seedSPOT) and self.seedSPOT >= 0):
             raise bad("seedSPOT", "a nonnegative integer")
         for name in ("noise", "OCBA"):
-            if not isinstance(getattr(self, name), bool):
-                raise bad(name, "true or false")
+            read_flag(vars(self), name, None)
         for name, keys in _INT_KEYS.items():
             section = getattr(self, name)
             if not isinstance(section, dict):
@@ -96,13 +90,16 @@ class SpotConfig:
             for key, least in keys.items():
                 if key in section:
                     read_count(section, key, None, least, f"{name} {key}")
+        for key in MEMBER_FLAG_KEYS:
+            read_flag(self.modelControl, key, False, f"modelControl {key}")
+        _check_name(OPTIMIZERS, self.modelControl.get("algTheta", "lhd"), "algTheta")
         if self.model == "stack":
             stack_members(self.modelControl)
         if self.duplicate not in ("EXPLORE", "STOP"):
             raise ValueError("duplicate must be EXPLORE or STOP")
         _check_name(_DESIGNS, self.design, "design")
         _check_name(_MODELS, self.model, "model")
-        _check_name(_OPTIMIZERS, self.optimizer, "optimizer")
+        _check_name(OPTIMIZERS, self.optimizer, "optimizer")
         if self.types is None or isinstance(self.types, list):
             self.types = tuple(self.types or ())
 
@@ -208,11 +205,6 @@ def _evaluate(
     else:
         for row, val in zip(rows, one_per_row(fun(rows), rows.shape[0])):
             archive.append(row, val, None)
-
-
-def _resolve(table: dict, value, kind: str) -> Callable:
-    _check_name(table, value, kind)
-    return value if callable(value) else table[value]
 
 
 def _fitter(model) -> tuple[Callable, Optional[Callable]]:
@@ -325,7 +317,7 @@ def _run(
     try:
         if design is not None:
             _evaluate(fun, design, cfg, archive, pass_seed)
-        run_search = _resolve(_OPTIMIZERS, cfg.optimizer, "optimizer")
+        run_search = _resolve(OPTIMIZERS, cfg.optimizer, "optimizer")
 
         while archive.count < cfg.funEvals:
             # the model seed is drawn even when modelControl sets its own, so

@@ -30,7 +30,9 @@ from typing import Optional
 import numpy as np
 
 from . import optimizers
-from .design import cross_dist, query_rows, read_count, read_types, training_data
+from .design import (
+    _resolve, cross_dist, query_rows, read_count, read_flag, read_types, training_data,
+)
 
 # concentrated -log-likelihood returned when the correlation matrix cannot
 # be factorized; large enough that the search never keeps such a point
@@ -316,12 +318,13 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     """Maximum-likelihood Kriging fit.
 
     Control keys read: types (one per column of X, all numeric when absent
-    or empty, as `read_types` reads them), algTheta ("lhd", "local" or a
-    callable with the optimizer signature), budget (likelihood evaluations,
-    a count as `read_count` reads it, default 200 per hyperparameter),
-    useLambda (fit a nugget, default True) and seed; any other key is ignored.
-    Hyperparameters are searched on the log10 ranges DEFAULT_THETA_BOUNDS
-    and DEFAULT_LAMBDA_BOUNDS.
+    or empty, as `read_types` reads them), algTheta (a name in
+    `optimizers.OPTIMIZERS`, default "lhd", or a callable with their
+    signature; "local" with a budget of 20 or more starts from the best of
+    an LHD screen of half of it), budget (likelihood evaluations, a count,
+    default 200 per hyperparameter), useLambda (fit a nugget, a flag,
+    default True) and seed; any other key is ignored.  Hyperparameters are
+    searched on the log10 ranges DEFAULT_THETA_BOUNDS and DEFAULT_LAMBDA_BOUNDS.
 
     The search and the fit at the chosen hyperparameters take their
     likelihood values, mu and sigma2 from the same bordered Cholesky factor
@@ -329,7 +332,8 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     smallest power of two above max|y|.  The weights are solved and refined
     on that scale too, so the fit on 2**k y is the fit on y with mu and
     alpha times 2**k and the variances times 4**k, bit for bit.  Raises
-    ValueError where `training_data(X, y, least=2)` does, when the chosen
+    ValueError where `training_data(X, y, least=2)` does, for a key that
+    `_resolve`, `read_count` or `read_flag` rejects, when the chosen
     hyperparameters give a correlation matrix that the search penalizes,
     and when the scaled-back mean, variances or weights overflow (max|y|
     beyond about 1e150).
@@ -339,12 +343,12 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
     y = y.reshape(-1, 1)
     n, d = X.shape
     types = read_types(control.get("types"), d)
-    use_lambda = bool(control.get("useLambda", True))
+    use_lambda = read_flag(control, "useLambda", True)
+    alg = control.get("algTheta", "lhd")
+    search = _resolve(optimizers.OPTIMIZERS, alg, "algTheta")
 
-    if not use_lambda:
-        uniq = np.unique(X, axis=0)
-        if uniq.shape[0] != n:
-            raise ValueError("duplicate rows require a nugget (useLambda)")
+    if not use_lambda and np.unique(X, axis=0).shape[0] != n:
+        raise ValueError("duplicate rows require a nugget (useLambda)")
 
     # scale distance-based columns onto the unit box for conditioning
     x_offset = X.min(axis=0)
@@ -371,29 +375,12 @@ def fit_kriging(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) ->
         lam = 10.0 ** v[:, d] if use_lambda else np.zeros(v.shape[0])
         return _search_values(theta, lam, flat, y_unit)[0].reshape(-1, 1)
 
-    alg = control.get("algTheta", "lhd")
-    seed = control.get("seed")
-    if alg == "lhd" or callable(alg):
-        search = optimizers.optim_lhd if alg == "lhd" else alg
-        res = search(None, objective, lower, upper, {"funEvals": budget, "seed": seed})
-        xbest, evals = res.xbest, res.count
-    elif alg == "local":
-        # global screen picks the basin, bounded local search polishes it
-        screen_evals = budget // 2 if budget >= 20 else 0
-        start = None
-        if screen_evals:
-            start = optimizers.optim_lhd(
-                None, objective, lower, upper,
-                {"funEvals": screen_evals, "seed": seed},
-            ).xbest.ravel()
-        res = optimizers.optim_local_bounded(
-            start, objective, lower, upper,
-            {"funEvals": budget - screen_evals, "seed": seed},
-        )
-        xbest, evals = res.xbest, res.count + screen_evals
-    else:
-        raise ValueError(f"unknown algTheta {alg!r}")
-    xbest = np.asarray(xbest, dtype=float).ravel()
+    # for "local", a global screen picks the basin and the local search polishes it
+    screen = budget // 2 if alg == "local" and budget >= 20 else 0
+    ctl = {"funEvals": screen, "seed": control.get("seed")}
+    start = optimizers.optim_lhd(None, objective, lower, upper, ctl).xbest if screen else None
+    res = search(start, objective, lower, upper, dict(ctl, funEvals=budget - screen))
+    xbest, evals = np.asarray(res.xbest, dtype=float).ravel(), res.count + screen
 
     theta = 10.0 ** xbest[:d]
     lam = 10.0 ** xbest[d] if use_lambda else 0.0

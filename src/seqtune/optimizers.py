@@ -2,6 +2,7 @@
 
 Both optimizers evaluate objectives that map an (m, d) matrix to an (m, 1)
 column, record every evaluated point, and never step outside the box.
+`OPTIMIZERS` names them for the run's `optimizer` and Kriging's `algTheta`.
 """
 
 from __future__ import annotations
@@ -181,6 +182,9 @@ def optim_local_bounded(
     return _finish(np.vstack(seen_x), np.concatenate(seen_y), msg)
 
 
+OPTIMIZERS = {"lhd": optim_lhd, "local": optim_local_bounded}
+
+
 # stopping rules: a relative reduction of f below _FTOL, or a projected
 # gradient below _GTOL in every coordinate
 _FTOL = 1e-14
@@ -222,14 +226,11 @@ def _projected_bfgs(value_and_gradient, x: np.ndarray, lower: np.ndarray, upper:
         # has to be a descent
         if not promised > (0.0 if hess is None else tol):
             return
-        # beyond the largest of these alphas every moving variable is clipped
+        # every moving variable is clipped beyond the largest of these alphas, which is > 0 (bar
+        # underflow): promised > 0 needs some g_i step_i < 0; no room means g_i step_i >= 0
         room = np.divide(np.where(step > 0.0, upper, lower) - x, step,
                          out=np.zeros_like(x), where=step != 0.0)
         alpha = min(1.0, room.max())
-        if not alpha > 0.0:
-            # the quasi-Newton step only pushes against the box
-            hess = None
-            continue
         while True:
             x_new = np.clip(x + alpha * step, lower, upper)
             s = x_new - x

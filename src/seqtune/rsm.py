@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import query_rows, training_data
+from .design import query_rows, read_flag, training_data
 
 PATH_STEPS = 10
 PATH_RADIUS = 2.5
@@ -90,7 +90,7 @@ def min_rows(X: np.ndarray, control: Optional[dict] = None) -> int:
     """The fewest rows `fit_rsm` fits where X's columns vary: one per term."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     k = int(np.count_nonzero((X != X[:1]).any(axis=0)))
-    if dict(control or {}).get("mainEffectsOnly", False):
+    if read_flag(control or {}, "mainEffectsOnly", False):
         return 1 + k
     return 1 + k + k * (k + 1) // 2
 
@@ -98,7 +98,7 @@ def min_rows(X: np.ndarray, control: Optional[dict] = None) -> int:
 def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSMFit:
     """Least-squares fit of the full second-order model in coded units.
 
-    Control keys: mainEffectsOnly (drop interactions and quadratics; B = 0) and
+    Control flags: mainEffectsOnly (drop interactions and quadratics; B = 0) and
     canonical (let descent paths leave a saddle along its falling axis).
     Raises ValueError where `training_data(X, y)` does.  Constant columns
     are excluded from the basis; a rank-deficient basis raises
@@ -106,8 +106,8 @@ def fit_rsm(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> RSM
     before it already span, as R's lm reports aliased coefficients.
     """
     control = dict(control or {})
-    main_effects_only = bool(control.get("mainEffectsOnly", False))
-    canonical = bool(control.get("canonical", False))
+    main_effects_only = read_flag(control, "mainEffectsOnly", False)
+    canonical = read_flag(control, "canonical", False)
     X, y = training_data(X, y)
     n, d = X.shape
     lo, hi = X.min(axis=0), X.max(axis=0)

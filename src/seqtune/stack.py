@@ -24,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .design import read_count, stack_members, training_data
+from .design import _check_name, read_count, stack_members, training_data
 from .engine import _fitter
-from .optimizers import one_per_row
+from .optimizers import OPTIMIZERS, one_per_row
 
 
 @dataclass
@@ -83,7 +83,8 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     (a count of at least 2, as `min_rows` reads it) and seed.  Every member
     is fit with a copy of the whole control, so the members' own keys (types,
     Kriging's budget, the forest's ntree and so on) go at its top level, and
-    `design.stack_members` checks the names and their counts first.
+    `design.stack_members` checks the names, counts and flags, and
+    `optimizers.OPTIMIZERS` the algTheta, first.
     Out-of-fold predictions come from the full fit's `fold_predictions(fold_of)`
     where it has one, and otherwise from one refit per fold (RSM, callables).
     Kriging's folds keep the full fit's theta, lambda and scaling; the
@@ -103,6 +104,7 @@ def fit_stack(X: np.ndarray, y: np.ndarray, control: Optional[dict] = None) -> S
     y = y.reshape(-1, 1)
     n = X.shape[0]
     names = stack_members(control)
+    _check_name(OPTIMIZERS, control.get("algTheta", "lhd"), "algTheta")
 
     rng = np.random.default_rng(control.get("seed"))
     order = rng.permutation(n)

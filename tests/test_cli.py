@@ -546,6 +546,32 @@ def test_an_unknown_stack_member_exits_2_unevaluated(tmp_path, capsys, monkeypat
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("model, line, message", [
+    ("kriging", "algTheta = nope", "unknown algTheta 'nope' (known: lhd, local)"),
+    ("stack", "algTheta = nope", "unknown algTheta 'nope' (known: lhd, local)"),
+    ("kriging", "useLambda = flase", "modelControl useLambda must be true or false, got 'flase'"),
+    ("rsm", "mainEffectsOnly = 0", "modelControl mainEffectsOnly must be true or false, got 0"),
+    ("stack", "canonical = flase", "modelControl canonical must be true or false, got 'flase'"),
+], ids=["kriging-algTheta", "stack-algTheta", "kriging-useLambda", "rsm-mainEffectsOnly",
+        "stack-canonical"])
+def test_a_bad_search_or_model_flag_exits_2_unevaluated(
+    tmp_path, capsys, monkeypatch, model, line, message
+):
+    # algTheta = nope used to evaluate the whole design, then exit 2
+    # without a bundle; useLambda = flase fitted a nugget
+    calls = []
+    fun = get_objective("sphere")
+    monkeypatch.setattr("seqtune.cli.get_objective",
+                        lambda name: lambda x: calls.append(x) or fun(x))
+    config = _cfg(tmp_path, "[run]\nfun = sphere\nlower = 0, 0\nupper = 1, 1\n"
+                  f"[spot]\nfunEvals = 12\nmodel = {model}\n[modelControl]\n{line}\n")
+    out = str(tmp_path / "b")
+    assert main(["tune", "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: bad run settings: {message}\n"
+    assert calls == []
+    assert not os.path.exists(out)
+
+
 def test_a_stack_config_sets_its_members_counts(tmp_path):
     # fit_stack used to drop them: the forest grew 500 trees and Kriging
     # evaluated 600 likelihood rows

@@ -30,6 +30,7 @@ from seqtune.forest import fit_forest
 from seqtune.kriging import fit_kriging
 from seqtune.optimizers import optim_lhd, optim_local_bounded
 from seqtune.rsm import fit_rsm
+from seqtune.rsm import min_rows as rsm_min_rows
 from seqtune.stack import fit_stack
 from seqtune.stack import min_rows as stack_min_rows
 
@@ -437,6 +438,39 @@ def test_every_count_is_an_integer_of_at_least_its_least(call, name, least, tabl
 def test_every_count_of_the_engine_has_a_component_case():
     covered = {p.values[3] for p in _COUNTS if p.values[3] is not None}
     assert covered == {(s, k) for s, keys in _INT_KEYS.items() for k in keys}
+
+
+# (entry point, the name its messages use); a flag is True or False, and
+# the engine checks the model flags for every model, before any evaluation
+_FLAGS = [
+    pytest.param(lambda v: fit_kriging(_X, _Y, {"useLambda": v, "budget": 10, "seed": 0}),
+                 "useLambda", id="fit_kriging-useLambda"),
+    *[pytest.param(lambda v, key=key: fit_rsm(_X, _Y, {key: v}), key, id=f"fit_rsm-{key}")
+      for key in ("mainEffectsOnly", "canonical")],
+    pytest.param(lambda v: rsm_min_rows(_X, {"mainEffectsOnly": v}), "mainEffectsOnly",
+                 id="rsm.min_rows-mainEffectsOnly"),
+    pytest.param(lambda v: fit_stack(_X, _Y, {"members": ["forest"], "ntree": 5, "seed": 0,
+                                              "canonical": v}),
+                 "stack canonical", id="fit_stack-canonical"),
+    *[pytest.param(lambda v, key=key: SpotConfig(**{key: v}), key, id=f"SpotConfig-{key}")
+      for key in ("noise", "OCBA")],
+    *[pytest.param(lambda v, key=key: SpotConfig(model=model, modelControl={key: v}),
+                   f"modelControl {key}", id=f"SpotConfig-modelControl-{key}")
+      for key, model in (("useLambda", "kriging"), ("mainEffectsOnly", "rsm"),
+                         ("canonical", "stack"))],
+]
+
+
+@pytest.mark.parametrize("call, name", _FLAGS)
+def test_every_flag_is_true_or_false(call, name):
+    # a typo used to turn a model flag on: "flase" is a true string, and
+    # useLambda "flase" fitted a nugget while mainEffectsOnly "flase"
+    # dropped the quadratic terms
+    for bad in ("flase", "false", 0, 1, None, np.bool_(True)):
+        with pytest.raises(ValueError, match=f"^{name} must be true or false, got"):
+            call(bad)
+    call(True)
+    call(False)
 
 
 # ---------------------------------------------------------------------------

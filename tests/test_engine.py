@@ -2,6 +2,7 @@
 duplicate handling, replication top-ups and continuation."""
 
 import itertools
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,7 @@ from seqtune import (
     spot,
     spot_loop,
 )
-from seqtune.engine import initial_design
+from seqtune.engine import _accepts_seed, initial_design
 
 
 def _sphere(x):
@@ -791,3 +792,15 @@ def test_local_search_uses_the_models_gradient_when_it_has_one(gradient):
     assert res.x[6] == pytest.approx([2.0, 2.0], abs=1e-4)
     # one row per iterate from the gradient, else 2d + 1 rows per predict
     assert set(log) == ({("mean_and_gradient", 1)} if gradient else {("predict", 5)})
+
+
+def test_an_objective_whose_signature_cannot_be_read_gets_no_seed():
+    # inspect cannot read an itemgetter's signature; the run calls it
+    # without a seed and still records one per seeded row
+    fun = operator.itemgetter((slice(None), slice(0, 1)))
+    assert not _accepts_seed(fun)
+    cfg = dict(_FAST_FOREST, funEvals=7, designControl={"size": 4, "seed": 0},
+               noise=True, seedFun=3)
+    res = spot(None, fun, [-1, -1], [1, 1], cfg)
+    assert res.seeds == [3, 4, 5, 6, 7, 8, 9]
+    assert np.array_equal(res.y[:, 0], res.x[:, 0])

@@ -46,7 +46,7 @@ from seqtune.kriging import (
     fit_kriging,
     predict_kriging,
 )
-from seqtune.optimizers import optim_lhd
+from seqtune.optimizers import optim_lhd, optim_local_bounded
 
 # ---------------------------------------------------------------------------
 # kernel
@@ -331,8 +331,31 @@ def test_custom_search_callable_is_used():
     assert fit.likelihood_evals == 40
 
 
+@pytest.mark.parametrize("alg, budget", [
+    ("lhd", 50), ("local", 50), ("local", 20), ("local", 19), (optim_local_bounded, 40),
+], ids=["lhd", "local-50", "local-20", "local-19", "callable"])
+def test_each_algtheta_is_the_search_it_names(alg, budget):
+    # the reference is the dispatch that fit_kriging had before it resolved
+    # algTheta through optimizers.OPTIMIZERS: "local" screens half of a
+    # budget of 20 or more with LHD and starts from its best row, and every
+    # other search, a callable too, is one call with the whole budget
+    X, y = _twelve_rows()
+    objective, lower, upper = _search_objective(X, y, ("numeric", "numeric"), True)
+    screen = budget // 2 if alg == "local" and budget >= 20 else 0
+    start = None
+    if screen:
+        start = optim_lhd(None, objective, lower, upper, {"funEvals": screen, "seed": 4}).xbest
+    search = {"lhd": optim_lhd, "local": optim_local_bounded}.get(alg, alg)
+    res = search(start, objective, lower, upper, {"funEvals": budget - screen, "seed": 4})
+    fit = fit_kriging(X, y, {"algTheta": alg, "budget": budget, "seed": 4})
+    assert fit.likelihood_evals == res.count + screen
+    pinned = fit_kriging(X, y, {"algTheta": _pinned(res.xbest)})
+    for name in ("theta", "lambda_", "mu_hat", "sigma2_hat", "corr_factorization", "alpha"):
+        assert _bits(getattr(fit, name)) == _bits(getattr(pinned, name)), name
+
+
 def test_unknown_search_name_is_rejected():
-    with pytest.raises(ValueError, match="algTheta"):
+    with pytest.raises(ValueError, match=r"^unknown algTheta 'gradient' \(known: lhd, local\)$"):
         fit_kriging([[0.0], [1.0]], [0.0, 1.0], {"algTheta": "gradient"})
 
 

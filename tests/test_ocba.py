@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from seqtune import ocba_allocate
+from seqtune.ocba import _apcs
 
 
 def _apcs_oracle(means, variances, counts):
@@ -96,6 +97,23 @@ def test_zero_variance_config_receives_nothing():
         alloc = ocba_allocate([0.0, 0.5, 1.0], [1.0, 0.0, 1.0], [3, 3, 3], budget)
         assert alloc[1] == 0
         assert alloc.sum() == budget
+
+
+@pytest.mark.parametrize("means", [[0.0, 0.0, 1.0, 2.0], [0.0, 0.5, 1.0, 2.0]],
+                         ids=["tie", "gap"])
+def test_a_zero_variance_rival_of_a_zero_variance_best_is_a_tie_or_certain(means):
+    # with no variance on either side, equal means count one half against
+    # the best, and a gap counts nothing
+    variances, counts = [0.0, 0.0, 1.5, 0.7], np.array([3, 3, 2, 4])
+    rest = norm.cdf(-1.0 / np.sqrt(1.5 / 2)) + norm.cdf(-2.0 / np.sqrt(0.7 / 4))
+    value = _apcs(np.array(means), np.array(variances), counts)
+    assert value == pytest.approx(1.0 - (0.5 if means[1] == 0.0 else 0.0) - rest, abs=1e-12)
+    assert value == pytest.approx(_apcs_oracle(means, variances, counts), abs=1e-12)
+    for budget in (1, 3, 5):
+        alloc = ocba_allocate(means, variances, counts, budget)
+        assert alloc[:2].tolist() == [0, 0]
+        achieved = _apcs_oracle(means, variances, counts + alloc)
+        assert achieved >= _exhaustive_max(means, variances, counts, budget) - 1e-12
 
 
 def test_budget_zero_allocates_nothing():

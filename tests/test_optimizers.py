@@ -330,6 +330,20 @@ def test_a_zero_width_axis_gets_a_zero_difference_gradient():
     assert gradient(_rosenbrock(rows)[:, 0])[1] == 0.0
 
 
+def test_a_step_that_cuts_f_by_at_most_ftol_relative_ends_the_local_search():
+    # near 1e20 a unit step changes no bit of f: the first step passes the
+    # Armijo test and ends the search, where the identity's next steps
+    # would walk on to the bound
+    def fun(x):
+        return 1e20 + x[:, :1]
+
+    fun.mean_and_gradient = lambda x: (fun(x), np.ones_like(x))
+    res = optim_local_bounded(np.array([5.0]), fun, np.array([0.0]), np.array([10.0]),
+                              {"funEvals": 100})
+    assert res.msg == "success"
+    assert res.x[:, 0].tolist() == [5.0, 4.0]
+
+
 @pytest.mark.parametrize("budget", [20, 31, 60])
 def test_a_local_likelihood_search_spends_exactly_its_budget(no_scipy, budget):
     rng = np.random.default_rng(19)

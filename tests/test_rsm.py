@@ -374,6 +374,21 @@ def test_canonical_mode_leaves_a_saddle_downhill():
     assert abs(path.coded[-1, 0] - fit.stationary_coded[0]) > 2.0
 
 
+def test_the_canonical_path_does_not_depend_on_the_eigenvector_signs(monkeypatch):
+    # eigh may return either sign of an eigenvector; the path takes the one
+    # whose first entry is positive, so negating them all changes nothing
+    X = _grid2()
+    y = -2.0 * X[:, 0] ** 2 + X[:, 1] ** 2 + 0.3 * X[:, 0] * X[:, 1]
+    before = descent_path(fit_rsm(X, y, {"canonical": True}))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], -eigh(a)[1]))
+    fit = fit_rsm(X, y, {"canonical": True})
+    after = descent_path(fit)
+    assert before.mode == after.mode == "canonical"
+    assert np.array_equal(after.coded, before.coded)
+    assert after.coded[0, 0] > fit.stationary_coded[0]
+
+
 def test_saddle_without_canonical_stays_in_ridge_mode():
     X = _grid2()
     y = -2.0 * X[:, 0] ** 2 + X[:, 1] ** 2

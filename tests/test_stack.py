@@ -169,6 +169,32 @@ def test_a_bad_member_count_is_rejected_before_any_member_is_fit(member, key, ba
     assert fit_stack(X, y, control).member_names == ["first", member]
 
 
+@pytest.mark.parametrize("key, bad, good, message", [
+    ("algTheta", "nope", "local", "unknown algTheta 'nope' (known: lhd, local)"),
+    ("algTheta", ["local"], "lhd", "unknown algTheta ['local'] (known: lhd, local)"),
+    ("useLambda", "flase", False, "stack useLambda must be true or false, got 'flase'"),
+    ("mainEffectsOnly", 0, True, "stack mainEffectsOnly must be true or false, got 0"),
+    ("canonical", "no", False, "stack canonical must be true or false, got 'no'"),
+], ids=["algTheta-name", "algTheta-list", "useLambda", "mainEffectsOnly", "canonical"])
+def test_a_bad_search_or_flag_is_rejected_before_any_member_is_fit(key, bad, good, message):
+    # algTheta "nope" used to drop Kriging as a member that failed to fit,
+    # and useLambda "flase" turned the nugget on
+    X, y = _sphere_data(n=10)
+    fitted = []
+
+    def first(X, y, control=None):
+        fitted.append(control)
+        return _fit_mean(X, y)
+
+    control = {"members": (first, "kriging"), "seed": 1, "budget": 20, key: bad}
+    with pytest.raises(ValueError) as err:
+        fit_stack(X, y, control)
+    assert str(err.value) == message
+    assert fitted == []
+    control[key] = good
+    assert fit_stack(X, y, control).member_names == ["first", "kriging"]
+
+
 
 def _fit_one_value(X, y, control=None):
     return SimpleNamespace(predict=lambda q: np.array([0.5]))
