@@ -72,7 +72,7 @@ def _coerce(text: str):
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # a % is an ordinary character
     cp.optionxform = str  # keep key case, the field names are case-sensitive
     try:
         with open(path) as fh:
@@ -81,6 +81,9 @@ def _read_ini(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     except configparser.Error as err:
         raise ConfigError(f"malformed config {path}: {err}") from None
+    unknown = set(cp.sections()) - {"run", "spot", "surface", *_CONTROL_SECTIONS}
+    if unknown:
+        raise ConfigError(f"unknown config sections: {', '.join(sorted(unknown))}")
     return cp
 
 

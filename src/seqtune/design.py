@@ -8,23 +8,24 @@ per equal-width bin.
 
 `read_count`, `read_flag`, `read_types`, `training_data`, `query_rows` and
 `ParamSpace` own the input rules that every model and the engine share.
-`_check_name`, `_resolve` and `stack_members` own the name rule that the
-engine, Kriging and the stack share for designs, models, searches and stack
-members, and `_MODELS` names the built-in models.
+`_check_name`, `_resolve` and `stack_members` own the name rule for designs
+(`DESIGNS`), models (`_MODELS`, loaded by `_fitter`), searches, stack
+members and objectives.
 """
 
 from __future__ import annotations
 
+import importlib
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 VALID_TYPES = ("numeric", "integer", "factor")
 
-# the built-in models: seqtune.<name> defines fit_<name>, which engine._fitter
-# loads on the model's first fit; a stack's members are the others
+# the built-in models: seqtune.<name> defines fit_<name>, which _fitter loads
+# on the model's first fit; a stack's members are the others
 _MODELS = ("forest", "kriging", "rsm", "stack")
 DEFAULT_MEMBERS = ("kriging", "forest", "rsm")
 
@@ -68,6 +69,17 @@ def _check_name(known, value, kind: str) -> None:
 def _resolve(table: dict, value, kind: str):
     _check_name(table, value, kind)
     return value if callable(value) else table[value]
+
+
+def _fitter(model) -> tuple[Callable, Optional[Callable]]:
+    """The model's fit and its min_rows rule (None: it has none), importing
+    a built-in model's module on first use; min_rows gives the rows that the
+    fit needs beyond fit_surrogate's two, from the rows' spread."""
+    _check_name(_MODELS, model, "model")
+    if callable(model):
+        return model, None
+    module = importlib.import_module(f".{model}", __package__)
+    return getattr(module, f"fit_{model}"), getattr(module, "min_rows", None)
 
 
 def stack_members(control: dict) -> list:
@@ -263,3 +275,6 @@ def make_uniform(
     rng = np.random.default_rng(control.get("seed"))
     x = rng.uniform(space.lower, space.upper, size=(size, space.dim))
     return space.snap(x)
+
+
+DESIGNS = {"lhd": make_lhd, "uniform": make_uniform}

@@ -10,7 +10,6 @@ replicate index, and the run stops exactly at the evaluation budget.
 
 from __future__ import annotations
 
-import importlib
 import inspect
 import warnings
 from dataclasses import dataclass, field
@@ -19,20 +18,14 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .design import (
-    _MODELS, MEMBER_COUNT_KEYS, MEMBER_FLAG_KEYS, ParamSpace, _check_name, _resolve, is_int,
-    make_lhd, make_uniform, query_rows, read_count, read_flag, stack_members,
+    _MODELS, DESIGNS, MEMBER_COUNT_KEYS, MEMBER_FLAG_KEYS, ParamSpace, _check_name, _fitter,
+    _resolve, is_int, query_rows, read_count, read_flag, stack_members,
 )
 from .optimizers import OPTIMIZERS, one_per_row
 
 
 class InfeasibleBudgetError(ValueError):
     """The evaluation budget cannot cover the initial design."""
-
-
-_DESIGNS: dict[str, Callable] = {
-    "lhd": make_lhd,
-    "uniform": make_uniform,
-}
 
 
 # control keys that the designs, models and optimizers read as counts, with
@@ -97,7 +90,7 @@ class SpotConfig:
             stack_members(self.modelControl)
         if self.duplicate not in ("EXPLORE", "STOP"):
             raise ValueError("duplicate must be EXPLORE or STOP")
-        _check_name(_DESIGNS, self.design, "design")
+        _check_name(DESIGNS, self.design, "design")
         _check_name(_MODELS, self.model, "model")
         _check_name(OPTIMIZERS, self.optimizer, "optimizer")
         if self.types is None or isinstance(self.types, list):
@@ -205,17 +198,6 @@ def _evaluate(
     else:
         for row, val in zip(rows, one_per_row(fun(rows), rows.shape[0])):
             archive.append(row, val, None)
-
-
-def _fitter(model) -> tuple[Callable, Optional[Callable]]:
-    """The model's fit and its min_rows rule (None: it has none), importing
-    a built-in model's module on first use; min_rows gives the rows that the
-    fit needs beyond fit_surrogate's two, from the rows' spread."""
-    _check_name(_MODELS, model, "model")
-    if callable(model):
-        return model, None
-    module = importlib.import_module(f".{model}", __package__)
-    return getattr(module, f"fit_{model}"), getattr(module, "min_rows", None)
 
 
 def _min_rows(cfg: SpotConfig, x: np.ndarray) -> int:
@@ -386,7 +368,7 @@ def _initial_rows(x, cfg: SpotConfig, space: ParamSpace, rng) -> np.ndarray:
     if x is not None:
         x = query_rows(x, space.dim, "start rows x")
         rows.append(space.snap(x))
-    design_fn = _resolve(_DESIGNS, cfg.design, "design")
+    design_fn = _resolve(DESIGNS, cfg.design, "design")
     rows.append(query_rows(design_fn(x, space, ctl), space.dim, "the design"))
     return np.repeat(np.vstack(rows), replicates, axis=0)
 

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .design import query_rows
+from .design import _resolve, query_rows
 
 
 def fun_sphere(x: np.ndarray) -> np.ndarray:
@@ -192,9 +192,5 @@ _REGISTRY: dict[str, Callable[..., np.ndarray]] = {
 
 
 def get_objective(name: str) -> Callable[..., np.ndarray]:
-    """Look up an objective by its public name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(f"unknown objective {name!r} (known: {known})") from None
+    """Look up an objective by its public name; a callable passes through."""
+    return _resolve(_REGISTRY, name, "objective")

@@ -12,8 +12,8 @@ from the trees whose bootstrap left it out (the whole forest for a row
 that every bootstrap holds).  Every other member, RSM and callables, is
 refit on each fold.  Every member gets the stack's whole control and reads
 its own keys from it.  `design.stack_members` checks the members list, and
-a built-in member's module is loaded through the engine's `_fitter`, so a
-stack loads only the modules of the members it names.
+a built-in member's module is loaded through `design._fitter`, so a stack
+loads only the modules of the members it names.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import _check_name, read_count, stack_members, training_data
-from .engine import _fitter
+from .design import _check_name, _fitter, read_count, stack_members, training_data
 from .optimizers import OPTIMIZERS, one_per_row
 
 

@@ -722,6 +722,43 @@ def test_corrupt_bundle_config_exits_4(cfg_path, tmp_path, capsys, command, corr
     assert "bundle error" in capsys.readouterr().err
 
 
+def test_continue_with_a_list_objective_exits_2_and_keeps_the_archive(
+        cfg_path, tmp_path, capsys):
+    where = str(tmp_path / "bundle")
+    main(["tune", "--config", cfg_path, "--out", where])
+    meta_path = os.path.join(where, "meta.json")
+    meta = dict(json.loads(_read(meta_path)), fun=["branin"])
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    archive = _read(os.path.join(where, "archive.csv"))
+    capsys.readouterr()
+    # a list used to escape as TypeError: unhashable type: 'list'
+    assert main(["continue", "--bundle", where, "--funEvals", "12"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: unknown objective ['branin']" in err
+    assert "Traceback" not in err
+    assert _read(os.path.join(where, "archive.csv")) == archive
+
+
+@pytest.mark.parametrize("extra, message", [
+    # a misspelled section used to be ignored, and the run saved
+    ("[designcontrol]\nsize = 1000\n", "unknown config sections: designcontrol"),
+    # a % used to escape as configparser's InterpolationSyntaxError
+    ("[spot]\nduplicate = 100%\n", "duplicate"),
+    # and a %(name)s as InterpolationMissingOptionError
+    ("[spot]\nseedSPOT = %(x)s\n", "seedSPOT"),
+], ids=["section", "percent", "percent-name"])
+def test_tune_with_a_bad_section_or_value_exits_2_without_a_bundle(
+        tmp_path, capsys, extra, message):
+    cfg = _cfg(tmp_path, "[run]\nfun = sphere\nlower = 0, 0\nupper = 1, 1\n" + extra)
+    out = str(tmp_path / "b")
+    assert main(["tune", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["continue", "rsm-path", "surface"])
 def test_non_finite_archive_inputs_exit_4(cfg_path, tmp_path, capsys, command):
     where = str(tmp_path / "bundle")

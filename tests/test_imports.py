@@ -8,7 +8,8 @@ two checks report the scipy modules loaded when the interpreter exits; the
 next ones block every scipy import and run each CLI command that the golden
 files pin.  The last ones report the seqtune modules loaded at exit: set-up
 loads no model's module, a run loads only its own model's (a stack's, its
-members' too), and the package's names load their submodule on first use.
+members' too), a stack fit alone loads no engine, and the package's names
+load their submodule on first use.
 """
 
 import importlib
@@ -163,6 +164,19 @@ def test_an_unknown_model_exits_2_and_loads_no_model_module(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "unknown model 'nope' (known: forest, kriging, rsm, stack)" in proc.stderr
     assert not set(_at_exit(proc.stderr, "seqtune")) & MODEL_MODULES
+
+
+def test_a_stack_fit_does_not_load_the_engine():
+    proc = _python("""
+import sys
+import numpy as np
+import seqtune.stack
+X = np.random.default_rng(0).uniform(-1.0, 1.0, (12, 2))
+fit = seqtune.stack.fit_stack(X, (X ** 2).sum(axis=1), {"seed": 1})
+assert fit.member_names == ["kriging", "forest", "rsm"], fit.member_names
+assert "seqtune.engine" not in sys.modules, [m for m in sys.modules if m.startswith("seqtune")]
+""")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_the_package_names_are_the_submodules_own_objects():

@@ -409,5 +409,7 @@ def test_get_objective_known_names():
 
 
 def test_get_objective_unknown_name():
-    with pytest.raises(ValueError, match="unknown objective.*sannSphere"):
-        get_objective("rosenbrock")
+    # a list or dict used to raise TypeError (unhashable) instead of ValueError
+    for name in ("rosenbrock", ["branin"], {"a": 1}, None):
+        with pytest.raises(ValueError, match="unknown objective.*sannSphere"):
+            get_objective(name)
