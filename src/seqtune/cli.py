@@ -82,6 +82,9 @@ def _read_ini(path: str) -> configparser.ConfigParser:
     except configparser.Error as err:
         raise ConfigError(f"malformed config {path}: {err}") from None
     unknown = set(cp.sections()) - {"run", "spot", "surface", *_CONTROL_SECTIONS}
+    # configparser copies [DEFAULT]'s keys into every section
+    if cp.defaults():
+        unknown.add(cp.default_section)
     if unknown:
         raise ConfigError(f"unknown config sections: {', '.join(sorted(unknown))}")
     return cp

@@ -37,6 +37,19 @@ must reduce the node's squared error by more than 1e-12 of it, at the
 midpoint between neighbouring sorted values (the lower value where that
 midpoint rounds up to the upper one).
 
+A pass of the fit or of a prediction writes each of its (nodes, width) and
+(trees, rows) intermediates into a C-contiguous view of a buffer of the
+calling thread's workspace, through `out=` arguments and in-place sorts,
+and so allocates nothing of that size.  The buffers are numbered slots of
+bytes, each viewed as whatever dtype its current array needs, so arrays
+that are never live at once share one.  A buffer grows to the largest view
+asked of it, from the largest pass or from one node of more than
+`_PASS_CELLS` rows, never shrinks, and is kept from one fit to the next.
+Each step computes what it computed on a fresh array, from operands laid
+out as before, so no bit depends on the workspace; and no view leaves the
+call that filled it: the fit's node arrays and every prediction are fresh
+arrays.
+
 One generator, `np.random.default_rng(seed)`, draws every random number of
 a fit: first all trees' bootstrap samples, `integers(0, n, size=(ntree, n))`,
 then the node features, the first min(mtry, d) columns of a stable argsort
@@ -49,6 +62,8 @@ the bit-for-bit reference.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -68,11 +83,39 @@ class _Node:
 
 
 # Cells (nodes by padded rows in a fit, trees by rows in a prediction) per
-# vectorized pass; bounds the pass's temporaries and so the peak memory.
-_PASS_CELLS = 2**12
+# vectorized pass; bounds the workspace, and so the peak memory.  A pass's
+# intermediates of doubles are then 128 KiB each, glibc's mmap and trim
+# thresholds (as at kriging._STACK_DOUBLES): allocated afresh, their pages
+# would be mapped and faulted in again on every pass, which the workspace's
+# buffers, kept between fits, are not.
+_PASS_CELLS = 2**14
 
 # Uniform keys drawn at once for the node features; bounds their memory.
 _KEY_DOUBLES = 2**16
+
+
+class _Workspace(threading.local):
+    """Each thread's buffers of bytes, by slot."""
+
+    def __init__(self):
+        self.buffers = {}
+
+
+_workspace = _Workspace()
+
+
+def _scratch(slot, shape, dtype=np.float64):
+    """A C-contiguous `shape` view of `dtype` on this thread's buffer `slot`.
+
+    The view holds its values until its slot is asked for again, so it must
+    not leave the call that asked for it.
+    """
+    dtype = np.dtype(dtype)
+    size = math.prod(shape) * dtype.itemsize
+    buffer = _workspace.buffers.get(slot)
+    if buffer is None or buffer.size < size:
+        buffer = _workspace.buffers[slot] = np.empty(size, np.uint8)
+    return buffer[:size].view(dtype).reshape(shape)
 
 
 @dataclass
@@ -113,11 +156,13 @@ class ForestFit:
         return roots
 
     def _leaf_values(self, xnew: np.ndarray):
-        """Yield (first row, (ntree, rows) leaf values) for chunks of xnew.
+        """Yield (first row, leaf) for chunks of xnew, leaf a (ntree + 1, rows)
+        workspace view: a row of zeros, then each tree's leaf values.
 
         `xnew` is (m, n_features) and NaN-free.  Every (tree, row) pair of a
         chunk walks its tree at once, for as many steps as the deepest tree
         has levels; a chunk holds at most _PASS_CELLS pairs (or one row).
+        `leaf` holds its values until the next chunk is asked for.
         """
         rows = xnew.shape[0]
         xnew = xnew.ravel()
@@ -129,11 +174,20 @@ class ForestFit:
         chunk = max(1, _PASS_CELLS // ntree)
         for a in range(0, rows, chunk):
             cols = np.arange(a, min(a + chunk, rows)) * self.n_features
-            node = roots + np.zeros_like(cols)
+            shape = (ntree, cols.shape[0])
+            node, at = _scratch(0, shape, np.int64), _scratch(1, shape, np.int64)
+            f, x, thr = _scratch(2, shape, feature.dtype), _scratch(3, shape), _scratch(4, shape)
+            right = _scratch(8, shape, bool)
+            np.copyto(node, roots)
             for _ in range(self.depth):
-                x = xnew.take(cols + feature.take(node))
-                node = left.take(node) + (x > threshold.take(node))
-            yield a, value.take(node)
+                np.add(cols, np.take(feature, node, out=f, mode="clip"), out=at)
+                np.take(xnew, at, out=x, mode="clip")
+                np.greater(x, np.take(threshold, node, out=thr, mode="clip"), out=right)
+                np.add(np.take(left, node, out=at, mode="clip"), right, out=node)
+            leaf = _scratch(5, (ntree + 1, shape[1]))
+            leaf[0] = 0.0
+            np.take(value, node, out=leaf[1:], mode="clip")
+            yield a, leaf
 
     def predict(self, xnew: np.ndarray) -> np.ndarray:
         """Mean over tree predictions, one column."""
@@ -142,7 +196,7 @@ class ForestFit:
         # a NaN coordinate goes right at every split, as +inf does, and +inf
         # stays at a leaf
         for a, leaf in self._leaf_values(np.fmin(xnew, np.inf)):
-            out[a:a + leaf.shape[1]] = _tree_sums(leaf) / leaf.shape[0]
+            np.divide(_tree_sums(leaf), leaf.shape[0] - 1, out=out[a:a + leaf.shape[1]])
         return out.reshape(-1, 1)
 
     def fold_predictions(self, fold_of: np.ndarray) -> np.ndarray:
@@ -162,14 +216,17 @@ class ForestFit:
         if np.shape(fold_of) != (n,):
             raise ValueError(f"fold_of has shape {np.shape(fold_of)}, the fit has {n} rows")
         out = np.empty(n)
+        counts = (~self.in_bag).sum(axis=0)  # the trees that leave each row out
         for a, leaf in self._leaf_values(self.X):
-            out_of_bag = ~self.in_bag[:, a:a + leaf.shape[1]]
-            count = out_of_bag.sum(axis=0)
+            b = a + leaf.shape[1]
             # adding 0.0 for the trees that hold the row changes no bit of
             # the running sum, which starts from +0.0
-            held_out = _tree_sums(np.where(out_of_bag, leaf, 0.0)) / np.maximum(count, 1)
-            whole = _tree_sums(leaf) / leaf.shape[0]
-            out[a:a + leaf.shape[1]] = np.where(count > 0, held_out, whole)
+            held = _scratch(6, leaf.shape)
+            np.copyto(held, leaf)
+            np.copyto(held[1:], 0.0, where=self.in_bag[:, a:b])
+            held_out = _tree_sums(held) / np.maximum(counts[a:b], 1)
+            whole = _tree_sums(leaf) / (leaf.shape[0] - 1)
+            out[a:b] = np.where(counts[a:b] > 0, held_out, whole)
         return out
 
     def mean_and_gradient(self, xnew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,11 +236,12 @@ class ForestFit:
 
 
 def _tree_sums(leaf: np.ndarray) -> np.ndarray:
-    """Each column's sum of (ntree, rows) values, in tree order from 0.0."""
-    total = np.zeros((leaf.shape[0] + 1, leaf.shape[1]))
-    total[1:] = leaf
+    """Each column's sum of leaf[1:], in tree order from leaf[0]'s 0.0.
+
+    The running sums overwrite `leaf`; the result is a view of its last row.
+    """
     # a running sum, so each column adds its trees one at a time
-    return np.cumsum(total, axis=0)[-1]
+    return np.cumsum(leaf, axis=0, out=leaf)[-1]
 
 
 def _settle(perm, start, m, X, ranks, y, min_leaf, features, trees):
@@ -196,16 +254,23 @@ def _settle(perm, start, m, X, ranks, y, min_leaf, features, trees):
     `features(trees of the nodes that can split)`, reduces its centred
     squared error by more than 1e-12 of that error.  A split node's segment
     of `perm` is partitioned in place, the rows going left first, each side
-    in the parent's row order.  Returns the means, the indices of the split
-    nodes, their features, thresholds and left row counts.
+    in the parent's row order; perm's last entry, past every segment, takes
+    the padding.  Returns the means, the indices of the split nodes, their
+    features, thresholds and left row counts.
     """
     k, width, d = m.shape[0], int(m[0]), X.shape[1]
     cols = np.arange(width)
-    pad = cols >= m[:, None]
+    # the workspace slots: 7 holds pad throughout; rows and yc sit in 1 and
+    # 2, or in 0 and 3 once the candidates are taken out
+    pad = np.greater_equal(cols, m[:, None], out=_scratch(7, (k, width), bool))
     # rows past a node's end repeat its last row
-    rows = perm.take(start[:, None] + np.minimum(cols, m[:, None] - 1))
-    targets = y.take(rows)
-    means, parent, yc = np.empty(k), np.empty(k), np.zeros((k, width))
+    pos = np.minimum(cols, m[:, None] - 1, out=_scratch(0, (k, width), np.int64))
+    pos += start[:, None]
+    rows = np.take(perm, pos, out=_scratch(1, (k, width), np.int64), mode="clip")
+    targets = np.take(y, rows, out=_scratch(0, (k, width)), mode="clip")
+    means, parent = np.empty(k), np.empty(k)
+    yc = _scratch(2, (k, width))
+    yc.fill(0.0)
     min_split = max(2, 2 * min_leaf)
     edges = (np.flatnonzero(m[1:] != m[:-1]) + 1).tolist()
     for a, b in zip([0, *edges], [*edges, k]):
@@ -214,17 +279,22 @@ def _settle(perm, start, m, X, ranks, y, min_leaf, features, trees):
         # what group.mean(axis=1) computes, without its Python wrapper
         means[a:b] = mu = np.add.reduce(group, axis=1) / size
         if size >= min_split:
-            c = group - mu[:, None]
+            c = np.subtract(group, mu[:, None], out=_scratch(3, (b - a, size)))
             yc[a:b, :size] = c
             # a batch of 1 x m by m x 1 products: the same BLAS dot as yc @ yc
             parent[a:b] = np.matmul(c[:, None], c[:, :, None]).reshape(-1)
-    cand = np.flatnonzero((targets != targets[:, :1]).any(axis=1) & (m >= min_split))
+    differs = np.not_equal(targets, targets[:, :1], out=_scratch(8, (k, width), bool))
+    cand = np.flatnonzero(differs.any(axis=1) & (m >= min_split))
     k = cand.shape[0]
     if not k:
         return means, cand, cand, parent[cand], cand
+    free = (0, 3)  # the slots that neither rows nor yc sits in
     if k < m.shape[0]:
-        rows, yc, parent, pad, m = rows[cand], yc[cand], parent[cand], pad[cand], m[cand]
-        trees = trees[cand]
+        rows = np.take(rows, cand, axis=0, out=_scratch(0, (k, width), np.int64), mode="clip")
+        yc = np.take(yc, cand, axis=0, out=_scratch(3, (k, width)), mode="clip")
+        free = (1, 2)
+        parent, m, trees = parent[cand], m[cand], trees[cand]
+        pad = np.greater_equal(cols, m[:, None], out=_scratch(7, (k, width), bool))
     feats = features(trees)
     best_f = np.full(k, -1)
     best_gain = 1e-12 * parent
@@ -235,7 +305,6 @@ def _settle(perm, start, m, X, ranks, y, min_leaf, features, trees):
     # positions lo..m-min_leaf-1 leave min_leaf rows on each side
     lo, hi = min_leaf - 1, width - min_leaf
     size = np.arange(lo + 1.0, hi + 1.0)
-    right_n = np.maximum(m[:, None] - size, 1.0)
     short = pad[:, lo + min_leaf:]
     base = np.arange(0, k * width, width)[:, None]
     at, last = np.arange(k), m - 1
@@ -243,24 +312,43 @@ def _settle(perm, start, m, X, ranks, y, min_leaf, features, trees):
     # are distinct and any sort puts them in the stable order of the values
     shift = (width - 1).bit_length()
     mask = (1 << shift) - 1
-    cells = rows * d
+    order, key = _scratch(free[0], (k, width), np.int64), _scratch(4, (k, width), np.int64)
+    # ys, then its running sums s1 in place; s2, those of ys**2, takes the
+    # slot of the keys once their ties are found
+    s1, s2 = _scratch(free[1], (k, width)), _scratch(4, (k, width))
+    left_sse, right_sse = _scratch(5, (k, hi - lo)), _scratch(6, (k, hi - lo))
+    tied = _scratch(8, (k, hi - lo), bool)
     for f in feats.T:
-        key = ranks.take(cells + f[:, None])
+        np.multiply(rows, d, out=order)
+        order += f[:, None]
+        np.take(ranks, order, out=key, mode="clip")
         np.putmask(key, pad, X.shape[0])
         key <<= shift
         key |= cols
         key.sort(axis=1)
-        order = key & mask
+        np.bitwise_and(key, mask, out=order)
         order += base
         key >>= shift
-        ys = yc.take(order)
-        s1, s2 = np.cumsum(ys, axis=1), np.cumsum(ys**2, axis=1)
+        np.equal(key[:, lo + 1:hi + 1], key[:, lo:hi], out=tied)
+        np.logical_or(tied, short, out=tied)
+        ys = np.take(yc, order, out=s1, mode="clip")
+        np.cumsum(np.square(ys, out=s2), axis=1, out=s2)
+        np.cumsum(ys, axis=1, out=s1)
         head1, head2 = s1[:, lo:hi], s2[:, lo:hi]
         tot1, tot2 = s1[at, last][:, None], s2[at, last][:, None]
-        left_sse = head2 - head1**2 / size
-        right_sse = (tot2 - head2) - (tot1 - head1) ** 2 / right_n
-        gain = parent[:, None] - (left_sse + right_sse)
-        gain[(key[:, lo + 1:hi + 1] == key[:, lo:hi]) | short] = -np.inf
+        # right_sse = (tot2 - head2) - (tot1 - head1)**2 / right_n, with
+        # right_n = max(m - size, 1.0) the right side's row count
+        right_n = np.maximum(np.subtract(m[:, None], size, out=right_sse), 1.0, out=right_sse)
+        t = np.square(np.subtract(tot1, head1, out=left_sse), out=left_sse)
+        np.divide(t, right_n, out=t)
+        np.subtract(np.subtract(tot2, head2, out=right_sse), t, out=right_sse)
+        # left_sse = head2 - head1**2 / size
+        np.divide(np.square(head1, out=left_sse), size, out=left_sse)
+        np.subtract(head2, left_sse, out=left_sse)
+        # gain = parent - (left_sse + right_sse)
+        gain = np.add(left_sse, right_sse, out=left_sse)
+        np.subtract(parent[:, None], gain, out=gain)
+        np.putmask(gain, tied, -np.inf)
         i = gain.argmax(axis=1)
         g = gain[at, i]
         i += lo
@@ -274,22 +362,34 @@ def _settle(perm, start, m, X, ranks, y, min_leaf, features, trees):
     best_f, n_left = best_f[chosen], best_i[chosen] + 1
     a = X.take(rows.take(below[chosen]) * d + best_f)
     b = X.take(rows.take(above[chosen]) * d + best_f)
-    rows, pad = rows[chosen], pad[chosen]
+    split = cand[chosen]
+    if split.shape[0] < k:
+        k = split.shape[0]
+        rows = np.take(rows, np.flatnonzero(chosen), axis=0,
+                       out=_scratch(free[0], (k, width), np.int64), mode="clip")
+        pad = np.greater_equal(cols, m[chosen, None], out=_scratch(7, (k, width), bool))
     with np.errstate(over="ignore"):
         mid = (a + b) / 2.0
     # the midpoint of neighbouring doubles can round up to b, and a + b
     # can overflow; either would send every row to one side
     best_thr = np.where((a <= mid) & (mid < b), mid, a)
     # the rows going right, then the padding, each in the parent's order
-    right = (X.take(rows * d + best_f[:, None]) > best_thr[:, None]) | pad
-    key = right.astype(np.int64) << shift
+    key = np.multiply(rows, d, out=_scratch(4, (k, width), np.int64))
+    key += best_f[:, None]
+    x = np.take(X, key, out=_scratch(5, (k, width)), mode="clip")
+    right = np.greater(x, best_thr[:, None], out=_scratch(8, (k, width), bool))
+    np.copyto(key, np.logical_or(right, pad, out=right))
+    key <<= shift
     key |= cols
     key.sort(axis=1)
-    order = key & mask
-    order += np.arange(0, order.size, width)[:, None]
-    keep = ~pad
-    perm[(start[cand[chosen], None] + cols)[keep]] = rows.take(order)[keep]
-    return means, cand[chosen], best_f, best_thr, n_left
+    key &= mask
+    key += np.arange(0, k * width, width)[:, None]
+    moved = np.take(rows, key, out=_scratch(6, (k, width), np.int64), mode="clip")
+    # each row to its new place in its node's segment, the padding to the end
+    to = np.add(start[split, None], cols, out=key)
+    np.putmask(to, pad, perm.shape[0] - 1)
+    np.put(perm, to, moved, mode="clip")
+    return means, split, best_f, best_thr, n_left
 
 
 def feature_draws(n, min_node_size):
@@ -321,10 +421,11 @@ def grow_trees(X, y, samples, min_node_size, features):
     Returns the node arrays feature, threshold, left and value, trimmed to
     the largest tree, and the deepest tree's depth.
     """
-    # a copy: each node's segment is partitioned in place
-    perm = np.array(samples, dtype=np.int32)
-    ntree, n = perm.shape
-    perm = perm.reshape(-1)
+    ntree, n = np.shape(samples)
+    # a copy, as each node's segment is partitioned in place, and one more
+    # entry, past every segment, that `_settle` sends the padding to
+    perm = np.zeros(ntree * n + 1, dtype=np.int64)
+    perm[:-1] = np.ravel(samples)
     # every leaf and every node waiting on a tree's stack holds at least
     # min_node_size rows, disjoint from the others', so a tree has at most
     # `leaves` leaves (2 * leaves - 1 nodes) and `leaves` stack entries

@@ -747,7 +747,9 @@ def test_continue_with_a_list_objective_exits_2_and_keeps_the_archive(
     ("[spot]\nduplicate = 100%\n", "duplicate"),
     # and a %(name)s as InterpolationMissingOptionError
     ("[spot]\nseedSPOT = %(x)s\n", "seedSPOT"),
-], ids=["section", "percent", "percent-name"])
+    # its keys used to reach every section, and [run] rejected them there
+    ("[DEFAULT]\nsize = 1000\n", "unknown config sections: DEFAULT"),
+], ids=["section", "percent", "percent-name", "default"])
 def test_tune_with_a_bad_section_or_value_exits_2_without_a_bundle(
         tmp_path, capsys, extra, message):
     cfg = _cfg(tmp_path, "[run]\nfun = sphere\nlower = 0, 0\nupper = 1, 1\n" + extra)

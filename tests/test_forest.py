@@ -27,6 +27,8 @@ linked tree one row at a time and sums, in tree order from 0.0, the trees
 whose bootstrap, redrawn from the seed, left the row out.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -700,6 +702,103 @@ def test_a_default_fit_on_fifty_rows_peaks_below_three_megabytes():
         tracemalloc.stop()
     assert fit.ntree == 500
     assert peak <= 3 * 2**20
+
+
+def _sann_like(seed):
+    """48 integer rows in replicate pairs with noisy targets, as a SANN run fits."""
+    rng = np.random.default_rng(seed)
+    X = np.repeat(rng.integers(1, 101, size=(24, 2)), 2, axis=0).astype(float)
+    return X, (X[:, 0] - 40) ** 2 / 100 + X[:, 1] / 10 + rng.normal(0, 1, 48)
+
+
+def _stack_like(seed, n):
+    """n rows of Branin, as a stack fits its members on."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform([-5, 0], [10, 15], size=(n, 2))
+    y = (X[:, 1] - 5.1 / (4 * np.pi**2) * X[:, 0] ** 2 + 5 / np.pi * X[:, 0] - 6) ** 2
+    return X, y + 10 * (1 - 1 / (8 * np.pi)) * np.cos(X[:, 0]) + 10
+
+
+def _fit_bytes(X, y, control, xq):
+    """The node arrays, depth, predictions of xq and out-of-bag predictions."""
+    fit = fit_forest(X, y, control)
+    arrays = (fit.feature, fit.threshold, fit.left, fit.value, fit.predict(xq),
+              fit.fold_predictions(np.zeros(len(y), dtype=int)))
+    return [a.tobytes() for a in arrays] + [fit.depth]
+
+
+@pytest.mark.parametrize("cells", [1, 7, 2**12, 2**14, 2**20])
+@pytest.mark.parametrize("data", [_sann_like(40), _stack_like(41, 12), _stack_like(42, 19)],
+                         ids=["sann-48", "stack-12", "stack-19"])
+def test_the_pass_size_moves_no_bit(monkeypatch, data, cells):
+    # a pass of one node (or one predicted row), passes that split a step's
+    # nodes or rows at several places, and every node or row in one pass
+    X, y = data
+    xq = np.random.default_rng(43).uniform(X.min(axis=0), X.max(axis=0), size=(100, 2))
+    control = {"seed": 44}
+    want = _fit_bytes(X, y, control, xq)
+    monkeypatch.setattr(forest, "_PASS_CELLS", cells)
+    assert _fit_bytes(X, y, control, xq) == want
+
+
+def _workspace_bytes():
+    return sum(buffer.nbytes for buffer in forest._workspace.buffers.values())
+
+
+def test_each_thread_fits_and_predicts_in_its_own_workspace():
+    # a dozen forests, each larger than the last, so that every thread's
+    # buffers grow while the other thread works in its own
+    cases = []
+    for i in range(12):
+        X, y = _stack_like(50 + i, 10 + 3 * i)
+        cases.append((X, y, {"seed": i, "ntree": 20 * (i + 1), "min_node_size": 1 + i % 3}))
+    xq = np.random.default_rng(45).uniform([-5, 0], [10, 15], size=(300, 2))
+    serial = [_fit_bytes(X, y, control, xq) for X, y, control in cases]
+    start = threading.Barrier(2, timeout=60)
+    results, grown = {}, {}
+
+    def work(name):
+        start.wait()
+        results[name], grown[name] = [], []
+        for X, y, control in cases:
+            results[name].append(_fit_bytes(X, y, control, xq))
+            grown[name].append(_workspace_bytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(name,)) for name in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for name in "ab":
+        assert results[name] == serial
+        assert grown[name] == sorted(grown[name]) and len(set(grown[name])) >= 4
+
+
+def test_no_workspace_view_leaves_a_fit_or_a_prediction():
+    xq = np.random.default_rng(46).uniform([-5, 0], [10, 15], size=(200, 2))
+
+    def fitted(data, seed):
+        fit = fit_forest(*data, {"seed": seed})
+        arrays = [fit.feature, fit.threshold, fit.left, fit.value, fit.X, fit.in_bag]
+        # a query of one chunk of rows and one of several
+        return arrays + [fit.predict(xq[:1]), fit.predict(xq),
+                         fit.fold_predictions(np.zeros(len(data[1])))]
+
+    a = fitted(_stack_like(47, 19), 1)
+    kept = [array.tobytes() for array in a]
+    b = fitted(_sann_like(48), 2)
+    assert [array.tobytes() for array in a] == kept
+    buffers = list(forest._workspace.buffers.values())
+    for array in a:
+        assert not any(np.shares_memory(array, other) for other in b + buffers)
+    for array in b:
+        assert not any(np.shares_memory(array, buffer) for buffer in buffers)
 
 
 @pytest.fixture
